@@ -8,7 +8,9 @@ Subcommands
     spectrum  float scan of the inverse-map singularity
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error.  All structured output carries a top-level {"schema": "jordan-rep/1"}.
+or input error: package errors such as a zero --omega, malformed --from-json
+input and a selection that runs no checks.  All structured output carries a
+top-level {"schema": "jordan-rep/1"}.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import ncseries, so4
+from .errors import InputError, JordanRepError
 from .exact import fraction_to_str
 from .irrep import (
     Irrep,
@@ -237,7 +240,14 @@ def cmd_verify(args) -> int:
     if args.suite == "sl2":
         if args.from_json:
             with open(args.from_json) as fh:
-                rep = Irrep.from_obj(json.load(fh))
+                obj = json.load(fh)
+            try:
+                rep = Irrep.from_obj(obj)
+            except (KeyError, TypeError) as exc:
+                raise InputError(
+                    f"{args.from_json} is not a representation: "
+                    f"{type(exc).__name__} {exc}"
+                ) from exc
             reports.append(verify_sl2_relations(rep))
         else:
             reports.extend(_sl2_suite(args.j_max))
@@ -264,6 +274,8 @@ def cmd_verify(args) -> int:
         reports.append(ncseries.suite_e2(args.order))
         reports.append(ncseries.suite_e3(args.order))
         reports.append(ncseries.suite_qe3(args.order))
+    if not any(r.entries for r in reports):
+        raise InputError(f"verify {args.suite} with these options runs no checks")
     payload = {
         "kind": "verification",
         "status": "pass" if all(r.passed for r in reports) else "fail",
@@ -327,6 +339,8 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "spectrum":
             return cmd_spectrum(args)
+    except JordanRepError as exc:
+        parser.exit(2, f"error: {exc}\n")
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n{parser.format_usage()}")
     parser.exit(2, parser.format_usage())

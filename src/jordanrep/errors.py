@@ -35,3 +35,8 @@ class IllFormedComposition(JordanRepError):
 
 class ZeroOmega(JordanRepError):
     """The spectrum scan needs a nonzero deformation parameter."""
+
+
+class InputError(JordanRepError):
+    """Command-line input that cannot be verified: a malformed file, or a
+    selection that runs no checks."""

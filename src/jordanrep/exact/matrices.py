@@ -44,6 +44,16 @@ class PolyMatrix:
         self.cols = width
         self.entries = entries
 
+    @classmethod
+    def _of(cls, rows_of_entries) -> "PolyMatrix":
+        """Wrap the result of an internal operation without re-checking it:
+        the entries are already BiPoly and the rows already of equal length."""
+        m = object.__new__(cls)
+        m.entries = tuple(map(tuple, rows_of_entries))
+        m.rows = len(m.entries)
+        m.cols = len(m.entries[0])
+        return m
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -81,7 +91,7 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_shape(other)
-        return PolyMatrix(
+        return PolyMatrix._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -90,7 +100,7 @@ class PolyMatrix:
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_shape(other)
-        return PolyMatrix(
+        return PolyMatrix._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -98,7 +108,7 @@ class PolyMatrix:
         )
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in row] for row in self.entries])
+        return PolyMatrix._of([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.__mul__(other)
@@ -126,7 +136,7 @@ class PolyMatrix:
                         acc = acc + a * b
                 acc_row.append(acc)
             out.append(acc_row)
-        return PolyMatrix(out)
+        return PolyMatrix._of(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, BiPoly)):
@@ -135,9 +145,9 @@ class PolyMatrix:
 
     def scale(self, q) -> "PolyMatrix":
         if isinstance(q, BiPoly):
-            return PolyMatrix([[a * q for a in row] for row in self.entries])
+            return PolyMatrix._of([[a * q for a in row] for row in self.entries])
         q = as_fraction(q)
-        return PolyMatrix([[a.scale(q) for a in row] for row in self.entries])
+        return PolyMatrix._of([[a.scale(q) for a in row] for row in self.entries])
 
     def __pow__(self, n: int) -> "PolyMatrix":
         if self.rows != self.cols:
@@ -173,10 +183,11 @@ class PolyMatrix:
         for ra in self.entries:
             for rb in other.entries:
                 out.append([a * b for a in ra for b in rb])
-        return PolyMatrix(out)
+        return PolyMatrix._of(out)
 
     def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(a) for a in row] for row in self.entries])
+        """Apply ``fn`` to every entry; ``fn`` must return a BiPoly."""
+        return PolyMatrix._of([[fn(a) for a in row] for row in self.entries])
 
     def subs_lam(self, value) -> "PolyMatrix":
         return self.map_entries(lambda a: a.subs_lam(value))
@@ -294,11 +305,12 @@ def charpoly(m: PolyMatrix) -> list[BiPoly]:
 
 
 class TensorSum:
-    """A sum of Kronecker pairs, multiplied without assembling big matrices.
+    """A sum of Kronecker pairs, never assembled into one big matrix.
 
     Used for coproduct checks on tensor squares: products obey
     (A (x) B)(C (x) D) = AC (x) BD, so all arithmetic happens on the small
-    factors and the full matrix is assembled only for the final comparison.
+    factors, and :meth:`first_difference` compares two sums one block row at
+    a time.
     """
 
     __slots__ = ("pairs",)
@@ -317,11 +329,57 @@ class TensorSum:
     def __neg__(self) -> "TensorSum":
         return TensorSum([(-a, b) for (a, b) in self.pairs])
 
-    def to_matrix(self) -> PolyMatrix:
-        acc = None
-        for a, b in self.pairs:
-            m = a.kron(b)
-            acc = m if acc is None else acc + m
-        if acc is None:
+    def _shape(self) -> tuple[int, int, int, int]:
+        """(rows, cols) of every left leg followed by those of every right leg."""
+        if not self.pairs:
             raise ValueError("empty tensor sum")
-        return acc
+        shapes = {(a.rows, a.cols, b.rows, b.cols) for a, b in self.pairs}
+        if len(shapes) != 1:
+            raise DimensionMismatch(f"tensor legs of several shapes: {sorted(shapes)}")
+        return shapes.pop()
+
+    def _sparse_pairs(self) -> list:
+        """Each pair as (rows of the left leg, (row, col, entry) for every
+        nonzero entry of the right leg)."""
+        return [
+            (a.entries, [(i, k, e) for i, row in enumerate(b.entries)
+                         for k, e in enumerate(row) if e])
+            for a, b in self.pairs
+        ]
+
+    @staticmethod
+    def _block_row(sparse_pairs, p: int, shape) -> list:
+        """Block row p of the assembled sum: for each block column q, the
+        block sum_i A_i[p,q] B_i as a list of entry rows."""
+        _, m, r, s = shape
+        blocks = [[[_ZERO] * s for _ in range(r)] for _ in range(m)]
+        for a_rows, b_nonzero in sparse_pairs:
+            for q, coeff in enumerate(a_rows[p]):
+                if coeff:  # zero left-leg scalars contribute nothing
+                    block = blocks[q]
+                    for i, k, e in b_nonzero:
+                        block[i][k] = block[i][k] + coeff * e
+        return blocks
+
+    def first_difference(self, other: "TensorSum"):
+        """(row, col, self_entry, other_entry) of the first mismatch, or None.
+
+        The same answer as comparing the two assembled Kronecker sums in
+        row-major order, but only one block row of each side exists at a time:
+        block (p,q) of sum_i A_i (x) B_i sits at rows p*r.. and columns q*s..,
+        where B_i is r x s."""
+        shape, other_shape = self._shape(), other._shape()
+        if shape != other_shape:
+            raise DimensionMismatch(f"tensor legs {shape} vs {other_shape}")
+        n, m, r, s = shape
+        lhs_pairs, rhs_pairs = self._sparse_pairs(), other._sparse_pairs()
+        for p in range(n):
+            lhs = self._block_row(lhs_pairs, p, shape)
+            rhs = self._block_row(rhs_pairs, p, shape)
+            for row in range(r):
+                for q in range(m):
+                    l_row, r_row = lhs[q][row], rhs[q][row]
+                    if l_row != r_row:
+                        col = next(c for c in range(s) if l_row[c] != r_row[c])
+                        return (p * r + row, q * s + col, l_row[col], r_row[col])
+        return None

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .exact import (
+    STREAMS,
     PolyMatrix,
     TensorSum,
     anticommutator,
@@ -177,23 +178,30 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 
 # -- coalgebra -------------------------------------------------------------------
 #
-# Coproducts on the tensor square are handled as sums of Kronecker pairs so
-# products never touch assembled dim^2 x dim^2 matrices.
+# Coproducts on the tensor square are handled as sums of Kronecker pairs:
+# products act on the dim x dim legs, and the two routes are compared one
+# block row at a time, so no dim^2 x dim^2 matrix is ever assembled.
 
 
-def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
-    """Route (a): coproducts written directly in the composite generators."""
+def _coproducts_direct(r: So4Rep) -> dict[str, list[tuple]]:
+    """Route (a): coproducts written directly in the composite generators.
+
+    Each term is (counit of the left leg, left leg, right leg), with the
+    counit carried exactly: 0 for a generator, 1 for the identity, and f(0),
+    the constant term of f's series, for f(hG) of a generator G, because the
+    counit is an algebra map sending G to 0."""
     i = PolyMatrix.identity(r.dim)
     cosh_jp = nilpotent_apply("cosh", r.J_plus, h_scale=1)
     sinh_jp = nilpotent_apply("sinh", r.J_plus, h_scale=1)
     e_mkp = _exp(r.K_plus, -1)
+    gen, one, exp0 = Fraction(0), Fraction(1), next(STREAMS["exp"]())
     return {
-        "J+": TensorSum([(r.J_plus, i), (i, r.J_plus)]),
-        "J-": TensorSum([(r.J_minus, cosh_jp), (e_mkp, r.J_minus), (r.K_minus, sinh_jp)]),
-        "J0": TensorSum([(r.J_zero, cosh_jp), (e_mkp, r.J_zero), (r.K_zero, sinh_jp)]),
-        "K+": TensorSum([(r.K_plus, i), (i, r.K_plus)]),
-        "K-": TensorSum([(r.K_minus, cosh_jp), (e_mkp, r.K_minus), (r.J_minus, sinh_jp)]),
-        "K0": TensorSum([(r.K_zero, cosh_jp), (e_mkp, r.K_zero), (r.J_zero, sinh_jp)]),
+        "J+": [(gen, r.J_plus, i), (one, i, r.J_plus)],
+        "J-": [(gen, r.J_minus, cosh_jp), (exp0, e_mkp, r.J_minus), (gen, r.K_minus, sinh_jp)],
+        "J0": [(gen, r.J_zero, cosh_jp), (exp0, e_mkp, r.J_zero), (gen, r.K_zero, sinh_jp)],
+        "K+": [(gen, r.K_plus, i), (one, i, r.K_plus)],
+        "K-": [(gen, r.K_minus, cosh_jp), (exp0, e_mkp, r.K_minus), (gen, r.J_minus, sinh_jp)],
+        "K0": [(gen, r.K_zero, cosh_jp), (exp0, e_mkp, r.K_zero), (gen, r.J_zero, sinh_jp)],
     }
 
 
@@ -290,8 +298,8 @@ def verify_so4_coalgebra(r_left: So4Rep, r_right: So4Rep) -> VerificationReport:
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
             f"coproduct of {name}: direct = per-copy",
-            direct[name].to_matrix(),
-            per_copy[name].to_matrix(),
+            TensorSum((left, right) for _, left, right in direct[name]),
+            per_copy[name],
         )
 
     s_direct = _antipodes_direct(r)
@@ -303,50 +311,15 @@ def verify_so4_coalgebra(r_left: So4Rep, r_right: So4Rep) -> VerificationReport:
             s_per_copy[name],
         )
 
-    # counit: all six generators have counit zero, and collapsing the left
-    # tensor leg of the direct coproduct must reproduce the generator.  The
-    # counit evaluation sends every generator matrix to the 1x1 zero, hence
-    # cosh -> 1, sinh -> 0, e^{-hK+} -> 1.
+    # counit: applying eps to the left legs of the direct coproduct must
+    # reproduce the generator, sum_i eps(left_i) right_i = g.
     gens = r.generators()
     for name in GENERATOR_NAMES:
-        collapsed = _collapse_left_leg(direct[name], gens)
+        collapsed = PolyMatrix.zeros(r.dim, r.dim)
+        for eps, _, right in direct[name]:
+            if eps:
+                collapsed = collapsed + right.scale(eps)
         report.check_matrix_identity(
             f"counit (eps x id) on {name}", collapsed, gens[name]
         )
     return report
-
-
-def _collapse_left_leg(tensor_sum: TensorSum, gens: dict[str, PolyMatrix]) -> PolyMatrix:
-    """Apply the counit to the left tensor legs.
-
-    Left legs are generators (counit 0), identity / group-like exponentials
-    (counit 1), or cosh/sinh of a generator (counit 1 / 0).  Rather than
-    pattern-match we evaluate each left-leg matrix at the one-dimensional
-    trivial representation: legs here are polynomials in the six generators,
-    and the trivial representation sends each generator to 0, which is
-    exactly the counit on this list."""
-    gen_values = list(gens.values())
-    acc = None
-    for left, right in tensor_sum.pairs:
-        weight = _counit_value(left, gen_values)
-        term = right.scale(weight)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _counit_value(leg: PolyMatrix, gens: list[PolyMatrix]):
-    """Counit of the specific left-leg matrices appearing in the direct
-    coproducts: 0 for a generator, else the scalar of the identity-plus-
-    nilpotent combination (always 1 here)."""
-    for g in gens:
-        if leg == g:
-            return Fraction(0)
-    # remaining legs are 1, e^{-hK+}, cosh(hJ+) or sinh(hJ+); their counit is
-    # their classical scalar part, read off at h = 0 in the top-left entry of
-    # the h->0 limit (identity-like -> 1, sinh-like -> 0).
-    limit = leg.subs_h(0)
-    value = limit[0, 0].constant_value()
-    d = leg.rows
-    if limit == PolyMatrix.identity(d).scale(value):
-        return value
-    raise ValueError("unexpected left leg in coproduct")

@@ -2,13 +2,14 @@
 
 Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
-and the combinatorial counts by exhaustive enumeration.
+the combinatorial counts by exhaustive enumeration, and sums of Kronecker
+products by assembling the full matrix.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from jordanrep.exact import BiPoly
+from jordanrep.exact import BiPoly, TensorSum
 
 ZERO = BiPoly.zero()
 
@@ -77,3 +78,14 @@ def brute_force_actions(max_level):
             neg(cosh_hx({n: one})),
         )
     return x_act, h_act
+
+
+def assemble(tensor_sum: TensorSum):
+    """The full matrix sum_i A_i (x) B_i, built pair by pair with kron."""
+    acc = None
+    for a, b in tensor_sum.pairs:
+        m = a.kron(b)
+        acc = m if acc is None else acc + m
+    if acc is None:
+        raise ValueError("empty tensor sum")
+    return acc

@@ -165,3 +165,37 @@ def test_usage_errors_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--omega", "0", "--grid", "0:1:0.5"],
+        ["verify", "sl2", "--j-max", "0"],
+    ],
+)
+def test_refused_inputs_exit_two_without_traceback(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_malformed_from_json_exits_two(tmp_path, capsys):
+    assert main(["irrep", "--j", "1/2", "--output", str(tmp_path / "rep.json")]) == 0
+    ragged = json.loads((tmp_path / "rep.json").read_text())
+    ragged["matrices"]["X"] = [[[], []], [[], []], [[], []]]  # 3x2 against 2x2
+    for name, payload in (
+        ("missing.json", {"j": "1/2"}),
+        ("wrong.json", [1, 2]),
+        ("ragged.json", ragged),
+    ):
+        rep_file = tmp_path / name
+        rep_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", "--from-json", str(rep_file)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

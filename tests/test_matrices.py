@@ -8,10 +8,12 @@ from jordanrep.errors import DimensionMismatch, NotNilpotent
 from jordanrep.exact import (
     BiPoly,
     PolyMatrix,
+    TensorSum,
     charpoly,
     commutator,
     nilpotent_apply,
 )
+from oracles import assemble
 
 # classical raising matrix for the 8-dimensional module, superdiagonal
 # (j-m)(j+m+1) with weights descending
@@ -122,3 +124,68 @@ def test_hyperbolic_split_of_exponential(m):
     c = nilpotent_apply("cosh", m, h_scale=1)
     assert c + s == nilpotent_apply("exp", m, h_scale=1)
     assert commutator(s, c).is_zero
+
+
+def test_tensor_sum_first_difference_locates_mismatch():
+    e01 = PolyMatrix([[0, 1], [0, 0]])
+    zero = PolyMatrix.zeros(2, 2)
+    regrouped = TensorSum([(e01, e01.scale(3)), (e01.scale(2), -e01)])
+    assert regrouped.first_difference(TensorSum([(e01, e01)])) is None
+    # e01 (x) e01 has its single nonzero entry at (0*2+0, 1*2+1)
+    diff = TensorSum([(e01, e01)]).first_difference(TensorSum([(e01, zero)]))
+    assert diff == (0, 3, BiPoly.one(), BiPoly.zero())
+    # mismatches in blocks (0,0) at (1,0) and (0,1) at (0,3): row-major order
+    # reports the second, which lies in an earlier row
+    left, right = PolyMatrix([[1, 0]]), PolyMatrix([[0, 1]])
+    e10 = PolyMatrix([[0, 0], [1, 0]])
+    lhs = TensorSum([(left, e01 + e10)])
+    rhs = TensorSum([(left, e01), (right, e01)])
+    diff = lhs.first_difference(rhs)
+    assert diff == (0, 3, BiPoly.zero(), BiPoly.one())
+
+
+def test_tensor_sum_first_difference_rejects_bad_shapes():
+    i2, i3 = PolyMatrix.identity(2), PolyMatrix.identity(3)
+    with pytest.raises(DimensionMismatch):
+        TensorSum([(i2, i2)]).first_difference(TensorSum([(i2, i3)]))
+    with pytest.raises(DimensionMismatch):
+        TensorSum([(i2, i2), (i3, i2)]).first_difference(TensorSum([(i2, i2)]))
+    with pytest.raises(ValueError):
+        TensorSum([]).first_difference(TensorSum([(i2, i2)]))
+
+
+# sparse entries, some carrying powers of h, so that blocks and whole block
+# rows are often zero
+small_entries = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, BiPoly.h(), BiPoly.term(Fraction(-1, 2), 0, 2)]
+)
+
+
+def _matrices(rows, cols):
+    return st.lists(small_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda vals: PolyMatrix([vals[i * cols:(i + 1) * cols] for i in range(rows)])
+    )
+
+
+@st.composite
+def tensor_sum_pairs(draw):
+    """Two sums over the same leg shapes: the second regroups the first
+    (reversed, with one right leg split in two) and adds 0-2 stray pairs, so
+    both equal and unequal sides come up."""
+    n, m, r, s = (draw(st.integers(1, 3)) for _ in range(4))
+    pairs = st.lists(st.tuples(_matrices(n, m), _matrices(r, s)), min_size=1, max_size=3)
+    lhs = draw(pairs)
+    (a, b), rest = lhs[0], lhs[1:]
+    part = draw(_matrices(r, s))
+    rhs = list(reversed(rest)) + [(a, b - part), (a, part)]
+    if draw(st.booleans()):
+        rhs += draw(pairs)[:2]
+    return TensorSum(lhs), TensorSum(rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_sum_pairs())
+def test_tensor_sum_first_difference_matches_assembled_oracle(sides):
+    lhs, rhs = sides
+    assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
+    assert rhs.first_difference(lhs) == assemble(rhs).first_difference(assemble(lhs))

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from jordanrep import so4
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import PolyMatrix, commutator, nilpotent_apply
+from jordanrep.exact import PolyMatrix, TensorSum, commutator, nilpotent_apply
 from jordanrep.irrep import casimir, classical_rep, map_to_deformed, sinh_over_h
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
+from oracles import assemble
 
 HALF = Fraction(1, 2)
 PAIRS = [(HALF, HALF), (Fraction(1), HALF), (Fraction(1), Fraction(1))]
@@ -128,3 +130,39 @@ def test_coalgebra_requires_matching_spins():
     b = build_so4(Fraction(1), HALF)
     with pytest.raises(DimensionMismatch):
         verify_so4_coalgebra(a, b)
+
+
+def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
+    r = build_so4(Fraction(1), HALF)
+    honest = so4._coproducts_per_copy
+
+    def with_stray_pair(rep):
+        sums = honest(rep)
+        sums["J0"] = sums["J0"] + TensorSum([(rep.J_plus, rep.K_zero)])
+        return sums
+
+    monkeypatch.setattr(so4, "_coproducts_per_copy", with_stray_pair)
+    report = verify_so4_coalgebra(r, r)
+    assert [e.relation_label for e in report.failures()] == [
+        "coproduct of J0: direct = per-copy"
+    ]
+    direct = TensorSum((a, b) for _, a, b in so4._coproducts_direct(r)["J0"])
+    i, j, lhs, rhs = assemble(direct).first_difference(assemble(with_stray_pair(r)["J0"]))
+    entry = report.failures()[0]
+    assert entry.detail == f"first mismatch at ({i},{j})"
+    assert entry.residual_sample == f"lhs={lhs} rhs={rhs}"
+
+
+def test_wrong_counit_fails_counit_check(monkeypatch):
+    r = build_so4(HALF, HALF)
+    honest = so4._coproducts_direct
+
+    def with_wrong_counit(rep):
+        terms = honest(rep)
+        eps, left, right = terms["J-"][1]  # e^{-hK+} (x) J-, counit 1
+        terms["J-"][1] = (eps + 1, left, right)
+        return terms
+
+    monkeypatch.setattr(so4, "_coproducts_direct", with_wrong_counit)
+    report = verify_so4_coalgebra(r, r)
+    assert [e.relation_label for e in report.failures()] == ["counit (eps x id) on J-"]

@@ -8,9 +8,9 @@ Subcommands
     spectrum  float scan of the inverse-map singularity
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error: package errors such as a zero --omega, malformed --from-json
-input and a selection that runs no checks.  All structured output carries a
-top-level {"schema": "jordan-rep/1"}.
+or input error: a zero --omega, malformed --from-json input or a selection
+that runs no checks.  Any other package error is a defect and propagates.
+All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import ncseries, so4
-from .errors import InputError, JordanRepError
+from .errors import DimensionMismatch, InputError, ZeroOmega
 from .exact import fraction_to_str
 from .irrep import (
     Irrep,
@@ -243,7 +243,7 @@ def cmd_verify(args) -> int:
                 obj = json.load(fh)
             try:
                 rep = Irrep.from_obj(obj)
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, DimensionMismatch) as exc:
                 raise InputError(
                     f"{args.from_json} is not a representation: "
                     f"{type(exc).__name__} {exc}"
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "spectrum":
             return cmd_spectrum(args)
-    except JordanRepError as exc:
+    except (InputError, ZeroOmega) as exc:
         parser.exit(2, f"error: {exc}\n")
     except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n{parser.format_usage()}")

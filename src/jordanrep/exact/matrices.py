@@ -44,16 +44,6 @@ class PolyMatrix:
         self.cols = width
         self.entries = entries
 
-    @classmethod
-    def _of(cls, rows_of_entries) -> "PolyMatrix":
-        """Wrap the result of an internal operation without re-checking it:
-        the entries are already BiPoly and the rows already of equal length."""
-        m = object.__new__(cls)
-        m.entries = tuple(map(tuple, rows_of_entries))
-        m.rows = len(m.entries)
-        m.cols = len(m.entries[0])
-        return m
-
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -91,7 +81,7 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_shape(other)
-        return PolyMatrix._of(
+        return PolyMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -100,7 +90,7 @@ class PolyMatrix:
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_shape(other)
-        return PolyMatrix._of(
+        return PolyMatrix(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
@@ -108,7 +98,7 @@ class PolyMatrix:
         )
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix._of([[-a for a in row] for row in self.entries])
+        return PolyMatrix([[-a for a in row] for row in self.entries])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self.__mul__(other)
@@ -136,7 +126,7 @@ class PolyMatrix:
                         acc = acc + a * b
                 acc_row.append(acc)
             out.append(acc_row)
-        return PolyMatrix._of(out)
+        return PolyMatrix(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, BiPoly)):
@@ -145,9 +135,9 @@ class PolyMatrix:
 
     def scale(self, q) -> "PolyMatrix":
         if isinstance(q, BiPoly):
-            return PolyMatrix._of([[a * q for a in row] for row in self.entries])
+            return PolyMatrix([[a * q for a in row] for row in self.entries])
         q = as_fraction(q)
-        return PolyMatrix._of([[a.scale(q) for a in row] for row in self.entries])
+        return PolyMatrix([[a.scale(q) for a in row] for row in self.entries])
 
     def __pow__(self, n: int) -> "PolyMatrix":
         if self.rows != self.cols:
@@ -183,11 +173,10 @@ class PolyMatrix:
         for ra in self.entries:
             for rb in other.entries:
                 out.append([a * b for a in ra for b in rb])
-        return PolyMatrix._of(out)
+        return PolyMatrix(out)
 
     def map_entries(self, fn) -> "PolyMatrix":
-        """Apply ``fn`` to every entry; ``fn`` must return a BiPoly."""
-        return PolyMatrix._of([[fn(a) for a in row] for row in self.entries])
+        return PolyMatrix([[fn(a) for a in row] for row in self.entries])
 
     def subs_lam(self, value) -> "PolyMatrix":
         return self.map_entries(lambda a: a.subs_lam(value))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SingularLeadingElement
+from .errors import DimensionMismatch, SingularLeadingElement
 from .exact import (
     BiPoly,
     PolyMatrix,
@@ -113,13 +113,19 @@ class Irrep:
 
     @staticmethod
     def from_obj(obj) -> "Irrep":
-        return Irrep(
+        rep = Irrep(
             j=ensure_half_integer(obj["j"]),
             basis=obj["basis"],
             X=PolyMatrix.from_obj(obj["matrices"]["X"]),
             Y=PolyMatrix.from_obj(obj["matrices"]["Y"]),
             H=PolyMatrix.from_obj(obj["matrices"]["H"]),
         )
+        for name, m in (("X", rep.X), ("Y", rep.Y), ("H", rep.H)):
+            if (m.rows, m.cols) != (rep.dim, rep.dim):
+                raise DimensionMismatch(
+                    f"{name} is {m.rows}x{m.cols}, but j={rep.j} needs {rep.dim}x{rep.dim}"
+                )
+        return rep
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .exact import (
-    STREAMS,
     PolyMatrix,
     TensorSum,
     anticommutator,
@@ -183,25 +182,19 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 # block row at a time, so no dim^2 x dim^2 matrix is ever assembled.
 
 
-def _coproducts_direct(r: So4Rep) -> dict[str, list[tuple]]:
-    """Route (a): coproducts written directly in the composite generators.
-
-    Each term is (counit of the left leg, left leg, right leg), with the
-    counit carried exactly: 0 for a generator, 1 for the identity, and f(0),
-    the constant term of f's series, for f(hG) of a generator G, because the
-    counit is an algebra map sending G to 0."""
+def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
+    """Route (a): coproducts written directly in the composite generators."""
     i = PolyMatrix.identity(r.dim)
     cosh_jp = nilpotent_apply("cosh", r.J_plus, h_scale=1)
     sinh_jp = nilpotent_apply("sinh", r.J_plus, h_scale=1)
     e_mkp = _exp(r.K_plus, -1)
-    gen, one, exp0 = Fraction(0), Fraction(1), next(STREAMS["exp"]())
     return {
-        "J+": [(gen, r.J_plus, i), (one, i, r.J_plus)],
-        "J-": [(gen, r.J_minus, cosh_jp), (exp0, e_mkp, r.J_minus), (gen, r.K_minus, sinh_jp)],
-        "J0": [(gen, r.J_zero, cosh_jp), (exp0, e_mkp, r.J_zero), (gen, r.K_zero, sinh_jp)],
-        "K+": [(gen, r.K_plus, i), (one, i, r.K_plus)],
-        "K-": [(gen, r.K_minus, cosh_jp), (exp0, e_mkp, r.K_minus), (gen, r.J_minus, sinh_jp)],
-        "K0": [(gen, r.K_zero, cosh_jp), (exp0, e_mkp, r.K_zero), (gen, r.J_zero, sinh_jp)],
+        "J+": TensorSum([(r.J_plus, i), (i, r.J_plus)]),
+        "J-": TensorSum([(r.J_minus, cosh_jp), (e_mkp, r.J_minus), (r.K_minus, sinh_jp)]),
+        "J0": TensorSum([(r.J_zero, cosh_jp), (e_mkp, r.J_zero), (r.K_zero, sinh_jp)]),
+        "K+": TensorSum([(r.K_plus, i), (i, r.K_plus)]),
+        "K-": TensorSum([(r.K_minus, cosh_jp), (e_mkp, r.K_minus), (r.J_minus, sinh_jp)]),
+        "K0": TensorSum([(r.K_zero, cosh_jp), (e_mkp, r.K_zero), (r.J_zero, sinh_jp)]),
     }
 
 
@@ -298,7 +291,7 @@ def verify_so4_coalgebra(r_left: So4Rep, r_right: So4Rep) -> VerificationReport:
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
             f"coproduct of {name}: direct = per-copy",
-            TensorSum((left, right) for _, left, right in direct[name]),
+            direct[name],
             per_copy[name],
         )
 
@@ -311,14 +304,16 @@ def verify_so4_coalgebra(r_left: So4Rep, r_right: So4Rep) -> VerificationReport:
             s_per_copy[name],
         )
 
-    # counit: applying eps to the left legs of the direct coproduct must
-    # reproduce the generator, sum_i eps(left_i) right_i = g.
+    # counit: eps is the one-dimensional trivial representation, (j1, j2) =
+    # (0, 0), so building the direct coproducts there turns each left leg into
+    # its counit, and sum_i eps(left_i) right_i must reproduce the generator.
+    # The check tests the direct coproduct formulas, not the representation.
+    trivial = _coproducts_direct(build_so4(0, 0))
     gens = r.generators()
     for name in GENERATOR_NAMES:
         collapsed = PolyMatrix.zeros(r.dim, r.dim)
-        for eps, _, right in direct[name]:
-            if eps:
-                collapsed = collapsed + right.scale(eps)
+        for (eps, _), (_, right) in zip(trivial[name].pairs, direct[name].pairs):
+            collapsed = collapsed + right.scale(eps[0, 0])
         report.check_matrix_identity(
             f"counit (eps x id) on {name}", collapsed, gens[name]
         )

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from jordanrep import cli
 from jordanrep.cli import main
+from jordanrep.errors import NotNilpotent
 from jordanrep.exact import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
@@ -187,10 +189,14 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
     assert main(["irrep", "--j", "1/2", "--output", str(tmp_path / "rep.json")]) == 0
     ragged = json.loads((tmp_path / "rep.json").read_text())
     ragged["matrices"]["X"] = [[[], []], [[], []], [[], []]]  # 3x2 against 2x2
+    assert main(["irrep", "--j", "1", "--output", str(tmp_path / "rep.json")]) == 0
+    relabelled = json.loads((tmp_path / "rep.json").read_text())
+    relabelled["j"] = "1/2"  # 3x3 matrices labelled as a doublet
     for name, payload in (
         ("missing.json", {"j": "1/2"}),
         ("wrong.json", [1, 2]),
         ("ragged.json", ragged),
+        ("relabelled.json", relabelled),
     ):
         rep_file = tmp_path / name
         rep_file.write_text(json.dumps(payload))
@@ -199,3 +205,12 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_internal_package_errors_propagate(monkeypatch):
+    def broken(args):
+        raise NotNilpotent("defect, not an input error")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    with pytest.raises(NotNilpotent):
+        main(["spectrum", "--omega", "1", "--grid", "0:1:0.5"])

@@ -146,23 +146,26 @@ def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
     assert [e.relation_label for e in report.failures()] == [
         "coproduct of J0: direct = per-copy"
     ]
-    direct = TensorSum((a, b) for _, a, b in so4._coproducts_direct(r)["J0"])
+    direct = so4._coproducts_direct(r)["J0"]
     i, j, lhs, rhs = assemble(direct).first_difference(assemble(with_stray_pair(r)["J0"]))
     entry = report.failures()[0]
     assert entry.detail == f"first mismatch at ({i},{j})"
     assert entry.residual_sample == f"lhs={lhs} rhs={rhs}"
 
 
-def test_wrong_counit_fails_counit_check(monkeypatch):
+def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):
     r = build_so4(HALF, HALF)
     honest = so4._coproducts_direct
 
-    def with_wrong_counit(rep):
-        terms = honest(rep)
-        eps, left, right = terms["J-"][1]  # e^{-hK+} (x) J-, counit 1
-        terms["J-"][1] = (eps + 1, left, right)
-        return terms
+    def with_wrong_right_leg(rep):
+        sums = honest(rep)
+        (a, cosh_jp), (e_mkp, _), rest = sums["J-"].pairs  # e^{-hK+} (x) J-, counit 1
+        sums["J-"] = TensorSum([(a, cosh_jp), (e_mkp, rep.K_minus), rest])
+        return sums
 
-    monkeypatch.setattr(so4, "_coproducts_direct", with_wrong_counit)
+    monkeypatch.setattr(so4, "_coproducts_direct", with_wrong_right_leg)
     report = verify_so4_coalgebra(r, r)
-    assert [e.relation_label for e in report.failures()] == ["counit (eps x id) on J-"]
+    assert [e.relation_label for e in report.failures()] == [
+        "coproduct of J-: direct = per-copy",
+        "counit (eps x id) on J-",
+    ]

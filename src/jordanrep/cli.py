@@ -8,8 +8,9 @@ Subcommands
     spectrum  float scan of the inverse-map singularity
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error: a zero --omega, malformed --from-json input or a selection
-that runs no checks.  Any other package error is a defect and propagates.
+or input error: a zero or non-finite spectrum parameter, an empty, unbounded
+or oversized --grid, malformed --from-json input or a selection that runs no
+checks.  Any other package error is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -40,6 +42,9 @@ from .report import VerificationReport
 from .verma import build_table
 
 SCHEMA = "jordan-rep/1"
+
+#: Largest number of points a spectrum grid may have.
+MAX_GRID_POINTS = 100_000
 
 
 def half_integer(text: str) -> Fraction:
@@ -73,24 +78,28 @@ def nonneg_int(text: str) -> int:
     return value
 
 
-def grid_spec(text: str):
-    """'a:b:step' inclusive float grid."""
+def grid_spec(text: str) -> tuple[float, float, float]:
+    """'a:b:step' as three floats; :func:`grid_points` checks the values."""
     try:
         start_s, stop_s, step_s = text.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        return float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not of the form a:b:step")
+
+
+def grid_points(start: float, stop: float, step: float) -> list[float]:
+    """The inclusive grid start, start + step, ... <= stop, counted before it
+    is built so that no grid larger than MAX_GRID_POINTS is allocated."""
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise InputError("grid bounds and step must be finite")
     if step <= 0:
-        raise argparse.ArgumentTypeError("grid step must be positive")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + step * 1e-12:
-            break
-        values.append(v)
-        k += 1
-    return values
+        raise InputError("grid step must be positive")
+    last = (stop - start) / step + 1e-12  # index of the last point, unfloored
+    if last < 0:
+        raise InputError(f"grid {start}:{stop}:{step} is empty")
+    if last >= MAX_GRID_POINTS:
+        raise InputError(f"grid {start}:{stop}:{step} has more than {MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(int(last) + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +252,7 @@ def cmd_verify(args) -> int:
                 obj = json.load(fh)
             try:
                 rep = Irrep.from_obj(obj)
-            except (KeyError, TypeError, DimensionMismatch) as exc:
+            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise InputError(
                     f"{args.from_json} is not a representation: "
                     f"{type(exc).__name__} {exc}"
@@ -256,7 +265,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "so4":
         rep = so4.build_so4(args.j1, args.j2)
         reports.append(so4.verify_so4_relations(rep))
-        reports.append(so4.verify_so4_coalgebra(rep, rep))
+        reports.append(so4.verify_so4_coalgebra(rep))
     elif args.suite == "e2":
         reports.append(ncseries.suite_e2(args.order))
     elif args.suite == "e3":
@@ -270,7 +279,7 @@ def cmd_verify(args) -> int:
         for j1, j2 in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(1))):
             rep = so4.build_so4(j1, j2)
             reports.append(so4.verify_so4_relations(rep))
-            reports.append(so4.verify_so4_coalgebra(rep, rep))
+            reports.append(so4.verify_so4_coalgebra(rep))
         reports.append(ncseries.suite_e2(args.order))
         reports.append(ncseries.suite_e3(args.order))
         reports.append(ncseries.suite_qe3(args.order))
@@ -286,7 +295,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    scan = ncseries.momentum_spectrum(args.omega, args.grid, pi_minus=args.pim, pi_zero=args.pi0)
+    for flag, value in (("--omega", args.omega), ("--pi0", args.pi0), ("--pim", args.pim)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
+    scan = ncseries.momentum_spectrum(
+        args.omega, grid_points(*args.grid), pi_minus=args.pim, pi_zero=args.pi0
+    )
     if args.out == "json":
         _emit(_json({"kind": "spectrum", **scan}), args.output)
         return 0

@@ -13,10 +13,6 @@ class NotNilpotent(JordanRepError):
     """A matrix passed to a terminating-series evaluation is not nilpotent."""
 
 
-class NonUnitConstantTerm(JordanRepError):
-    """Series inversion/composition received an argument with the wrong constant term."""
-
-
 class BadParity(JordanRepError):
     """Composition enumeration asked for an odd total or an odd number of parts."""
 

@@ -1,12 +1,11 @@
-"""Exact scalar, polynomial, matrix and truncated-series arithmetic."""
+"""Exact scalar, polynomial and matrix arithmetic, and Taylor coefficients."""
 
 from .poly import BiPoly, LAM, H, as_fraction, fraction_to_str
-from .series import SeriesScalar, STREAMS, stream_coefficients, taylor_series
+from .series import STREAMS, stream_coefficients
 from .matrices import (
     PolyMatrix,
     TensorSum,
     anticommutator,
-    charpoly,
     commutator,
     nilpotent_apply,
 )
@@ -17,14 +16,11 @@ __all__ = [
     "H",
     "as_fraction",
     "fraction_to_str",
-    "SeriesScalar",
     "STREAMS",
     "stream_coefficients",
-    "taylor_series",
     "PolyMatrix",
     "TensorSum",
     "anticommutator",
-    "charpoly",
     "commutator",
     "nilpotent_apply",
 ]

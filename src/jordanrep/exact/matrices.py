@@ -272,27 +272,6 @@ def nilpotent_apply(kind: str, m: PolyMatrix, h_scale: int = 0) -> PolyMatrix:
     return acc
 
 
-def charpoly(m: PolyMatrix) -> list[BiPoly]:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of det(xI - m).
-
-    Faddeev-LeVerrier: exact over any commutative ring containing the
-    rationals, so the coefficients come out as BiPoly values.
-    """
-    if m.rows != m.cols:
-        raise DimensionMismatch("characteristic polynomial needs a square matrix")
-    n = m.rows
-    coeffs = [BiPoly.one()]
-    aux = PolyMatrix.identity(n)
-    mat = m
-    for k in range(1, n + 1):
-        if k > 1:
-            aux = m * aux + PolyMatrix.identity(n).scale(coeffs[k - 1])
-            mat = m * aux
-        c = mat.trace().scale(Fraction(-1, k))
-        coeffs.append(c)
-    return coeffs
-
-
 class TensorSum:
     """A sum of Kronecker pairs, never assembled into one big matrix.
 

@@ -265,9 +265,6 @@ class BiPoly:
         """True when every term has h-degree exactly ``degree`` (zero counts)."""
         return all(dh == degree for (_, dh) in self._terms)
 
-    def lambda_free(self) -> bool:
-        return all(dl == 0 for (dl, _) in self._terms)
-
     # -- canonical comparisons ----------------------------------------------
 
     def __eq__(self, other):

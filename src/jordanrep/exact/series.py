@@ -1,24 +1,15 @@
-"""Truncated power series in one formal parameter, with exact coefficients.
+"""Exact Taylor coefficients of the elementary functions.
 
-A :class:`SeriesScalar` holds the coefficients ``c_0 .. c_N`` of a series in a
-single formal parameter ``t``, truncated at order ``N``.  Orders beyond ``N``
-are *unknown*, not zero: arithmetic between operands of different truncation
-orders yields the smaller order, and exact division by ``t^k`` lowers the
-order by ``k``.
-
-Taylor coefficients of the elementary functions used throughout the package
-(exp, sinh, cosh, ln(1+x), arctanh, sqrt(1+x), 1/(1+x)) are generated on
-demand from rational recurrences and shared with the terminating matrix
-series in :mod:`jordanrep.exact.matrices`.
+The coefficients of exp, sinh, cosh, ln(1+x), arctanh, sqrt(1+x) and
+1/(1+x) are generated on demand from rational recurrences and shared by the
+terminating matrix series in :mod:`jordanrep.exact.matrices` and the PBW
+series in :mod:`jordanrep.ncseries`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Iterator
-
-from ..errors import NonUnitConstantTerm
-from .poly import as_fraction
 
 # -- elementary coefficient streams ---------------------------------------
 
@@ -103,185 +94,3 @@ def stream_coefficients(kind: str, count: int) -> list[Fraction]:
     """The first ``count`` Taylor coefficients of a named elementary function."""
     it = STREAMS[kind]()
     return [next(it) for _ in range(count)]
-
-
-# -- truncated series -------------------------------------------------------
-
-
-class SeriesScalar:
-    """Coefficients ``c_0..c_N`` of a series in one formal parameter."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = [as_fraction(c) for c in coeffs]
-        if order is None:
-            if not coeffs:
-                raise ValueError("empty coefficient list needs an explicit order")
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
-        self.order = order
-        self.coeffs = tuple(coeffs[: order + 1])
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> "SeriesScalar":
-        return SeriesScalar([], order)
-
-    @staticmethod
-    def constant(value, order: int) -> "SeriesScalar":
-        return SeriesScalar([as_fraction(value)], order)
-
-    @staticmethod
-    def variable(order: int) -> "SeriesScalar":
-        """The series of ``t`` itself."""
-        return SeriesScalar([0, 1], order)
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __getitem__(self, k: int) -> Fraction:
-        if k > self.order:
-            raise IndexError(f"order {k} exceeds truncation order {self.order}")
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "SeriesScalar":
-        if order >= self.order:
-            return self
-        return SeriesScalar(list(self.coeffs[: order + 1]), order)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return SeriesScalar(
-            [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SeriesScalar([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return SeriesScalar(out, n)
-
-    __rmul__ = __mul__
-
-    def scale(self, q) -> "SeriesScalar":
-        q = as_fraction(q)
-        return SeriesScalar([c * q for c in self.coeffs], self.order)
-
-    def invert(self) -> "SeriesScalar":
-        """Multiplicative inverse; needs an invertible constant term."""
-        if self.coeffs[0] == 0:
-            raise NonUnitConstantTerm("cannot invert a series with zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / self.coeffs[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if self.coeffs[i]:
-                    acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc / self.coeffs[0]
-        return SeriesScalar(out, n)
-
-    def compose(self, kind: str) -> "SeriesScalar":
-        """Apply a named elementary function: f(self), requiring f's argument
-        convention -- ``self`` must have zero constant term (the `1p` streams
-        are expansions about 1 written as 1 + x)."""
-        if self.coeffs[0] != 0:
-            raise NonUnitConstantTerm(
-                f"composition with {kind} needs an argument with zero constant term"
-            )
-        n = self.order
-        coeffs = stream_coefficients(kind, n + 1)
-        # Horner evaluation: p = f_n; p = p*x + f_k
-        acc = SeriesScalar.constant(coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * self + SeriesScalar.constant(coeffs[k], n)
-        return acc
-
-    def mul_t(self, k: int = 1) -> "SeriesScalar":
-        """Multiply by t^k; the known order grows by k."""
-        n = self.order + k
-        return SeriesScalar([Fraction(0)] * k + list(self.coeffs), n)
-
-    def div_t(self, k: int = 1) -> "SeriesScalar":
-        """Exact division by t^k; the known order drops by k."""
-        if k == 0:
-            return self
-        if self.order < k:
-            raise ValueError("series is truncated below the requested division")
-        if any(c != 0 for c in self.coeffs[:k]):
-            raise ValueError(f"series is not divisible by t^{k}")
-        return SeriesScalar(list(self.coeffs[k:]), self.order - k)
-
-    # -- comparisons ----------------------------------------------------------
-
-    def __eq__(self, other):
-        other = _coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def agrees_with(self, other: "SeriesScalar") -> bool:
-        """Equality through the common known order."""
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
-
-    def __str__(self):
-        return f"O(t^{self.order + 1}) series {list(self.coeffs)}"
-
-    __repr__ = __str__
-
-
-def _coerce(value, order: int):
-    if isinstance(value, SeriesScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return SeriesScalar.constant(value, order)
-    return NotImplemented
-
-
-def taylor_series(kind: str, order: int) -> SeriesScalar:
-    """The truncated expansion of a named elementary function of t itself."""
-    return SeriesScalar(stream_coefficients(kind, order + 1), order)

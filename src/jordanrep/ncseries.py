@@ -1,8 +1,9 @@
 """PBW normal ordering over truncated power series in the deformation parameter.
 
 Elements of an enveloping algebra are held in Poincare-Birkhoff-Witt normal
-form: a map from exponent vectors over a fixed, ordered generator list to
-truncated series in the deformation parameter.  Products are reduced to
+form: a map from (exponent vector over a fixed, ordered generator list,
+power of the deformation parameter) to a rational coefficient, with every
+power above a known truncation order left unknown.  Products are reduced to
 normal form by swapping adjacent out-of-order generator pairs with the
 presentation's commutation rules; each swap either lowers the inversion
 count or strictly shortens the word, so rewriting terminates.
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import IllFormedComposition, ZeroOmega
-from .exact import SeriesScalar, stream_coefficients
+from .exact import stream_coefficients
 from .exact.poly import as_fraction
 from .report import VerificationReport
 
@@ -229,30 +230,35 @@ def normal_order(word, p: AlgebraPresentation, order: int) -> "NCElement":
     idx_word = tuple(
         w if isinstance(w, int) else p.names.index(w) for w in word
     )
-    terms = {
-        mono: SeriesScalar.constant(c, order)
-        for mono, c in _normal_order_cached(idx_word, p).items()
-    }
+    terms = {(mono, 0): c for mono, c in _normal_order_cached(idx_word, p).items()}
     return NCElement(p, order, terms)
 
 
 # -- elements --------------------------------------------------------------------
 
 
+def _by_monomial(terms) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
+    """Flat terms regrouped as monomial -> [(power, coefficient), ...]."""
+    out: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    for (mono, k), c in terms.items():
+        out.setdefault(mono, []).append((k, c))
+    return out
+
+
 class NCElement:
-    """Normal-ordered polynomial in the generators with series coefficients."""
+    """Normal-ordered polynomial in the generators with series coefficients.
+
+    ``terms`` maps (monomial, power of the deformation parameter) to a
+    nonzero Fraction.  Powers above ``order`` are unknown, not zero: they are
+    never stored, and arithmetic between elements of different orders keeps
+    the smaller one."""
 
     __slots__ = ("presentation", "order", "terms")
 
     def __init__(self, presentation, order, terms):
         self.presentation = presentation
         self.order = order
-        canon = {}
-        for mono, s in terms.items():
-            s = s.truncate(order)
-            if not s.is_zero:
-                canon[mono] = s
-        self.terms = canon
+        self.terms = {key: c for key, c in terms.items() if c != 0 and key[1] <= order}
 
     # -- constructors ----------------------------------------------------------
 
@@ -262,16 +268,12 @@ class NCElement:
 
     @staticmethod
     def one(p: AlgebraPresentation, order: int) -> "NCElement":
-        return NCElement(
-            p, order, {(0,) * p.size: SeriesScalar.constant(1, order)}
-        )
+        return NCElement(p, order, {((0,) * p.size, 0): Fraction(1)})
 
     @staticmethod
     def generator(p: AlgebraPresentation, name: str, order: int) -> "NCElement":
-        idx = p.names.index(name)
-        return NCElement(
-            p, order, {p.generator_exponent(idx): SeriesScalar.constant(1, order)}
-        )
+        mono = p.generator_exponent(p.names.index(name))
+        return NCElement(p, order, {(mono, 0): Fraction(1)})
 
     # -- ring operations ----------------------------------------------------------
 
@@ -279,13 +281,9 @@ class NCElement:
         if self.presentation is not other.presentation:
             raise ValueError("elements live over different presentations")
         order = min(self.order, other.order)
-        out = {m: s.truncate(order) for m, s in self.terms.items()}
-        for m, s in other.terms.items():
-            s = s.truncate(order) if sign > 0 else -s.truncate(order)
-            if m in out:
-                out[m] = out[m] + s
-            else:
-                out[m] = s
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + sign * c
         return NCElement(self.presentation, order, out)
 
     def __add__(self, other):
@@ -296,7 +294,7 @@ class NCElement:
 
     def __neg__(self):
         return NCElement(
-            self.presentation, self.order, {m: -s for m, s in self.terms.items()}
+            self.presentation, self.order, {key: -c for key, c in self.terms.items()}
         )
 
     def __mul__(self, other):
@@ -306,39 +304,47 @@ class NCElement:
             raise ValueError("elements live over different presentations")
         p = self.presentation
         order = min(self.order, other.order)
-        out: dict[tuple[int, ...], SeriesScalar] = {}
-        for ma, sa in self.terms.items():
+        right = _by_monomial(other.terms)
+        out: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        for ma, sa in _by_monomial(self.terms).items():
             wa = _word_of(ma)
-            for mb, sb in other.terms.items():
-                s = sa * sb
-                if s.is_zero:
+            for mb, sb in right.items():
+                # the pair's product series; one that vanishes is not normal-ordered
+                s: dict[int, Fraction] = {}
+                for i, a in sa:
+                    for j, b in sb:
+                        if i + j <= order:
+                            s[i + j] = s.get(i + j, 0) + a * b
+                s = {k: c for k, c in s.items() if c != 0}
+                if not s:
                     continue
                 for mono, c in _normal_order_cached(wa + _word_of(mb), p).items():
-                    term = s.scale(c)
-                    if mono in out:
-                        out[mono] = out[mono] + term
-                    else:
-                        out[mono] = term.truncate(order)
+                    for k, v in s.items():
+                        out[(mono, k)] = out.get((mono, k), 0) + c * v
         return NCElement(p, order, out)
 
     def scale(self, q) -> "NCElement":
         q = as_fraction(q)
-        if q == 0:
-            return NCElement.zero(self.presentation, self.order)
         return NCElement(
-            self.presentation, self.order, {m: s.scale(q) for m, s in self.terms.items()}
+            self.presentation, self.order, {key: c * q for key, c in self.terms.items()}
         )
 
     def mul_t(self, k: int = 1) -> "NCElement":
         """Multiply by the k-th power of the deformation parameter."""
         return NCElement(
-            self.presentation, self.order + k, {m: s.mul_t(k) for m, s in self.terms.items()}
+            self.presentation,
+            self.order + k,
+            {(m, j + k): c for (m, j), c in self.terms.items()},
         )
 
     def div_t(self, k: int = 1) -> "NCElement":
-        """Exact division; every coefficient series must start at order k."""
+        """Exact division; every term must carry at least the k-th power."""
+        if any(j < k for (_, j) in self.terms):
+            raise ValueError(f"element is not divisible by t^{k}")
         return NCElement(
-            self.presentation, self.order - k, {m: s.div_t(k) for m, s in self.terms.items()}
+            self.presentation,
+            self.order - k,
+            {(m, j - k): c for (m, j), c in self.terms.items()},
         )
 
     # -- queries ---------------------------------------------------------------------
@@ -348,36 +354,27 @@ class NCElement:
         return not self.terms
 
     def valuation_positive(self) -> bool:
-        """True when every coefficient series vanishes at order zero."""
-        return all(s.coeffs[0] == 0 for s in self.terms.values())
+        """True when every term carries a positive power of the parameter."""
+        return all(j > 0 for (_, j) in self.terms)
 
     def order_part(self, k: int) -> dict[tuple[int, ...], Fraction]:
         """Monomial -> rational coefficient at a single series order."""
-        out = {}
-        for m, s in self.terms.items():
-            if k <= s.order and s.coeffs[k] != 0:
-                out[m] = s.coeffs[k]
-        return out
+        return {m: c for (m, j), c in self.terms.items() if j == k}
 
     def first_nonzero(self):
-        """(monomial string, order, coefficient) of the lowest-order nonzero
-        coefficient, scanning monomials deterministically; None if zero."""
-        best = None
-        for mono in sorted(self.terms):
-            s = self.terms[mono]
-            for k, c in enumerate(s.coeffs):
-                if c != 0:
-                    if best is None or k < best[1]:
-                        best = (self.presentation.monomial_str(mono), k, c)
-                    break
-        return best
+        """(monomial string, order, coefficient) of the nonzero term of lowest
+        order, the least monomial breaking ties; None if zero."""
+        if not self.terms:
+            return None
+        mono, k = min(self.terms, key=lambda key: (key[1], key[0]))
+        return self.presentation.monomial_str(mono), k, self.terms[(mono, k)]
 
     def __str__(self):
         if not self.terms:
             return "0"
         p = self.presentation
         return " + ".join(
-            f"({list(s.coeffs)})*{p.monomial_str(m)}" for m, s in sorted(self.terms.items())
+            f"{c}*t^{k}*{p.monomial_str(m)}" for (m, k), c in sorted(self.terms.items())
         )
 
     __repr__ = __str__

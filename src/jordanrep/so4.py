@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch
 from .exact import (
     PolyMatrix,
     TensorSum,
@@ -278,16 +277,13 @@ def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
     }
 
 
-def verify_so4_coalgebra(r_left: So4Rep, r_right: So4Rep) -> VerificationReport:
+def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     """Coproducts computed two ways on the tensor square, antipodes against
     per-copy antipodes, and counit compatibility."""
-    if (r_left.j1, r_left.j2) != (r_right.j1, r_right.j2):
-        raise DimensionMismatch("both sides must carry the same (j1, j2)")
-    r = r_left
     report = VerificationReport(f"so4 coalgebra j1={r.j1} j2={r.j2}")
 
     direct = _coproducts_direct(r)
-    per_copy = _coproducts_per_copy(r_right)
+    per_copy = _coproducts_per_copy(r)
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
             f"coproduct of {name}: direct = per-copy",

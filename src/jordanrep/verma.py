@@ -121,27 +121,43 @@ def z_product(m: int, two_n: int, delta: int, comp: tuple[int, ...], table: Elem
     return acc
 
 
-def h_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
-    """H_{m+2n}^m from the reorganized recursion.  Needs every X element of
+def composition_sums(l: int, two_n: int, table: ElementTable) -> list[BiPoly]:
+    """Z_l summed over the compositions of 2n into 2k odd parts, one sum for
+    each k = 1..n."""
+    out = []
+    for k in range(1, two_n // 2 + 1):
+        acc = _ZERO
+        for comp in odd_compositions(two_n, 2 * k):
+            z = z_product(l, two_n, 0, comp, table)
+            if not z.is_zero:
+                acc = acc + z
+        out.append(acc)
+    return out
+
+
+def h_column(two_n: int, count: int, table: ElementTable) -> list[BiPoly]:
+    """H_{m+2n}^m for m = 0..count-1 from the reorganized recursion.  Z_l
+    enters every H with m >= l, so its composition sums are computed once
+    and carried along as running sums over l < m.  Needs every X element of
     h-degree below 2n to be present already."""
     if two_n == 0:
-        return LAM - 2 * m
-    n = two_n // 2
-    acc = _ZERO
-    for k in range(1, n + 1):
-        pref = Fraction(-1, factorial(2 * k))
-        comps = odd_compositions(two_n, 2 * k)
-        inner = _ZERO
-        for comp in comps:
-            for l in range(m):
-                z = z_product(l, two_n, 0, comp, table)
-                if not z.is_zero:
-                    inner = inner + z.scale(2)
-            z = z_product(m, two_n, 0, comp, table)
-            if not z.is_zero:
-                inner = inner + z
-        acc = acc + inner.scale(pref).mul_h(2 * k)
-    return acc
+        return [LAM - 2 * m for m in range(count)]
+    below = [_ZERO] * (two_n // 2)
+    out = []
+    for m in range(count):
+        here = composition_sums(m, two_n, table)
+        acc = _ZERO
+        for k, (lower, z) in enumerate(zip(below, here), start=1):
+            inner = lower.scale(2) + z
+            acc = acc + inner.scale(Fraction(-1, factorial(2 * k))).mul_h(2 * k)
+        out.append(acc)
+        below = [a + b for a, b in zip(below, here)]
+    return out
+
+
+def h_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
+    """H_{m+2n}^m alone; see h_column."""
+    return h_column(two_n, m + 1, table)[m]
 
 
 def x_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
@@ -158,8 +174,8 @@ def build_table(max_level: int) -> ElementTable:
     """Fill all H_n^m, X_n^m with n <= max_level, in increasing h-degree."""
     table = ElementTable(max_level)
     for two_n in range(0, max_level + 1, 2):
-        for m in range(0, max_level - two_n + 1):
-            table._H[(m + two_n, m)] = h_element(m, two_n, table)
+        for m, value in enumerate(h_column(two_n, max_level - two_n + 1, table)):
+            table._H[(m + two_n, m)] = value
         for m in range(0, max_level - two_n):
             table._X[(m + two_n + 1, m)] = x_element(m, two_n, table)
     return table

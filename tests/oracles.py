@@ -2,14 +2,16 @@
 
 Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
-the combinatorial counts by exhaustive enumeration, and sums of Kronecker
-products by assembling the full matrix.
+the combinatorial counts by exhaustive enumeration, sums of Kronecker
+products by assembling the full matrix, and spectra by the characteristic
+polynomial.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from jordanrep.exact import BiPoly, TensorSum
+from jordanrep.errors import DimensionMismatch
+from jordanrep.exact import BiPoly, PolyMatrix, TensorSum
 
 ZERO = BiPoly.zero()
 
@@ -89,3 +91,24 @@ def assemble(tensor_sum: TensorSum):
     if acc is None:
         raise ValueError("empty tensor sum")
     return acc
+
+
+def charpoly(m: PolyMatrix) -> list[BiPoly]:
+    """Characteristic polynomial coefficients [1, c1, ..., cn] of det(xI - m).
+
+    Faddeev-LeVerrier: exact over any commutative ring containing the
+    rationals, so the coefficients come out as BiPoly values.
+    """
+    if m.rows != m.cols:
+        raise DimensionMismatch("characteristic polynomial needs a square matrix")
+    n = m.rows
+    coeffs = [BiPoly.one()]
+    aux = PolyMatrix.identity(n)
+    mat = m
+    for k in range(1, n + 1):
+        if k > 1:
+            aux = m * aux + PolyMatrix.identity(n).scale(coeffs[k - 1])
+            mat = m * aux
+        c = mat.trace().scale(Fraction(-1, k))
+        coeffs.append(c)
+    return coeffs

@@ -147,7 +147,7 @@ def test_criterion_8_so4_relations_and_coalgebra():
             rep = build_so4(j1, j2)
             relations = verify_so4_relations(rep)
             assert relations.passed, (j1, j2, [e.relation_label for e in relations.failures()])
-            coalgebra = verify_so4_coalgebra(rep, rep)
+            coalgebra = verify_so4_coalgebra(rep)
             assert coalgebra.passed, (j1, j2, [e.relation_label for e in coalgebra.failures()])
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from jordanrep import cli
 from jordanrep.cli import main
-from jordanrep.errors import NotNilpotent
+from jordanrep.errors import InputError, NotNilpotent
 from jordanrep.exact import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
@@ -174,6 +174,15 @@ def test_usage_errors_exit_two(argv, capsys):
     [
         ["spectrum", "--omega", "0", "--grid", "0:1:0.5"],
         ["verify", "sl2", "--j-max", "0"],
+        # grids refused before any point is allocated
+        ["spectrum", "--omega", "1", "--grid", "0:1:nan"],
+        ["spectrum", "--omega", "1", "--grid", "0:inf:1"],
+        ["spectrum", "--omega", "1", "--grid", "0:1e12:1e-3"],
+        ["spectrum", "--omega", "1", "--grid", "0:1:0"],
+        ["spectrum", "--omega", "1", "--grid", "2:1:0.5"],
+        ["spectrum", "--omega", "nan", "--grid", "0:1:0.5", "--out", "json"],
+        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "inf"],
+        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pim", "nan"],
     ],
 )
 def test_refused_inputs_exit_two_without_traceback(argv, capsys):
@@ -197,6 +206,7 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         ("wrong.json", [1, 2]),
         ("ragged.json", ragged),
         ("relabelled.json", relabelled),
+        ("basis.json", {**relabelled, "j": "1", "basis": "bogus"}),
     ):
         rep_file = tmp_path / name
         rep_file.write_text(json.dumps(payload))
@@ -205,6 +215,14 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_grid_cap_is_checked_before_allocating():
+    assert len(cli.grid_points(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)) == cli.MAX_GRID_POINTS
+    with pytest.raises(InputError, match="more than"):
+        cli.grid_points(0.0, float(cli.MAX_GRID_POINTS), 1.0)
+    with pytest.raises(InputError, match="more than"):
+        cli.grid_points(-1e308, 1e308, 1e-300)
 
 
 def test_internal_package_errors_propagate(monkeypatch):

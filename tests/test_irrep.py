@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from jordanrep.exact import BiPoly, PolyMatrix, charpoly
+from jordanrep import irrep
+from jordanrep.exact import BiPoly, PolyMatrix
 from jordanrep.irrep import (
     Irrep,
     act,
@@ -18,6 +19,7 @@ from jordanrep.irrep import (
 from jordanrep.verma import build_table
 
 import golden
+from oracles import charpoly
 
 HALF = Fraction(1, 2)
 
@@ -234,6 +236,29 @@ def test_hopf_checks(j1, j2):
     labels = [e.relation_label for e in report.entries]
     assert any("counit" in label and "X" in label for label in labels)
     assert any("antipode" in label for label in labels)
+
+
+@pytest.mark.parametrize(
+    "wrong, generator",
+    [
+        (lambda rep: rep.X, "X"),       # S(X) = X: sign lost
+        (lambda rep: -rep.Y, "Y"),      # S(Y) = -Y: conjugation by e^{hX} lost
+    ],
+)
+def test_hopf_antipode_negative_controls(monkeypatch, wrong, generator):
+    honest = irrep._antipodes
+
+    def mutated(rep):
+        s = honest(rep)
+        s[generator] = wrong(rep)
+        return s
+
+    monkeypatch.setattr(irrep, "_antipodes", mutated)
+    report = verify_hopf(HALF, 1)
+    assert [e.relation_label for e in report.failures()] == [
+        f"antipode m(S x id)D({generator}) = 0 [j=1/2]",
+        f"antipode m(S x id)D({generator}) = 0 [j=1]",
+    ]
 
 
 def test_irrep_json_round_trip():

@@ -9,11 +9,10 @@ from jordanrep.exact import (
     BiPoly,
     PolyMatrix,
     TensorSum,
-    charpoly,
     commutator,
     nilpotent_apply,
 )
-from oracles import assemble
+from oracles import assemble, charpoly
 
 # classical raising matrix for the 8-dimensional module, superdiagonal
 # (j-m)(j+m+1) with weights descending

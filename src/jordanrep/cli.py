@@ -8,9 +8,11 @@ Subcommands
     spectrum  float scan of the inverse-map singularity
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error: a zero or non-finite spectrum parameter, an empty, unbounded
-or oversized --grid, malformed --from-json input or a selection that runs no
-checks.  Any other package error is a defect and propagates.
+or input error.  Every refused input gets one ``error:`` line: a zero or
+non-finite spectrum parameter, an empty, unbounded or oversized --grid, a
+scan that overflows floats, malformed --from-json input, an unwritable
+--output, a truncation order below 2 or a selection that runs no checks.
+Any other package error is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -26,7 +28,6 @@ from fractions import Fraction
 
 from . import ncseries, so4
 from .errors import DimensionMismatch, InputError, ZeroOmega
-from .exact import fraction_to_str
 from .irrep import (
     Irrep,
     casimir,
@@ -66,6 +67,14 @@ def half_integer(text: str) -> Fraction:
     if value < 0:
         raise argparse.ArgumentTypeError("j values must be nonnegative")
     return value
+
+
+def rational(text: str) -> Fraction:
+    """An exact rational such as '7' or '-7/3'; a zero denominator is refused."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
 
 
 def nonneg_int(text: str) -> int:
@@ -112,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_el = sub.add_parser("elements", help="dump the matrix-element table")
     p_el.add_argument("--max-level", type=nonneg_int, required=True, metavar="L")
-    p_el.add_argument("--lambda", dest="lam", type=Fraction, default=None,
+    p_el.add_argument("--lambda", dest="lam", type=rational, default=None,
                       help="specialize the weight symbol at an exact rational")
     p_el.add_argument("--format", choices=("json", "latex"), default="json")
     p_el.add_argument("--output", default=None, help="write here instead of stdout")
@@ -179,7 +188,7 @@ def cmd_elements(args) -> int:
     payload = {
         "kind": "element-table",
         "max_level": args.max_level,
-        "lambda": None if args.lam is None else fraction_to_str(args.lam),
+        "lambda": None if args.lam is None else str(args.lam),
         "elements": [
             {"generator": kind, "n": n, "m": m, "value": value.to_obj()}
             for (kind, n, m), value in items
@@ -248,11 +257,10 @@ def cmd_verify(args) -> int:
     reports: list[VerificationReport] = []
     if args.suite == "sl2":
         if args.from_json:
-            with open(args.from_json) as fh:
-                obj = json.load(fh)
             try:
-                rep = Irrep.from_obj(obj)
-            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+                with open(args.from_json) as fh:
+                    rep = Irrep.from_obj(json.load(fh))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
                 raise InputError(
                     f"{args.from_json} is not a representation: "
                     f"{type(exc).__name__} {exc}"
@@ -342,22 +350,17 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(list(argv)))
+    command = {
+        "elements": cmd_elements,
+        "irrep": cmd_irrep,
+        "singvec": cmd_singvec,
+        "verify": cmd_verify,
+        "spectrum": cmd_spectrum,
+    }[args.command]
     try:
-        if args.command == "elements":
-            return cmd_elements(args)
-        if args.command == "irrep":
-            return cmd_irrep(args)
-        if args.command == "singvec":
-            return cmd_singvec(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-    except (InputError, ZeroOmega) as exc:
+        return command(args)
+    except (InputError, ZeroOmega, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
-    except (ValueError, OSError) as exc:
-        parser.exit(2, f"error: {exc}\n{parser.format_usage()}")
-    parser.exit(2, parser.format_usage())
 
 
 def console_entry():

@@ -34,5 +34,6 @@ class ZeroOmega(JordanRepError):
 
 
 class InputError(JordanRepError):
-    """Command-line input that cannot be verified: a malformed file, or a
-    selection that runs no checks."""
+    """Command-line input that cannot be verified or scanned: a malformed
+    file, a selection that runs no checks, or a spectrum scan that overflows
+    floats."""

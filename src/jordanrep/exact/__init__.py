@@ -1,6 +1,6 @@
 """Exact scalar, polynomial and matrix arithmetic, and Taylor coefficients."""
 
-from .poly import BiPoly, LAM, H, as_fraction, fraction_to_str
+from .poly import BiPoly, H, LAM, ONE, ZERO, as_fraction
 from .series import STREAMS, stream_coefficients
 from .matrices import (
     PolyMatrix,
@@ -12,10 +12,11 @@ from .matrices import (
 
 __all__ = [
     "BiPoly",
-    "LAM",
     "H",
+    "LAM",
+    "ONE",
+    "ZERO",
     "as_fraction",
-    "fraction_to_str",
     "STREAMS",
     "stream_coefficients",
     "PolyMatrix",

@@ -12,17 +12,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import DimensionMismatch, NotNilpotent
-from .poly import BiPoly, as_fraction
+from .poly import BiPoly, ONE, ZERO, as_fraction
 from .series import STREAMS
-
-_ZERO = BiPoly.zero()
 
 
 def _entry(value) -> BiPoly:
     if isinstance(value, BiPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return BiPoly.const(value) if value else _ZERO
+        return BiPoly.const(value) if value else ZERO
     raise TypeError(f"cannot use {value!r} as a matrix entry")
 
 
@@ -48,21 +46,12 @@ class PolyMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix([[_ZERO] * cols for _ in range(rows)])
+        return PolyMatrix([[ZERO] * cols for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "PolyMatrix":
-        one = BiPoly.one()
         return PolyMatrix(
-            [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def diagonal(values) -> "PolyMatrix":
-        values = [_entry(v) for v in values]
-        n = len(values)
-        return PolyMatrix(
-            [[values[i] if i == j else _ZERO for j in range(n)] for i in range(n)]
+            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         )
 
     # -- access ---------------------------------------------------------------
@@ -100,14 +89,7 @@ class PolyMatrix:
     def __neg__(self) -> "PolyMatrix":
         return PolyMatrix([[-a for a in row] for row in self.entries])
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.__mul__(other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, BiPoly)):
-            return self.scale(other)
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
+    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
@@ -119,7 +101,7 @@ class PolyMatrix:
             nz = [(k, a) for k, a in enumerate(row) if a]
             acc_row = []
             for j in range(other.cols):
-                acc = _ZERO
+                acc = ZERO
                 for k, a in nz:
                     b = bt[k][j]
                     if b:
@@ -128,40 +110,13 @@ class PolyMatrix:
             out.append(acc_row)
         return PolyMatrix(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, BiPoly)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, q) -> "PolyMatrix":
         if isinstance(q, BiPoly):
             return PolyMatrix([[a * q for a in row] for row in self.entries])
         q = as_fraction(q)
         return PolyMatrix([[a.scale(q) for a in row] for row in self.entries])
 
-    def __pow__(self, n: int) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("powers need a square matrix")
-        if n < 0:
-            raise ValueError("negative matrix powers are not supported")
-        result = PolyMatrix.identity(self.rows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- structure ----------------------------------------------------------------
-
-    def trace(self) -> BiPoly:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace needs a square matrix")
-        acc = _ZERO
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
 
     @property
     def is_zero(self) -> bool:
@@ -177,12 +132,6 @@ class PolyMatrix:
 
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(a) for a in row] for row in self.entries])
-
-    def subs_lam(self, value) -> "PolyMatrix":
-        return self.map_entries(lambda a: a.subs_lam(value))
-
-    def subs_h(self, value) -> "PolyMatrix":
-        return self.map_entries(lambda a: a.subs_h(value))
 
     def negate_h(self) -> "PolyMatrix":
         return self.map_entries(lambda a: a.negate_h())
@@ -320,7 +269,7 @@ class TensorSum:
         """Block row p of the assembled sum: for each block column q, the
         block sum_i A_i[p,q] B_i as a list of entry rows."""
         _, m, r, s = shape
-        blocks = [[[_ZERO] * s for _ in range(r)] for _ in range(m)]
+        blocks = [[[ZERO] * s for _ in range(r)] for _ in range(m)]
         for a_rows, b_nonzero in sparse_pairs:
             for q, coeff in enumerate(a_rows[p]):
                 if coeff:  # zero left-leg scalars contribute nothing

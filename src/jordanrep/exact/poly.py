@@ -30,11 +30,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def fraction_to_str(q: Fraction) -> str:
-    """Render a rational as 'p' or 'p/q' (denominator omitted when 1)."""
-    return str(q)
-
-
 class BiPoly:
     """Polynomial in ``lam`` and ``h`` over the rationals, in canonical form."""
 
@@ -64,36 +59,13 @@ class BiPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return _ZERO
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return _ONE
-
-    @staticmethod
     def const(value) -> "BiPoly":
         return BiPoly({(0, 0): as_fraction(value)})
-
-    @staticmethod
-    def lam() -> "BiPoly":
-        return _LAM
-
-    @staticmethod
-    def h() -> "BiPoly":
-        return _H
-
-    @staticmethod
-    def term(coeff, deg_lam: int, deg_h: int) -> "BiPoly":
-        return BiPoly({(deg_lam, deg_h): as_fraction(coeff)})
 
     # -- mapping access ----------------------------------------------------
 
     def items(self):
         return self._terms.items()
-
-    def coeff(self, deg_lam: int, deg_h: int) -> Fraction:
-        return self._terms.get((deg_lam, deg_h), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -141,19 +113,13 @@ class BiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
-            return _ZERO
+            return ZERO
         if len(a) > len(b):
             a, b = b, a
         out = {}
@@ -173,22 +139,10 @@ class BiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def scale(self, q) -> "BiPoly":
         q = as_fraction(q)
         if q == 0:
-            return _ZERO
+            return ZERO
         return _wrap({key: c * q for key, c in self._terms.items()})
 
     # -- substitutions -----------------------------------------------------
@@ -253,18 +207,6 @@ class BiPoly:
     def mul_h(self, k: int) -> "BiPoly":
         return _wrap({(dl, dh + k): c for (dl, dh), c in self._terms.items()})
 
-    # -- degree queries ----------------------------------------------------
-
-    def deg_lam(self) -> int:
-        return max((dl for (dl, _) in self._terms), default=0)
-
-    def deg_h(self) -> int:
-        return max((dh for (_, dh) in self._terms), default=0)
-
-    def is_homogeneous_h(self, degree: int) -> bool:
-        """True when every term has h-degree exactly ``degree`` (zero counts)."""
-        return all(dh == degree for (_, dh) in self._terms)
-
     # -- canonical comparisons ----------------------------------------------
 
     def __eq__(self, other):
@@ -283,7 +225,7 @@ class BiPoly:
 
     def to_obj(self) -> list:
         return [
-            {"c": fraction_to_str(self._terms[key]), "l": key[0], "h": key[1]}
+            {"c": str(self._terms[key]), "l": key[0], "h": key[1]}
             for key in sorted(self._terms)
         ]
 
@@ -327,18 +269,13 @@ def _coerce(value):
         return value
     if isinstance(value, (int, Fraction)):
         if value == 0:
-            return _ZERO
+            return ZERO
         return BiPoly({(0, 0): as_fraction(value)})
     return NotImplemented
 
 
-_ZERO = _wrap({})
-_ONE = _wrap({(0, 0): Fraction(1)})
-_LAM = _wrap({(1, 0): Fraction(1)})
-_H = _wrap({(0, 1): Fraction(1)})
-
+ZERO = _wrap({})
+ONE = _wrap({(0, 0): Fraction(1)})
 #: The weight symbol and the deformation symbol, ready to use.
-LAM = _LAM
-H = _H
-ZERO = _ZERO
-ONE = _ONE
+LAM = _wrap({(1, 0): Fraction(1)})
+H = _wrap({(0, 1): Fraction(1)})

@@ -32,6 +32,8 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, SingularLeadingElement
 from .exact import (
+    ONE,
+    ZERO,
     BiPoly,
     PolyMatrix,
     anticommutator,
@@ -40,8 +42,6 @@ from .exact import (
 )
 from .report import VerificationReport
 from .verma import ElementTable, build_table
-
-_ZERO = BiPoly.zero()
 
 
 def ensure_half_integer(j) -> Fraction:
@@ -69,7 +69,7 @@ class SingularVector:
     def levels(self) -> dict[int, BiPoly]:
         """The vector as a map level -> coefficient."""
         top = self.lam + 1
-        vec = {top: BiPoly.one()}
+        vec = {top: ONE}
         for p, c in enumerate(self.coeffs, start=1):
             vec[top - 2 * p] = c
         return vec
@@ -139,35 +139,6 @@ class ClassicalRep:
     minus: PolyMatrix
     zero: PolyMatrix
 
-    @property
-    def dim(self) -> int:
-        return int(2 * self.j) + 1
-
-
-# -- actions on Verma vectors -------------------------------------------------
-
-
-def act(table: ElementTable, generator: str, vector: dict[int, BiPoly], lam=None) -> dict[int, BiPoly]:
-    """Apply the table-defined X or H action to sum_n v_n w_n.
-
-    With ``lam`` given, elements are specialized before use.  Y needs no
-    table: it shifts levels up by one."""
-    out: dict[int, BiPoly] = {}
-    for n, coeff in vector.items():
-        if coeff.is_zero:
-            continue
-        if generator == "Y":
-            out[n + 1] = out.get(n + 1, _ZERO) + coeff
-            continue
-        start = n - 1 if generator == "X" else n
-        for m in range(start, -1, -2):
-            elem = table.X(n, m) if generator == "X" else table.H(n, m)
-            if lam is not None:
-                elem = elem.subs_lam(lam)
-            if not elem.is_zero:
-                out[m] = out.get(m, _ZERO) + elem * coeff
-    return {m: c for m, c in out.items() if not c.is_zero}
-
 
 # -- singular vectors ---------------------------------------------------------
 
@@ -213,9 +184,9 @@ def verma_basis_irrep(j, table: ElementTable | None = None) -> Irrep:
 
     xm = [[table.X(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]
     hm = [[table.H(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]
-    ym = [[_ZERO] * dim for _ in range(dim)]
+    ym = [[ZERO] * dim for _ in range(dim)]
     for n in range(dim - 1):
-        ym[n + 1][n] = BiPoly.one()
+        ym[n + 1][n] = ONE
     for p, c in enumerate(sv.coeffs, start=1):
         ym[lam - 2 * p + 1][lam] = -c
     return Irrep(j=j, basis="verma", X=PolyMatrix(xm), Y=PolyMatrix(ym), H=PolyMatrix(hm))
@@ -225,9 +196,9 @@ def classical_rep(j) -> ClassicalRep:
     """Spin-j matrices in the basis w_j, w_{j-1}, ..., w_{-j}."""
     j = ensure_half_integer(j)
     dim = int(2 * j) + 1
-    plus = [[_ZERO] * dim for _ in range(dim)]
-    minus = [[_ZERO] * dim for _ in range(dim)]
-    zero = [[_ZERO] * dim for _ in range(dim)]
+    plus = [[ZERO] * dim for _ in range(dim)]
+    minus = [[ZERO] * dim for _ in range(dim)]
+    zero = [[ZERO] * dim for _ in range(dim)]
     two_j = int(2 * j)
     for i in range(dim):
         zero[i][i] = BiPoly.const(two_j - 2 * i)
@@ -235,7 +206,7 @@ def classical_rep(j) -> ClassicalRep:
             # raising from column i (m = j - i) up to row i-1
             plus[i - 1][i] = BiPoly.const(i * (two_j - i + 1))
         if i + 1 < dim:
-            minus[i + 1][i] = BiPoly.one()
+            minus[i + 1][i] = ONE
     return ClassicalRep(j=j, plus=PolyMatrix(plus), minus=PolyMatrix(minus), zero=PolyMatrix(zero))
 
 

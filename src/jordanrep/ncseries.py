@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IllFormedComposition, ZeroOmega
+from .errors import IllFormedComposition, InputError, ZeroOmega
 from .exact import stream_coefficients
 from .exact.poly import as_fraction
 from .report import VerificationReport
@@ -182,22 +182,18 @@ def _exponent_of(word: tuple[int, ...], size: int) -> tuple[int, ...]:
 
 
 def normal_order_word(
-    word: tuple[int, ...],
-    p: AlgebraPresentation,
-    schedule: str = "leftmost",
-    rng=None,
+    word: tuple[int, ...], p: AlgebraPresentation
 ) -> dict[tuple[int, ...], Fraction]:
     """Reduce a generator word to normal form; returns exponent -> coefficient.
 
-    ``schedule`` picks which adjacent inversion to swap first ("leftmost",
-    "rightmost" or "random" with an ``rng``); any schedule yields the same
-    normal form, which the confluence tests exercise."""
+    Each step swaps the leftmost adjacent inversion.  The rewriting is
+    confluent, so every swap order gives the same normal form."""
     result: dict[tuple[int, ...], Fraction] = {}
     stack: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), Fraction(1))]
     while stack:
         w, coeff = stack.pop()
-        positions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
-        if not positions:
+        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
+        if i is None:
             mono = _exponent_of(w, p.size)
             acc = result.get(mono, Fraction(0)) + coeff
             if acc == 0:
@@ -205,14 +201,6 @@ def normal_order_word(
             else:
                 result[mono] = acc
             continue
-        if schedule == "leftmost":
-            i = positions[0]
-        elif schedule == "rightmost":
-            i = positions[-1]
-        elif schedule == "random":
-            i = positions[rng.randrange(len(positions))]
-        else:
-            raise ValueError(f"unknown schedule {schedule!r}")
         swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
         stack.append((swapped, coeff))
         for mono, c in p.bracket(w[i], w[i + 1]).items():
@@ -223,15 +211,6 @@ def normal_order_word(
 @lru_cache(maxsize=200_000)
 def _normal_order_cached(word: tuple[int, ...], p: AlgebraPresentation):
     return normal_order_word(word, p)
-
-
-def normal_order(word, p: AlgebraPresentation, order: int) -> "NCElement":
-    """Normal-order a generator word (indices or names) into an element."""
-    idx_word = tuple(
-        w if isinstance(w, int) else p.names.index(w) for w in word
-    )
-    terms = {(mono, 0): c for mono, c in _normal_order_cached(idx_word, p).items()}
-    return NCElement(p, order, terms)
 
 
 # -- elements --------------------------------------------------------------------
@@ -357,10 +336,6 @@ class NCElement:
         """True when every term carries a positive power of the parameter."""
         return all(j > 0 for (_, j) in self.terms)
 
-    def order_part(self, k: int) -> dict[tuple[int, ...], Fraction]:
-        """Monomial -> rational coefficient at a single series order."""
-        return {m: c for (m, j), c in self.terms.items() if j == k}
-
     def first_nonzero(self):
         """(monomial string, order, coefficient) of the nonzero term of lowest
         order, the least monomial breaking ties; None if zero."""
@@ -384,7 +359,7 @@ def commutator_nc(a: NCElement, b: NCElement) -> NCElement:
     return a * b - b * a
 
 
-def series_function_apply(kind: str, x: NCElement, order: int | None = None) -> NCElement:
+def series_function_apply(kind: str, x: NCElement) -> NCElement:
     """sum_k f_k x^k for a named elementary function, fully normal-ordered.
 
     The argument must have strictly positive valuation in the deformation
@@ -394,7 +369,7 @@ def series_function_apply(kind: str, x: NCElement, order: int | None = None) -> 
         raise IllFormedComposition(
             f"{kind} needs an argument of positive order in the deformation parameter"
         )
-    n = x.order if order is None else min(order, x.order)
+    n = x.order
     coeffs = stream_coefficients(kind, n + 1)
     p = x.presentation
     acc = NCElement.one(p, n).scale(coeffs[0]) if coeffs[0] else NCElement.zero(p, n)
@@ -694,10 +669,15 @@ def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero
     """Classify classical momentum eigenvalues under the inverse map.
 
     Returns the scan rows plus a diagnostic: either the exact singular hit or
-    the nearest approach of 1 + omega*pi_plus to zero on the grid."""
+    the nearest approach of 1 + omega*pi_plus to zero on the grid.  A scan
+    that leaves the float range is refused rather than reported as inf."""
     if omega == 0:
         raise ZeroOmega("the spectrum scan needs a nonzero deformation parameter")
     omega = float(omega)
+    try:
+        tail = (omega / 4.0) * pi_zero**2   # p_minus = pi_minus + tail / u
+    except OverflowError:
+        tail = math.inf
     rows = []
     nearest = None
     singular_hit = False
@@ -719,7 +699,7 @@ def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero
                 }
             )
             continue
-        p_minus = pi_minus + (omega / 4.0) * pi_zero**2 / u
+        p_minus = pi_minus + tail / u
         p_zero = pi_zero / u
         if u > 0.0:
             rows.append(
@@ -743,6 +723,12 @@ def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero
                     "p_zero": p_zero,
                 }
             )
+    if not all(
+        math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)
+    ):
+        raise InputError(
+            f"the scan at omega={omega}, pi0={pi_zero}, pim={pi_minus} overflows floats"
+        )
     out = {
         "omega": omega,
         "pi_minus": float(pi_minus),

@@ -24,20 +24,17 @@ where Z_l is the descending product of X elements from level l+2n to level l
 prescribed by the composition.  The weight symbol stays symbolic throughout;
 specialization happens only at singular-vector solve time.
 
-Closed forms for the degree-2 and degree-4 elements are implemented
-separately and serve as an independent cross-check of the recursion.
+The tests check the recursion against independent closed forms of the
+degree-2 and degree-4 elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .errors import BadParity, MissingElement
-from .exact import BiPoly, LAM
-
-_ZERO = BiPoly.zero()
+from .exact import BiPoly, LAM, ONE, ZERO
 
 
 def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
@@ -79,7 +76,7 @@ class ElementTable:
 
     def H(self, n: int, m: int) -> BiPoly:
         if m < 0 or m > n or (n - m) % 2:
-            return _ZERO
+            return ZERO
         try:
             return self._H[(n, m)]
         except KeyError:
@@ -87,7 +84,7 @@ class ElementTable:
 
     def X(self, n: int, m: int) -> BiPoly:
         if m < 0 or m >= n or (n - m) % 2 == 0:
-            return _ZERO
+            return ZERO
         try:
             return self._X[(n, m)]
         except KeyError:
@@ -101,21 +98,16 @@ class ElementTable:
             yield ("X", n, m), v
 
 
-def z_product(m: int, two_n: int, delta: int, comp: tuple[int, ...], table: ElementTable) -> BiPoly:
-    """Ordered product of X elements descending from level m+2n-delta to
-    m-delta by the steps of the composition.  Any factor that would act
-    below w_0 makes the whole product zero."""
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
-    level = m + two_n - delta
-    acc = BiPoly.one()
+def z_product(m: int, two_n: int, comp: tuple[int, ...], table: ElementTable) -> BiPoly:
+    """Ordered product of X elements descending from level m+2n to m by the
+    steps of the composition; zero as soon as one factor is."""
+    level = m + two_n
+    acc = ONE
     for step in comp:
         nxt = level - step
-        if nxt < 0:
-            return _ZERO
         factor = table.X(level, nxt)
         if factor.is_zero:
-            return _ZERO
+            return ZERO
         acc = acc * factor
         level = nxt
     return acc
@@ -126,9 +118,9 @@ def composition_sums(l: int, two_n: int, table: ElementTable) -> list[BiPoly]:
     each k = 1..n."""
     out = []
     for k in range(1, two_n // 2 + 1):
-        acc = _ZERO
+        acc = ZERO
         for comp in odd_compositions(two_n, 2 * k):
-            z = z_product(l, two_n, 0, comp, table)
+            z = z_product(l, two_n, comp, table)
             if not z.is_zero:
                 acc = acc + z
         out.append(acc)
@@ -142,11 +134,11 @@ def h_column(two_n: int, count: int, table: ElementTable) -> list[BiPoly]:
     h-degree below 2n to be present already."""
     if two_n == 0:
         return [LAM - 2 * m for m in range(count)]
-    below = [_ZERO] * (two_n // 2)
+    below = [ZERO] * (two_n // 2)
     out = []
     for m in range(count):
         here = composition_sums(m, two_n, table)
-        acc = _ZERO
+        acc = ZERO
         for k, (lower, z) in enumerate(zip(below, here), start=1):
             inner = lower.scale(2) + z
             acc = acc + inner.scale(Fraction(-1, factorial(2 * k))).mul_h(2 * k)
@@ -155,16 +147,11 @@ def h_column(two_n: int, count: int, table: ElementTable) -> list[BiPoly]:
     return out
 
 
-def h_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
-    """H_{m+2n}^m alone; see h_column."""
-    return h_column(two_n, m + 1, table)[m]
-
-
 def x_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
     """X_{m+2n+1}^m as the partial sum of same-degree H elements."""
     if two_n == 0:
         return BiPoly.const(m + 1) * (LAM - m)
-    acc = _ZERO
+    acc = ZERO
     for k in range(m + 1):
         acc = acc + table.H(k + two_n, k)
     return acc
@@ -179,73 +166,3 @@ def build_table(max_level: int) -> ElementTable:
         for m in range(0, max_level - two_n):
             table._X[(m + two_n + 1, m)] = x_element(m, two_n, table)
     return table
-
-
-# -- closed forms for the h^2 and h^4 elements --------------------------------
-#
-# rho2/sigma2 give H_{n+2}^n = h^2 rho2(n) and X_{n+3}^n = h^2 sigma2(n);
-# rho4/sigma4 the analogous h^4 elements.  The binomial-style factor in rho4
-# pairing (lam - k) against (lam - k - 4) is read as the degree-4 falling
-# factorial divided by 4!.
-
-
-@lru_cache(maxsize=None)
-def _rho2(n: int) -> BiPoly:
-    acc = _ZERO
-    for k in range(n):
-        acc = acc - BiPoly.const((k + 1) * (k + 2)) * (LAM - k) * (LAM - k - 1)
-    tail = BiPoly.const(Fraction((n + 1) * (n + 2), 2)) * (LAM - n) * (LAM - n - 1)
-    return acc - tail
-
-
-@lru_cache(maxsize=None)
-def _sigma2(n: int) -> BiPoly:
-    acc = _ZERO
-    for k in range(n + 1):
-        acc = acc + _rho2(k)
-    return acc
-
-
-def _falling4(shift: int) -> BiPoly:
-    # (lam - shift)(lam - shift - 1)(lam - shift - 2)(lam - shift - 3)
-    acc = BiPoly.one()
-    for i in range(4):
-        acc = acc * (LAM - shift - i)
-    return acc
-
-
-def _rho4_term(k: int) -> BiPoly:
-    return (
-        BiPoly.const(k + 4) * (LAM - k - 3) * _sigma2(k)
-        + BiPoly.const(k + 1) * (LAM - k) * _sigma2(k + 1)
-        + _falling4(k).scale(2 * comb(k + 4, 4))
-    )
-
-
-@lru_cache(maxsize=None)
-def _rho4(n: int) -> BiPoly:
-    acc = _ZERO
-    for k in range(n):
-        acc = acc - _rho4_term(k)
-    return acc - _rho4_term(n).scale(Fraction(1, 2))
-
-
-@lru_cache(maxsize=None)
-def _sigma4(n: int) -> BiPoly:
-    acc = _ZERO
-    for k in range(n + 1):
-        acc = acc + _rho4(k)
-    return acc
-
-
-_CLOSED_FORMS = {"rho2": _rho2, "sigma2": _sigma2, "rho4": _rho4, "sigma4": _sigma4}
-
-
-def closed_form_oracle(kind: str, n: int) -> BiPoly:
-    """Closed-form value of rho2/sigma2/rho4/sigma4 at index n, as a
-    polynomial in the weight symbol (the caller attaches h^2 or h^4)."""
-    if kind not in _CLOSED_FORMS:
-        raise ValueError(f"unknown closed form {kind!r}")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return _CLOSED_FORMS[kind](n)

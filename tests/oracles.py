@@ -1,19 +1,189 @@
-"""Independent oracles the tests check library output against.
+"""Independent oracles the tests check library output against, and small
+helpers that only the tests need.
 
 Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
-the combinatorial counts by exhaustive enumeration, sums of Kronecker
-products by assembling the full matrix, and spectra by the characteristic
-polynomial.
+the h^2 and h^4 matrix elements come from closed forms, the combinatorial
+counts from exhaustive enumeration, normal forms from a reducer with a
+free choice of swap, sums of Kronecker products by assembling the full
+matrix, and spectra by the characteristic polynomial.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import comb
 
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import BiPoly, PolyMatrix, TensorSum
+from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
+from jordanrep.ncseries import NCElement, normal_order_word
 
-ZERO = BiPoly.zero()
+
+# -- small builders and queries ---------------------------------------------------
+
+
+def term(coeff, deg_lam: int, deg_h: int) -> BiPoly:
+    """coeff * lam^deg_lam * h^deg_h with an exact rational coeff."""
+    return BiPoly({(deg_lam, deg_h): Fraction(coeff)})
+
+
+def diagonal(values) -> PolyMatrix:
+    n = len(values)
+    return PolyMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def trace(m: PolyMatrix) -> BiPoly:
+    acc = ZERO
+    for i in range(m.rows):
+        acc = acc + m[i, i]
+    return acc
+
+
+def subs_h(m: PolyMatrix, value) -> PolyMatrix:
+    """Every entry evaluated at h = value."""
+    return m.map_entries(lambda a: a.subs_h(value))
+
+
+def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
+    """True when every term has h-degree exactly ``degree`` (zero counts)."""
+    return all(dh == degree for (_, dh), _ in p.items())
+
+
+def order_part(el: NCElement, k: int) -> dict:
+    """Monomial -> rational coefficient at a single series order."""
+    return {m: c for (m, j), c in el.terms.items() if j == k}
+
+
+# -- closed forms for the h^2 and h^4 elements --------------------------------
+#
+# rho2/sigma2 give H_{n+2}^n = h^2 rho2(n) and X_{n+3}^n = h^2 sigma2(n);
+# rho4/sigma4 the analogous h^4 elements.  The binomial-style factor in rho4
+# pairing (lam - k) against (lam - k - 4) is read as the degree-4 falling
+# factorial divided by 4!.
+
+
+@lru_cache(maxsize=None)
+def _rho2(n: int) -> BiPoly:
+    acc = ZERO
+    for k in range(n):
+        acc = acc - BiPoly.const((k + 1) * (k + 2)) * (LAM - k) * (LAM - k - 1)
+    tail = BiPoly.const(Fraction((n + 1) * (n + 2), 2)) * (LAM - n) * (LAM - n - 1)
+    return acc - tail
+
+
+@lru_cache(maxsize=None)
+def _sigma2(n: int) -> BiPoly:
+    acc = ZERO
+    for k in range(n + 1):
+        acc = acc + _rho2(k)
+    return acc
+
+
+def _falling4(shift: int) -> BiPoly:
+    # (lam - shift)(lam - shift - 1)(lam - shift - 2)(lam - shift - 3)
+    acc = ONE
+    for i in range(4):
+        acc = acc * (LAM - shift - i)
+    return acc
+
+
+def _rho4_term(k: int) -> BiPoly:
+    return (
+        BiPoly.const(k + 4) * (LAM - k - 3) * _sigma2(k)
+        + BiPoly.const(k + 1) * (LAM - k) * _sigma2(k + 1)
+        + _falling4(k).scale(2 * comb(k + 4, 4))
+    )
+
+
+@lru_cache(maxsize=None)
+def _rho4(n: int) -> BiPoly:
+    acc = ZERO
+    for k in range(n):
+        acc = acc - _rho4_term(k)
+    return acc - _rho4_term(n).scale(Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def _sigma4(n: int) -> BiPoly:
+    acc = ZERO
+    for k in range(n + 1):
+        acc = acc + _rho4(k)
+    return acc
+
+
+_CLOSED_FORMS = {"rho2": _rho2, "sigma2": _sigma2, "rho4": _rho4, "sigma4": _sigma4}
+
+
+def closed_form_oracle(kind: str, n: int) -> BiPoly:
+    """Closed-form value of rho2/sigma2/rho4/sigma4 at index n, as a
+    polynomial in the weight symbol (the caller attaches h^2 or h^4)."""
+    if kind not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {kind!r}")
+    if n < 0:
+        raise ValueError("index must be nonnegative")
+    return _CLOSED_FORMS[kind](n)
+
+
+# -- actions on Verma vectors ---------------------------------------------------
+
+
+def act(table, generator: str, vector: dict, lam=None) -> dict:
+    """Apply the table-defined X or H action to sum_n v_n w_n.
+
+    With ``lam`` given, elements are specialized before use.  Y needs no
+    table: it shifts levels up by one."""
+    out: dict = {}
+    for n, coeff in vector.items():
+        if coeff.is_zero:
+            continue
+        if generator == "Y":
+            out[n + 1] = out.get(n + 1, ZERO) + coeff
+            continue
+        start = n - 1 if generator == "X" else n
+        for m in range(start, -1, -2):
+            elem = table.X(n, m) if generator == "X" else table.H(n, m)
+            if lam is not None:
+                elem = elem.subs_lam(lam)
+            if not elem.is_zero:
+                out[m] = out.get(m, ZERO) + elem * coeff
+    return {m: c for m, c in out.items() if not c.is_zero}
+
+
+# -- normal ordering ---------------------------------------------------------------
+
+
+def normal_order_scheduled(word, p, pick) -> dict:
+    """Normal form of a generator word, swapping at each step the adjacent
+    inversion that ``pick`` chooses from the list of their positions."""
+    result: dict = {}
+    stack = [(tuple(word), Fraction(1))]
+    while stack:
+        w, coeff = stack.pop()
+        positions = [i for i in range(len(w) - 1) if w[i] > w[i + 1]]
+        if not positions:
+            mono = tuple(w.count(idx) for idx in range(p.size))
+            acc = result.get(mono, Fraction(0)) + coeff
+            if acc == 0:
+                result.pop(mono, None)
+            else:
+                result[mono] = acc
+            continue
+        i = pick(positions)
+        stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2:], coeff))
+        for mono, c in p.bracket(w[i], w[i + 1]).items():
+            word_of = tuple(idx for idx, e in enumerate(mono) for _ in range(e))
+            stack.append((w[:i] + word_of + w[i + 2:], coeff * c))
+    return result
+
+
+def normal_order(word, p, order: int) -> NCElement:
+    """Normal-order a generator word (indices or names) into an element."""
+    idx_word = tuple(w if isinstance(w, int) else p.names.index(w) for w in word)
+    terms = {(mono, 0): c for mono, c in normal_order_word(idx_word, p).items()}
+    return NCElement(p, order, terms)
+
+
+# -- brute force ---------------------------------------------------------------------
 
 
 def enumerate_odd_tuples(total, num_parts):
@@ -30,10 +200,8 @@ def brute_force_actions(max_level):
     with cosh expanded as a terminating series (X strictly lowers levels).
     Returns (X_act, H_act): level -> {target_level: coefficient}.
     """
-    lam = BiPoly.lam()
-    one = BiPoly.one()
     x_act = {0: {}}
-    h_act = {0: {0: lam}}
+    h_act = {0: {0: LAM}}
 
     def clean(vec):
         return {m: c for m, c in vec.items() if not c.is_zero}
@@ -73,11 +241,11 @@ def brute_force_actions(max_level):
         return acc
 
     for n in range(1, max_level + 1):
-        x_act[n] = add(h_act[n - 1], shift_up(apply_x({n - 1: one})))
+        x_act[n] = add(h_act[n - 1], shift_up(apply_x({n - 1: ONE})))
         h_act[n] = add(
             shift_up(h_act[n - 1]),
-            neg(shift_up(cosh_hx({n - 1: one}))),
-            neg(cosh_hx({n: one})),
+            neg(shift_up(cosh_hx({n - 1: ONE}))),
+            neg(cosh_hx({n: ONE})),
         )
     return x_act, h_act
 
@@ -102,13 +270,13 @@ def charpoly(m: PolyMatrix) -> list[BiPoly]:
     if m.rows != m.cols:
         raise DimensionMismatch("characteristic polynomial needs a square matrix")
     n = m.rows
-    coeffs = [BiPoly.one()]
+    coeffs = [ONE]
     aux = PolyMatrix.identity(n)
     mat = m
     for k in range(1, n + 1):
         if k > 1:
             aux = m * aux + PolyMatrix.identity(n).scale(coeffs[k - 1])
             mat = m * aux
-        c = mat.trace().scale(Fraction(-1, k))
+        c = trace(mat).scale(Fraction(-1, k))
         coeffs.append(c)
     return coeffs

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from jordanrep.cli import main
-from jordanrep.exact import BiPoly
+from jordanrep.exact import ZERO, BiPoly
 from jordanrep.irrep import (
     Irrep,
     casimir,
@@ -22,10 +22,10 @@ from jordanrep.irrep import (
 )
 from jordanrep.ncseries import suite_e2, suite_e3, suite_qe3
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
-from jordanrep.verma import build_table, closed_form_oracle
+from jordanrep.verma import build_table
 
 import golden
-from oracles import brute_force_actions
+from oracles import brute_force_actions, closed_form_oracle, term
 
 
 class Budget:
@@ -59,7 +59,7 @@ def test_criterion_1_singular_vector_table(capsys):
             code, payload = run_cli_json(capsys, ["singvec", "--lambda", str(lam)])
             assert code == 0
             got = [BiPoly.from_obj(c) for c in payload["coefficients"]]
-            want = [BiPoly.term(v, 0, 2 * p) for p, v in enumerate(expected, start=1)]
+            want = [term(v, 0, 2 * p) for p, v in enumerate(expected, start=1)]
             assert got == want, f"lambda={lam}"
 
 
@@ -120,7 +120,7 @@ def test_criterion_6_direct_action_oracle():
         max_level = 6  # levels reach 2j+1 for j = 5/2
         x_act, h_act = brute_force_actions(max_level)
         table = build_table(max_level)
-        zero = BiPoly.zero()
+        zero = ZERO
         for n in range(max_level + 1):
             for m in range(n + 1):
                 if (n - m) % 2:

@@ -161,6 +161,7 @@ def test_latex_diagonal_h(capsys):
         ["spectrum", "--omega", "1", "--grid", "nonsense"],
         ["bogus"],
         [],
+        ["elements", "--max-level", "3", "--lambda", "1/0"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):
@@ -183,6 +184,11 @@ def test_usage_errors_exit_two(argv, capsys):
         ["spectrum", "--omega", "nan", "--grid", "0:1:0.5", "--out", "json"],
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "inf"],
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pim", "nan"],
+        # finite inputs whose scan overflows floats: pi0**2, then p_minus
+        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "1e200"],
+        ["spectrum", "--omega", "1e10", "--grid", "0:1:0.5", "--pi0", "1e154", "--out", "json"],
+        ["verify", "e2", "--order", "1"],
+        ["irrep", "--j", "1", "--output", "/nonexistent/x.json"],
     ],
 )
 def test_refused_inputs_exit_two_without_traceback(argv, capsys):
@@ -201,15 +207,19 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
     assert main(["irrep", "--j", "1", "--output", str(tmp_path / "rep.json")]) == 0
     relabelled = json.loads((tmp_path / "rep.json").read_text())
     relabelled["j"] = "1/2"  # 3x3 matrices labelled as a doublet
+    zero_denominator = json.loads((tmp_path / "rep.json").read_text())
+    zero_denominator["matrices"]["X"][0][1][0]["c"] = "1/0"
     for name, payload in (
         ("missing.json", {"j": "1/2"}),
         ("wrong.json", [1, 2]),
         ("ragged.json", ragged),
         ("relabelled.json", relabelled),
         ("basis.json", {**relabelled, "j": "1", "basis": "bogus"}),
+        ("zero_denominator.json", zero_denominator),
+        ("not_json.json", "{not json"),
     ):
         rep_file = tmp_path / name
-        rep_file.write_text(json.dumps(payload))
+        rep_file.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         with pytest.raises(SystemExit) as exc:
             main(["verify", "sl2", "--from-json", str(rep_file)])
         assert exc.value.code == 2

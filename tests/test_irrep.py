@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 
 from jordanrep import irrep
-from jordanrep.exact import BiPoly, PolyMatrix
+from jordanrep.exact import ONE, BiPoly, PolyMatrix
 from jordanrep.irrep import (
     Irrep,
-    act,
     casimir,
     classical_rep,
     ensure_half_integer,
@@ -19,7 +18,7 @@ from jordanrep.irrep import (
 from jordanrep.verma import build_table
 
 import golden
-from oracles import charpoly
+from oracles import act, charpoly, diagonal, is_homogeneous_h, subs_h, term, trace
 
 HALF = Fraction(1, 2)
 
@@ -37,16 +36,16 @@ def test_singular_vector_table():
         sv = singular_vector(Fraction(lam, 2))
         assert len(sv.coeffs) == len(expected)
         for p, (coeff, value) in enumerate(zip(sv.coeffs, expected), start=1):
-            assert coeff == BiPoly.term(value, 0, 2 * p), (lam, p)
-            assert coeff.is_homogeneous_h(2 * p)
+            assert coeff == term(value, 0, 2 * p), (lam, p)
+            assert is_homogeneous_h(coeff, 2 * p)
 
 
 def test_singular_vector_levels_layout():
     sv = singular_vector(2)
     vec = sv.levels()
-    assert vec[5] == BiPoly.one()
-    assert vec[3] == BiPoly.term(21, 0, 2)
-    assert vec[1] == BiPoly.term(36, 0, 4)
+    assert vec[5] == ONE
+    assert vec[3] == term(21, 0, 2)
+    assert vec[1] == term(36, 0, 4)
 
 
 def test_singular_vector_annihilated_and_eigen():
@@ -74,7 +73,7 @@ def test_verma_irrep_j_half():
     r = verma_basis_irrep(HALF)
     assert r.X == PolyMatrix([[0, 1], [0, 0]])
     assert r.Y == PolyMatrix([[0, 0], [1, 0]])
-    assert r.H == PolyMatrix.diagonal([1, -1])
+    assert r.H == diagonal([1, -1])
 
 
 def test_verma_irrep_seven_halves_golden():
@@ -86,19 +85,19 @@ def test_verma_irrep_seven_halves_golden():
 
 def test_verma_irrep_j_two_y_corrections():
     r = verma_basis_irrep(2)
-    assert r.Y[3, 4] == BiPoly.term(-21, 0, 2)
-    assert r.Y[1, 4] == BiPoly.term(-36, 0, 4)
-    assert r.Y[2, 1] == BiPoly.one()
+    assert r.Y[3, 4] == term(-21, 0, 2)
+    assert r.Y[1, 4] == term(-36, 0, 4)
+    assert r.Y[2, 1] == ONE
 
 
 def test_classical_rep_small():
     r = classical_rep(HALF)
     assert r.plus == PolyMatrix([[0, 1], [0, 0]])
     assert r.minus == PolyMatrix([[0, 0], [1, 0]])
-    assert r.zero == PolyMatrix.diagonal([1, -1])
+    assert r.zero == diagonal([1, -1])
     r1 = classical_rep(1)
     assert [r1.plus[i, i + 1] for i in range(2)] == [BiPoly.const(2)] * 2
-    assert [r1.minus[i + 1, i] for i in range(2)] == [BiPoly.one()] * 2
+    assert [r1.minus[i + 1, i] for i in range(2)] == [ONE] * 2
     r7 = classical_rep(Fraction(7, 2))
     superdiag = [r7.plus[i, i + 1].constant_value() for i in range(7)]
     assert superdiag == [7, 12, 15, 16, 15, 12, 7]
@@ -135,7 +134,7 @@ def test_map_to_deformed_j_one_two_term_series():
     sandwich = c.plus * c.plus * c.minus + c.minus * c.plus * c.plus
     expected = sandwich[0, 1].scale(Fraction(-1, 8)).mul_h(2)
     assert r.Y[0, 1] == expected
-    assert expected == BiPoly.term(Fraction(-1, 2), 0, 2)
+    assert expected == term(Fraction(-1, 2), 0, 2)
 
 
 @pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), Fraction(7, 2), 3])
@@ -159,9 +158,9 @@ def test_relations_negative_control():
 def test_traces_vanish():
     for j in (HALF, 1, Fraction(5, 2)):
         for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
-            assert r.X.trace().is_zero
-            assert r.Y.trace().is_zero
-            assert r.H.trace().is_zero
+            assert trace(r.X).is_zero
+            assert trace(r.Y).is_zero
+            assert trace(r.H).is_zero
 
 
 def test_casimir_values():
@@ -200,7 +199,7 @@ def test_h_spectrum_via_characteristic_polynomial():
         r = verma_basis_irrep(j)
         assert charpoly(r.H) == _weight_ladder_charpoly(j, r.dim), j
         d = map_to_deformed(classical_rep(j))
-        assert d.H == PolyMatrix.diagonal(
+        assert d.H == diagonal(
             [Fraction(2 * j - 2 * n) for n in range(d.dim)]
         ), j
         j += Fraction(1, 2)
@@ -218,14 +217,14 @@ def test_basis_equivalence():
 def test_classical_limit_of_verma_matrices():
     r = verma_basis_irrep(Fraction(5, 2))
     lam = 5
-    x0 = r.X.subs_h(0)
-    h0 = r.H.subs_h(0)
-    y0 = r.Y.subs_h(0)
+    x0 = subs_h(r.X, 0)
+    h0 = subs_h(r.H, 0)
+    y0 = subs_h(r.Y, 0)
     for n in range(r.dim):
         assert h0[n, n] == BiPoly.const(lam - 2 * n)
         if n + 1 < r.dim:
             assert x0[n, n + 1] == BiPoly.const((n + 1) * (lam - n))
-            assert y0[n + 1, n] == BiPoly.one()
+            assert y0[n + 1, n] == ONE
     assert x0.first_difference(r.X.map_entries(lambda p: p.subs_h(0))) is None
 
 

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 
 from jordanrep.errors import DimensionMismatch, NotNilpotent
 from jordanrep.exact import (
+    H,
+    ONE,
+    ZERO,
     BiPoly,
     PolyMatrix,
     TensorSum,
     commutator,
     nilpotent_apply,
 )
-from oracles import assemble, charpoly
+from oracles import assemble, charpoly, diagonal, term, trace
 
 # classical raising matrix for the 8-dimensional module, superdiagonal
 # (j-m)(j+m+1) with weights descending
@@ -39,8 +42,8 @@ def test_arctanh_map_on_two_dim_is_identity_map():
 def test_arctanh_map_on_eight_dim_golden_entry():
     x = nilpotent_apply("arctanh", J_PLUS_8.scale(Fraction(1, 2)), h_scale=1)
     x = x.divide_h(1).scale(2)
-    assert x[0, 3] == BiPoly.term(105, 0, 2)
-    assert x[0, 5] == BiPoly.term(3780, 0, 4)
+    assert x[0, 3] == term(105, 0, 2)
+    assert x[0, 5] == term(3780, 0, 4)
 
 
 def test_sqrt_conjugation_golden_entry():
@@ -51,7 +54,7 @@ def test_sqrt_conjugation_golden_entry():
         "sqrt1p", (J_PLUS_8 * J_PLUS_8).scale(Fraction(-1, 4)), h_scale=2
     )
     y = root * j_minus * root
-    assert y[0, 1] == BiPoly.term(Fraction(-21, 2), 0, 2)
+    assert y[0, 1] == term(Fraction(-21, 2), 0, 2)
 
 
 def test_not_nilpotent():
@@ -71,23 +74,23 @@ def test_dimension_mismatch_is_an_error():
 
 
 def test_trace_and_kron():
-    a = PolyMatrix.diagonal([1, 2])
-    b = PolyMatrix.diagonal([3, 4])
-    assert a.trace() == BiPoly.const(3)
+    a = diagonal([1, 2])
+    b = diagonal([3, 4])
+    assert trace(a) == BiPoly.const(3)
     k = a.kron(b)
     assert k.rows == 4 and k[0, 0] == BiPoly.const(3) and k[3, 3] == BiPoly.const(8)
 
 
 def test_charpoly_known_matrix():
-    m = PolyMatrix.diagonal([1, 2])
-    assert charpoly(m) == [BiPoly.one(), BiPoly.const(-3), BiPoly.const(2)]
+    m = diagonal([1, 2])
+    assert charpoly(m) == [ONE, BiPoly.const(-3), BiPoly.const(2)]
     n = PolyMatrix([[0, 1], [0, 0]])
-    assert charpoly(n) == [BiPoly.one(), BiPoly.zero(), BiPoly.zero()]
+    assert charpoly(n) == [ONE, ZERO, ZERO]
 
 
 def test_first_difference_locates_mismatch():
     a = PolyMatrix.identity(3)
-    b = PolyMatrix.diagonal([1, 5, 1])
+    b = diagonal([1, 5, 1])
     assert a.first_difference(b)[:2] == (1, 1)
     assert a.first_difference(a) is None
 
@@ -132,7 +135,7 @@ def test_tensor_sum_first_difference_locates_mismatch():
     assert regrouped.first_difference(TensorSum([(e01, e01)])) is None
     # e01 (x) e01 has its single nonzero entry at (0*2+0, 1*2+1)
     diff = TensorSum([(e01, e01)]).first_difference(TensorSum([(e01, zero)]))
-    assert diff == (0, 3, BiPoly.one(), BiPoly.zero())
+    assert diff == (0, 3, ONE, ZERO)
     # mismatches in blocks (0,0) at (1,0) and (0,1) at (0,3): row-major order
     # reports the second, which lies in an earlier row
     left, right = PolyMatrix([[1, 0]]), PolyMatrix([[0, 1]])
@@ -140,7 +143,7 @@ def test_tensor_sum_first_difference_locates_mismatch():
     lhs = TensorSum([(left, e01 + e10)])
     rhs = TensorSum([(left, e01), (right, e01)])
     diff = lhs.first_difference(rhs)
-    assert diff == (0, 3, BiPoly.zero(), BiPoly.one())
+    assert diff == (0, 3, ZERO, ONE)
 
 
 def test_tensor_sum_first_difference_rejects_bad_shapes():
@@ -156,7 +159,7 @@ def test_tensor_sum_first_difference_rejects_bad_shapes():
 # sparse entries, some carrying powers of h, so that blocks and whole block
 # rows are often zero
 small_entries = st.sampled_from(
-    [0, 0, 0, 1, -1, 2, BiPoly.h(), BiPoly.term(Fraction(-1, 2), 0, 2)]
+    [0, 0, 0, 1, -1, 2, H, term(Fraction(-1, 2), 0, 2)]
 )
 
 

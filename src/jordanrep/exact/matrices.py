@@ -1,183 +1,202 @@
-"""Dense matrices over the exact polynomial ring, and terminating series.
+"""Graded square matrices over the rationals, and terminating series.
 
-Rectangular grids of :class:`~jordanrep.exact.poly.BiPoly` with exact
-arithmetic.  Dimension mismatches raise; nothing is silently truncated.
-Analytic functions (exp, sinh, arctanh, sqrt, ...) are evaluated on nilpotent
-matrices only, where the Taylor series terminates and the result is again an
-exact polynomial matrix.
+With h of weight -2 and X, Y, H of weights +2, -2, 0 the deformed algebra is
+homogeneous.  On a basis of weights wt_i (2j - 2i on a spin-j irrep, pairwise
+sums on a tensor product), entry (r, c) of a matrix of weight w is a
+multiple of h^d with d = (wt_r - wt_c - w) / 2.  So a :class:`PolyMatrix`
+stores its values at h = 1, the basis weights and w, and two matrices of one
+weight on one basis are equal exactly when their values at h = 1 are.  The
+grade is checked where a matrix enters (the constructor,
+:meth:`~PolyMatrix.from_polys` and :meth:`~PolyMatrix.divide_h`; zeros and
+the identity are graded by construction), and graded operands give graded
+results.
+Mismatched bases or weights and off-grade entries raise DimensionMismatch.
+Analytic functions (exp, sinh, arctanh, sqrt, ...) are evaluated on
+nilpotent matrices only, where the Taylor series terminates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import DimensionMismatch, NotNilpotent
-from .poly import BiPoly, ONE, ZERO, as_fraction
+from .poly import BiPoly, ZERO, as_fraction
 from .series import STREAMS
 
 
-def _entry(value) -> BiPoly:
-    if isinstance(value, BiPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return BiPoly.const(value) if value else ZERO
-    raise TypeError(f"cannot use {value!r} as a matrix entry")
+def _degree(weights, weight: int, r: int, c: int) -> int:
+    """The power of h in entry (r, c); an error unless it is a natural number."""
+    twice = weights[r] - weights[c] - weight
+    if twice < 0 or twice % 2:
+        raise DimensionMismatch(f"entry ({r},{c}) of a weight {weight} matrix is off its grade")
+    return twice // 2
+
+
+def _term(weights, weight: int, r: int, c: int, value) -> BiPoly:
+    """value * h^d, the entry (r, c) rebuilt for output."""
+    return BiPoly({(0, _degree(weights, weight, r, c)): value}) if value else ZERO
+
+
+def _graded(values, weights, weight: int) -> "PolyMatrix":
+    """A matrix whose grade follows from graded operands: no check."""
+    m = PolyMatrix.__new__(PolyMatrix)
+    m.values, m.weights, m.weight, m.rows = values, weights, weight, len(weights)
+    return m
 
 
 class PolyMatrix:
-    """Immutable dense matrix with BiPoly entries."""
+    """Immutable square matrix: values at h = 1, basis weights, one weight."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("values", "weights", "weight", "rows")
 
-    def __init__(self, rows_of_entries):
-        entries = tuple(
-            tuple(_entry(v) for v in row) for row in rows_of_entries
-        )
-        if not entries or not entries[0]:
-            raise ValueError("matrices must have positive dimensions")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise DimensionMismatch("ragged rows")
-        self.rows = len(entries)
-        self.cols = width
-        self.entries = entries
+    def __init__(self, values, weights, weight: int):
+        weights = tuple(weights)
+        values = [[as_fraction(v) for v in row] for row in values]
+        if len(values) != len(weights) or any(len(row) != len(weights) for row in values):
+            raise DimensionMismatch(f"{len(weights)} basis weights need a square grid of that size")
+        for r, row in enumerate(values):
+            for c, v in enumerate(row):
+                if v:
+                    _degree(weights, weight, r, c)
+        self.values, self.weights, self.weight, self.rows = values, weights, weight, len(weights)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "PolyMatrix":
-        return PolyMatrix([[ZERO] * cols for _ in range(rows)])
+    def from_polys(polys, weights, weight: int) -> "PolyMatrix":
+        """From a grid of polynomials, each of which must be exactly c·h^d."""
+        m = PolyMatrix([[sum(c for _, c in p.items()) for p in row] for row in polys],
+                       weights, weight)
+        for r, row in enumerate(polys):
+            for c, p in enumerate(row):
+                if m[r, c] != p:  # a term in lam, or in a power of h other than d
+                    raise DimensionMismatch(f"entry ({r},{c}) of a weight {weight} "
+                                            f"matrix is {p}, off its grade")
+        return m
 
     @staticmethod
-    def identity(n: int) -> "PolyMatrix":
-        return PolyMatrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+    def zeros(weights, weight: int) -> "PolyMatrix":
+        """Graded at any weight."""
+        return _graded([[0] * len(weights) for _ in weights], tuple(weights), weight)
+
+    @staticmethod
+    def identity(weights) -> "PolyMatrix":
+        """Graded at weight 0: its entries sit on the diagonal."""
+        n = len(weights)
+        return _graded([[int(i == j) for j in range(n)] for i in range(n)], tuple(weights), 0)
 
     # -- access ---------------------------------------------------------------
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> BiPoly:
         i, j = key
-        return self.entries[i][j]
+        return _term(self.weights, self.weight, i, j, self.values[i][j])
 
-    def _require_same_shape(self, other: "PolyMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
+    def _require_same_grading(self, other: "PolyMatrix"):
+        if self.weights != other.weights or self.weight != other.weight:
             raise DimensionMismatch(
-                f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+                f"weight {self.weight} on {self.weights} vs weight {other.weight} on {other.weights}"
             )
 
     # -- arithmetic -------------------------------------------------------------
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._require_same_shape(other)
-        return PolyMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        self._require_same_grading(other)
+        return _graded(
+            [[a + b if a and b else a or b for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.values, other.values)],
+            self.weights, self.weight,
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._require_same_shape(other)
-        return PolyMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        return self + -other
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in row] for row in self.entries])
+        return _graded([[-a if a else 0 for a in row] for row in self.values],
+                       self.weights, self.weight)
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"{self.rows}x{self.cols} times {other.rows}x{other.cols}"
-            )
-        bt = other.entries
+        if self.weights != other.weights:
+            raise DimensionMismatch(f"{self.weights} times {other.weights}")
+        bt = other.values
+        n = self.rows
         out = []
-        for row in self.entries:
+        for row in self.values:
             # skip zero left entries: the representation matrices are sparse
-            nz = [(k, a) for k, a in enumerate(row) if a]
-            acc_row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k, a in nz:
-                    b = bt[k][j]
+            nz = [(bt[k], a) for k, a in enumerate(row) if a]
+            acc_row = [0] * n
+            for b_row, a in nz:
+                for j, b in enumerate(b_row):
                     if b:
-                        acc = acc + a * b
-                acc_row.append(acc)
+                        acc = acc_row[j]
+                        acc_row[j] = acc + a * b if acc else a * b
             out.append(acc_row)
-        return PolyMatrix(out)
+        return _graded(out, self.weights, self.weight + other.weight)
 
     def scale(self, q) -> "PolyMatrix":
-        if isinstance(q, BiPoly):
-            return PolyMatrix([[a * q for a in row] for row in self.entries])
         q = as_fraction(q)
-        return PolyMatrix([[a.scale(q) for a in row] for row in self.entries])
+        return _graded([[a * q if a else 0 for a in row] for row in self.values],
+                       self.weights, self.weight)
+
+    # -- grading ------------------------------------------------------------------
+
+    def mul_h(self) -> "PolyMatrix":
+        """Times h: one more power of h in every entry, weight - 2."""
+        return _graded(self.values, self.weights, self.weight - 2)
+
+    def divide_h(self) -> "PolyMatrix":
+        """Exact division by h, weight + 2; an entry without h is refused."""
+        return PolyMatrix(self.values, self.weights, self.weight + 2)
+
+    def negate_h(self) -> "PolyMatrix":
+        """Substitute h -> -h: entries with an odd power of h change sign."""
+        wt, w = self.weights, self.weight
+        return _graded(
+            [[-a if (wt[r] - wt[c] - w) // 2 % 2 else a for c, a in enumerate(row)]
+             for r, row in enumerate(self.values)],
+            wt, w,
+        )
 
     # -- structure ----------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for row in self.entries for a in row)
+        return not any(a for row in self.values for a in row)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Tensor (Kronecker) product, row-major block convention."""
         out = []
-        for ra in self.entries:
-            for rb in other.entries:
+        for ra in self.values:
+            for rb in other.values:
                 out.append([a * b for a in ra for b in rb])
-        return PolyMatrix(out)
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(a) for a in row] for row in self.entries])
-
-    def negate_h(self) -> "PolyMatrix":
-        return self.map_entries(lambda a: a.negate_h())
-
-    def divide_h(self, k: int = 1) -> "PolyMatrix":
-        return self.map_entries(lambda a: a.divide_h(k))
-
-    def mul_h(self, k: int = 1) -> "PolyMatrix":
-        return self.map_entries(lambda a: a.mul_h(k))
+        weights = tuple(a + b for a in self.weights for b in other.weights)
+        return _graded(out, weights, self.weight + other.weight)
 
     def first_difference(self, other: "PolyMatrix"):
         """(row, col, self_entry, other_entry) of the first mismatch, or None."""
-        self._require_same_shape(other)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.entries[i][j] != other.entries[i][j]:
-                    return (i, j, self.entries[i][j], other.entries[i][j])
+        self._require_same_grading(other)
+        for i, (ra, rb) in enumerate(zip(self.values, other.values)):
+            if ra != rb:
+                j = next(c for c in range(self.rows) if ra[c] != rb[c])
+                return (i, j, self[i, j], other[i, j])
         return None
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
+            self.weights == other.weights
+            and self.weight == other.weight
+            and self.values == other.values
         )
-
-    def __hash__(self):
-        return hash(self.entries)
 
     # -- serialization --------------------------------------------------------------
 
     def to_obj(self) -> list:
-        return [[a.to_obj() for a in row] for row in self.entries]
+        return [[self[i, j].to_obj() for j in range(self.rows)] for i in range(self.rows)]
 
-    @staticmethod
-    def from_obj(obj) -> "PolyMatrix":
-        return PolyMatrix([[BiPoly.from_obj(a) for a in row] for row in obj])
-
-    def __str__(self):
+    def __repr__(self):
         return "\n".join(
-            "[" + ", ".join(str(a) for a in row) + "]" for row in self.entries
+            "[" + ", ".join(str(self[i, j]) for j in range(self.rows)) + "]"
+            for i in range(self.rows)
         )
-
-    __repr__ = __str__
 
 
 def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -188,24 +207,22 @@ def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return a * b + b * a
 
 
-def nilpotent_apply(kind: str, m: PolyMatrix, h_scale: int = 0) -> PolyMatrix:
-    """Evaluate an analytic function on a nilpotent matrix as a finite sum.
+def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
+    """f(h^{w/2} m) for a nilpotent matrix m of weight w, as a finite sum.
 
-    Returns ``sum_k f_k (h^h_scale m)^k`` where ``f_k`` are the exact Taylor
-    coefficients of the named elementary function (see
-    :data:`~jordanrep.exact.series.STREAMS`).  The sum terminates because a
-    nilpotent d-by-d matrix satisfies ``m^d = 0``; if it does not,
-    :class:`NotNilpotent` is raised.
-
-    ``h_scale`` attaches a power of the deformation symbol per order, so the
-    usual call for exp(h X) is ``nilpotent_apply("exp", X, h_scale=1)``.
+    ``f`` is the named elementary function, with the exact Taylor
+    coefficients of :data:`~jordanrep.exact.series.STREAMS`, and h^{w/2} m
+    has weight 0, so the usual exp(hX) is ``nilpotent_apply("exp", X)``.  The
+    sum terminates because a nilpotent d-by-d matrix satisfies ``m^d = 0``;
+    if it does not, :class:`NotNilpotent` is raised.
     """
-    if m.rows != m.cols:
-        raise DimensionMismatch("series evaluation needs a square matrix")
+    if m.weight < 0 or m.weight % 2:
+        raise DimensionMismatch(f"h^(w/2) m needs an even weight w >= 0, got {m.weight}")
+    m = _graded(m.values, m.weights, 0)  # h^{w/2} m has the same values at h = 1
     d = m.rows
     stream = STREAMS[kind]()
-    acc = PolyMatrix.identity(d).scale(next(stream))
-    power = PolyMatrix.identity(d)
+    acc = PolyMatrix.identity(m.weights).scale(next(stream))
+    power = PolyMatrix.identity(m.weights)
     for k in range(1, d + 1):
         power = power * m
         if power.is_zero:
@@ -214,10 +231,7 @@ def nilpotent_apply(kind: str, m: PolyMatrix, h_scale: int = 0) -> PolyMatrix:
             raise NotNilpotent(f"matrix power {d} is nonzero")
         coeff = next(stream)
         if coeff:
-            term = power.scale(coeff)
-            if h_scale:
-                term = term.map_entries(lambda a, _k=k: a.mul_h(h_scale * _k))
-            acc = acc + term
+            acc = acc + power.scale(coeff)
     return acc
 
 
@@ -227,7 +241,8 @@ class TensorSum:
     Used for coproduct checks on tensor squares: products obey
     (A (x) B)(C (x) D) = AC (x) BD, so all arithmetic happens on the small
     factors, and :meth:`first_difference` compares two sums one block row at
-    a time.
+    a time.  Every pair must share the bases of its legs and the weight
+    A.weight + B.weight of its product.
     """
 
     __slots__ = ("pairs",)
@@ -246,36 +261,36 @@ class TensorSum:
     def __neg__(self) -> "TensorSum":
         return TensorSum([(-a, b) for (a, b) in self.pairs])
 
-    def _shape(self) -> tuple[int, int, int, int]:
-        """(rows, cols) of every left leg followed by those of every right leg."""
+    def _grading(self) -> tuple:
+        """(left-leg basis weights, right-leg basis weights, weight of each pair)."""
         if not self.pairs:
             raise ValueError("empty tensor sum")
-        shapes = {(a.rows, a.cols, b.rows, b.cols) for a, b in self.pairs}
-        if len(shapes) != 1:
-            raise DimensionMismatch(f"tensor legs of several shapes: {sorted(shapes)}")
-        return shapes.pop()
+        gradings = {(a.weights, b.weights, a.weight + b.weight) for a, b in self.pairs}
+        if len(gradings) != 1:
+            raise DimensionMismatch(f"tensor pairs of several gradings: {sorted(gradings)}")
+        return gradings.pop()
 
     def _sparse_pairs(self) -> list:
-        """Each pair as (rows of the left leg, (row, col, entry) for every
-        nonzero entry of the right leg)."""
+        """Each pair as (rows of the left leg, (row, col, value) for every
+        nonzero value of the right leg)."""
         return [
-            (a.entries, [(i, k, e) for i, row in enumerate(b.entries)
-                         for k, e in enumerate(row) if e])
+            (a.values, [(i, k, e) for i, row in enumerate(b.values)
+                        for k, e in enumerate(row) if e])
             for a, b in self.pairs
         ]
 
     @staticmethod
-    def _block_row(sparse_pairs, p: int, shape) -> list:
-        """Block row p of the assembled sum: for each block column q, the
-        block sum_i A_i[p,q] B_i as a list of entry rows."""
-        _, m, r, s = shape
-        blocks = [[[ZERO] * s for _ in range(r)] for _ in range(m)]
+    def _block_row(sparse_pairs, p: int, n: int, r: int) -> list:
+        """Block row p of the assembled sum at h = 1: for each block column q,
+        the block sum_i A_i[p,q] B_i as a list of rows."""
+        blocks = [[[0] * r for _ in range(r)] for _ in range(n)]
         for a_rows, b_nonzero in sparse_pairs:
             for q, coeff in enumerate(a_rows[p]):
                 if coeff:  # zero left-leg scalars contribute nothing
                     block = blocks[q]
                     for i, k, e in b_nonzero:
-                        block[i][k] = block[i][k] + coeff * e
+                        acc = block[i][k]
+                        block[i][k] = acc + coeff * e if acc else coeff * e
         return blocks
 
     def first_difference(self, other: "TensorSum"):
@@ -283,20 +298,25 @@ class TensorSum:
 
         The same answer as comparing the two assembled Kronecker sums in
         row-major order, but only one block row of each side exists at a time:
-        block (p,q) of sum_i A_i (x) B_i sits at rows p*r.. and columns q*s..,
-        where B_i is r x s."""
-        shape, other_shape = self._shape(), other._shape()
-        if shape != other_shape:
-            raise DimensionMismatch(f"tensor legs {shape} vs {other_shape}")
-        n, m, r, s = shape
+        block (p,q) of sum_i A_i (x) B_i sits at rows p*r.. and columns q*r..,
+        where B_i is r x r.  Every pair has one weight, so the values at h = 1
+        add up entry by entry."""
+        grading, other_grading = self._grading(), other._grading()
+        if grading != other_grading:
+            raise DimensionMismatch(f"tensor gradings {grading} vs {other_grading}")
+        left, right, weight = grading
+        n, r = len(left), len(right)
         lhs_pairs, rhs_pairs = self._sparse_pairs(), other._sparse_pairs()
         for p in range(n):
-            lhs = self._block_row(lhs_pairs, p, shape)
-            rhs = self._block_row(rhs_pairs, p, shape)
+            lhs = self._block_row(lhs_pairs, p, n, r)
+            rhs = self._block_row(rhs_pairs, p, n, r)
             for row in range(r):
-                for q in range(m):
+                for q in range(n):
                     l_row, r_row = lhs[q][row], rhs[q][row]
                     if l_row != r_row:
-                        col = next(c for c in range(s) if l_row[c] != r_row[c])
-                        return (p * r + row, q * s + col, l_row[col], r_row[col])
+                        col = next(c for c in range(r) if l_row[c] != r_row[c])
+                        weights = tuple(a + b for a in left for b in right)
+                        i, j = p * r + row, q * r + col
+                        return (i, j, _term(weights, weight, i, j, l_row[col]),
+                                _term(weights, weight, i, j, r_row[col]))
         return None

@@ -167,43 +167,6 @@ class BiPoly:
                     out[key] = c0
         return _wrap(out)
 
-    def subs_h(self, value) -> "BiPoly":
-        """Evaluate the deformation symbol at an exact rational value."""
-        value = as_fraction(value)
-        out = {}
-        for (dl, dh), c in self._terms.items():
-            c = c * value**dh
-            if c == 0:
-                continue
-            key = (dl, 0)
-            c0 = out.get(key)
-            if c0 is None:
-                out[key] = c
-            else:
-                c0 = c0 + c
-                if c0 == 0:
-                    del out[key]
-                else:
-                    out[key] = c0
-        return _wrap(out)
-
-    def negate_h(self) -> "BiPoly":
-        """Substitute h -> -h."""
-        return _wrap(
-            {key: (-c if key[1] & 1 else c) for key, c in self._terms.items()}
-        )
-
-    def divide_h(self, k: int = 1) -> "BiPoly":
-        """Exact division by h**k; every term must carry h-degree >= k."""
-        if k == 0:
-            return self
-        out = {}
-        for (dl, dh), c in self._terms.items():
-            if dh < k:
-                raise ValueError(f"term with h-degree {dh} is not divisible by h^{k}")
-            out[(dl, dh - k)] = c
-        return _wrap(out)
-
     def mul_h(self, k: int) -> "BiPoly":
         return _wrap({(dl, dh + k): c for (dl, dh), c in self._terms.items()})
 
@@ -217,9 +180,6 @@ class BiPoly:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
-
-    def __bool__(self):
-        return bool(self._terms)
 
     # -- serialization -------------------------------------------------------
 

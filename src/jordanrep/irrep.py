@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, SingularLeadingElement
+from .errors import SingularLeadingElement
 from .exact import (
     ONE,
     ZERO,
@@ -43,6 +43,9 @@ from .exact import (
 from .report import VerificationReport
 from .verma import ElementTable, build_table
 
+#: The weights of X, Y and H when h has weight -2.
+GENERATOR_WEIGHTS = {"X": 2, "Y": -2, "H": 0}
+
 
 def ensure_half_integer(j) -> Fraction:
     """Coerce j to a nonnegative half-integer Fraction."""
@@ -50,6 +53,12 @@ def ensure_half_integer(j) -> Fraction:
     if j < 0 or (2 * j).denominator != 1:
         raise ValueError(f"j must be a nonnegative half-integer, got {j}")
     return j
+
+
+def spin_weights(j: Fraction) -> tuple[int, ...]:
+    """The basis weights 2j, 2j - 2, ..., -2j of both irrep bases."""
+    two_j = int(2 * j)
+    return tuple(range(two_j, -two_j - 1, -2))
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,8 @@ class Irrep:
 
     basis "verma" indexes w_0..w_{2j} by the power of the lowering
     generator; basis "diagonal" orders weights descending so H comes out
-    diagonal (2j, 2j-2, ..., -2j).  Entries are polynomials in h only."""
+    diagonal (2j, 2j-2, ..., -2j).  Both bases have the basis weights
+    2j - 2i, so X, Y and H are graded matrices of weights 2, -2 and 0."""
 
     j: Fraction
     basis: str
@@ -115,19 +125,19 @@ class Irrep:
     def from_obj(obj) -> "Irrep":
         if obj["basis"] not in ("verma", "diagonal"):
             raise ValueError(f"basis must be verma or diagonal, got {obj['basis']!r}")
-        rep = Irrep(
-            j=ensure_half_integer(obj["j"]),
-            basis=obj["basis"],
-            X=PolyMatrix.from_obj(obj["matrices"]["X"]),
-            Y=PolyMatrix.from_obj(obj["matrices"]["Y"]),
-            H=PolyMatrix.from_obj(obj["matrices"]["H"]),
-        )
-        for name, m in (("X", rep.X), ("Y", rep.Y), ("H", rep.H)):
-            if (m.rows, m.cols) != (rep.dim, rep.dim):
-                raise DimensionMismatch(
-                    f"{name} is {m.rows}x{m.cols}, but j={rep.j} needs {rep.dim}x{rep.dim}"
-                )
-        return rep
+        grids = {
+            name: [[BiPoly.from_obj(a) for a in row] for row in obj["matrices"][name]]
+            for name in GENERATOR_WEIGHTS
+        }
+        return _graded_irrep(ensure_half_integer(obj["j"]), obj["basis"], grids)
+
+
+def _graded_irrep(j: Fraction, basis: str, grids: dict) -> Irrep:
+    """X, Y and H from grids of polynomials, each entry checked against its grade."""
+    return Irrep(j=j, basis=basis, **{
+        name: PolyMatrix.from_polys(grids[name], spin_weights(j), weight)
+        for name, weight in GENERATOR_WEIGHTS.items()
+    })
 
 
 @dataclass(frozen=True)
@@ -172,14 +182,13 @@ def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
 # -- the two constructions ------------------------------------------------------
 
 
-def verma_basis_irrep(j, table: ElementTable | None = None) -> Irrep:
+def verma_basis_irrep(j) -> Irrep:
     """X, H restricted from the specialized table; Y = unit subdiagonal plus
     the singular-vector corrections in the last column."""
     j = ensure_half_integer(j)
     lam = int(2 * j)
     dim = lam + 1
-    if table is None:
-        table = build_table(lam + 1)
+    table = build_table(lam + 1)
     sv = singular_vector(j, table)
 
     xm = [[table.X(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]
@@ -189,33 +198,39 @@ def verma_basis_irrep(j, table: ElementTable | None = None) -> Irrep:
         ym[n + 1][n] = ONE
     for p, c in enumerate(sv.coeffs, start=1):
         ym[lam - 2 * p + 1][lam] = -c
-    return Irrep(j=j, basis="verma", X=PolyMatrix(xm), Y=PolyMatrix(ym), H=PolyMatrix(hm))
+    return _graded_irrep(j, "verma", {"X": xm, "Y": ym, "H": hm})
 
 
 def classical_rep(j) -> ClassicalRep:
     """Spin-j matrices in the basis w_j, w_{j-1}, ..., w_{-j}."""
     j = ensure_half_integer(j)
-    dim = int(2 * j) + 1
-    plus = [[ZERO] * dim for _ in range(dim)]
-    minus = [[ZERO] * dim for _ in range(dim)]
-    zero = [[ZERO] * dim for _ in range(dim)]
+    weights = spin_weights(j)
+    dim = len(weights)
+    plus = [[0] * dim for _ in range(dim)]
+    minus = [[0] * dim for _ in range(dim)]
+    zero = [[0] * dim for _ in range(dim)]
     two_j = int(2 * j)
     for i in range(dim):
-        zero[i][i] = BiPoly.const(two_j - 2 * i)
+        zero[i][i] = two_j - 2 * i
         if i >= 1:
             # raising from column i (m = j - i) up to row i-1
-            plus[i - 1][i] = BiPoly.const(i * (two_j - i + 1))
+            plus[i - 1][i] = i * (two_j - i + 1)
         if i + 1 < dim:
-            minus[i + 1][i] = ONE
-    return ClassicalRep(j=j, plus=PolyMatrix(plus), minus=PolyMatrix(minus), zero=PolyMatrix(zero))
+            minus[i + 1][i] = 1
+    return ClassicalRep(
+        j=j,
+        plus=PolyMatrix(plus, weights, 2),
+        minus=PolyMatrix(minus, weights, -2),
+        zero=PolyMatrix(zero, weights, 0),
+    )
 
 
 def map_to_deformed(c: ClassicalRep) -> Irrep:
     """The invertible nonlinear map applied to a classical triple; all series
     terminate because the raising matrix is nilpotent."""
-    x = nilpotent_apply("arctanh", c.plus.scale(Fraction(1, 2)), h_scale=1)
-    x = x.divide_h(1).scale(2)
-    root = nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)), h_scale=2)
+    x = nilpotent_apply("arctanh", c.plus.scale(Fraction(1, 2)))
+    x = x.divide_h().scale(2)
+    root = nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
     y = root * c.minus * root
     return Irrep(j=c.j, basis="diagonal", X=x, Y=y, H=c.zero)
 
@@ -225,31 +240,38 @@ def map_to_deformed(c: ClassicalRep) -> Irrep:
 
 def sinh_over_h(x: PolyMatrix) -> PolyMatrix:
     """(1/h) sinh(h x), exact because every series term carries h-degree >= 1."""
-    return nilpotent_apply("sinh", x, h_scale=1).divide_h(1)
+    return nilpotent_apply("sinh", x).divide_h()
+
+
+def _check_sl2(report: VerificationReport, prefix: str, x, y, h):
+    """The three defining relations of the triple (x, y, h), each label
+    starting with ``prefix``."""
+    report.check_matrix_identity(
+        f"{prefix}[H,X] = (2/h) sinh(hX)", commutator(h, x), sinh_over_h(x).scale(2)
+    )
+    report.check_matrix_identity(
+        f"{prefix}[H,Y] = -{{Y, cosh(hX)}}", commutator(h, y),
+        -anticommutator(y, nilpotent_apply("cosh", x)),
+    )
+    report.check_matrix_identity(f"{prefix}[X,Y] = H", commutator(x, y), h)
 
 
 def verify_sl2_relations(r: Irrep) -> VerificationReport:
     """The three defining relations as exact matrix identities."""
     report = VerificationReport(f"sl2 relations j={r.j} basis={r.basis}")
-    cosh_hx = nilpotent_apply("cosh", r.X, h_scale=1)
-    report.check_matrix_identity(
-        "[H,X] = (2/h) sinh(hX)", commutator(r.H, r.X), sinh_over_h(r.X).scale(2)
-    )
-    report.check_matrix_identity(
-        "[H,Y] = -{Y, cosh(hX)}", commutator(r.H, r.Y), -anticommutator(r.Y, cosh_hx)
-    )
-    report.check_matrix_identity("[X,Y] = H", commutator(r.X, r.Y), r.H)
+    _check_sl2(report, "", r.X, r.Y, r.H)
     return report
 
 
-def casimir(r: Irrep) -> tuple[bool, BiPoly]:
-    """The central element as a matrix; returns (is_scalar, scalar value)."""
-    sinh_hx = nilpotent_apply("sinh", r.X, h_scale=1)
-    c = anticommutator(r.Y, sinh_hx).divide_h(1).scale(Fraction(1, 2))
+def casimir(r: Irrep) -> tuple[bool, Fraction]:
+    """The central element as a matrix of weight 0, whose diagonal entries
+    carry no h; returns (is_scalar, scalar value)."""
+    sinh_hx = nilpotent_apply("sinh", r.X)
+    c = anticommutator(r.Y, sinh_hx).divide_h().scale(Fraction(1, 2))
     c = c + (r.H * r.H).scale(Fraction(1, 4))
     c = c + (sinh_hx * sinh_hx).scale(Fraction(1, 4))
-    value = c[0, 0]
-    is_scalar = (c - PolyMatrix.identity(r.dim).scale(value)).is_zero
+    value = c.values[0][0]
+    is_scalar = (c - PolyMatrix.identity(c.weights).scale(value)).is_zero
     return is_scalar, value
 
 
@@ -264,14 +286,15 @@ def casimir(r: Irrep) -> tuple[bool, BiPoly]:
 # matrix identities via S(X) = -X, S(Y) = -e^{hX} Y e^{-hX}, S(H) likewise.
 
 
-def _exp_h(x: PolyMatrix, sign: int) -> PolyMatrix:
-    return nilpotent_apply("exp", x.scale(sign), h_scale=1)
+def exp_h(x: PolyMatrix, sign: int) -> PolyMatrix:
+    """e^{sign h x}."""
+    return nilpotent_apply("exp", x.scale(sign))
 
 
 def coproduct_triple(a: Irrep, b: Irrep) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    ea, eb = _exp_h(a.X, +1), _exp_h(b.X, +1)
-    fa = _exp_h(a.X, -1)
-    ia, ib = PolyMatrix.identity(a.dim), PolyMatrix.identity(b.dim)
+    eb = exp_h(b.X, +1)
+    fa = exp_h(a.X, -1)
+    ia, ib = PolyMatrix.identity(a.X.weights), PolyMatrix.identity(b.X.weights)
     dx = a.X.kron(ib) + ia.kron(b.X)
     dy = a.Y.kron(eb) + fa.kron(b.Y)
     dh = a.H.kron(eb) + fa.kron(b.H)
@@ -280,17 +303,12 @@ def coproduct_triple(a: Irrep, b: Irrep) -> tuple[PolyMatrix, PolyMatrix, PolyMa
 
 def _antipodes(rep: Irrep) -> dict[str, PolyMatrix]:
     """S(X) = -X, S(Y) = -e^{hX} Y e^{-hX} and S(H) = -e^{hX} H e^{-hX}."""
-    e_plus, e_minus = _exp_h(rep.X, +1), _exp_h(rep.X, -1)
+    e_plus, e_minus = exp_h(rep.X, +1), exp_h(rep.X, -1)
     return {
         "X": -rep.X,
         "Y": -(e_plus * rep.Y * e_minus),
         "H": -(e_plus * rep.H * e_minus),
     }
-
-
-def _trivial_rep() -> Irrep:
-    z = PolyMatrix.zeros(1, 1)
-    return Irrep(j=Fraction(0), basis="diagonal", X=z, Y=z, H=z)
 
 
 def verify_hopf(j1, j2) -> VerificationReport:
@@ -300,20 +318,11 @@ def verify_hopf(j1, j2) -> VerificationReport:
     a = map_to_deformed(classical_rep(j1))
     b = map_to_deformed(classical_rep(j2))
 
-    dx, dy, dh = coproduct_triple(a, b)
-    dim = a.dim * b.dim
-    cosh_dx = nilpotent_apply("cosh", dx, h_scale=1)
-    report.check_matrix_identity(
-        "coproduct [H,X] = (2/h) sinh(hX)", commutator(dh, dx), sinh_over_h(dx).scale(2)
-    )
-    report.check_matrix_identity(
-        "coproduct [H,Y] = -{Y, cosh(hX)}", commutator(dh, dy), -anticommutator(dy, cosh_dx)
-    )
-    report.check_matrix_identity("coproduct [X,Y] = H", commutator(dx, dy), dh)
+    _check_sl2(report, "coproduct ", *coproduct_triple(a, b))
 
     # counit axiom: collapsing either tensor leg to the trivial representation
-    # must reproduce the generator on the other leg.
-    eps = _trivial_rep()
+    # (spin 0, all generators 0) must reproduce the generator on the other leg.
+    eps = map_to_deformed(classical_rep(0))
     for side, rep in (("left", a), ("right", b)):
         if side == "left":
             ex, ey, eh = coproduct_triple(eps, rep)
@@ -327,15 +336,15 @@ def verify_hopf(j1, j2) -> VerificationReport:
     # S(e^{-hX}) = e^{hX}, m(S x id)D(g) = S(g) e^{hX} + e^{hX} g for g = Y, H
     for rep in (a, b):
         s = _antipodes(rep)
-        e_plus = _exp_h(rep.X, +1)
-        zero = PolyMatrix.zeros(rep.dim, rep.dim)
-        report.check_matrix_identity(
-            f"antipode m(S x id)D(X) = 0 [j={rep.j}]", s["X"] + rep.X, zero
-        )
-        report.check_matrix_identity(
-            f"antipode m(S x id)D(Y) = 0 [j={rep.j}]", s["Y"] * e_plus + e_plus * rep.Y, zero
-        )
-        report.check_matrix_identity(
-            f"antipode m(S x id)D(H) = 0 [j={rep.j}]", s["H"] * e_plus + e_plus * rep.H, zero
-        )
+        e_plus = exp_h(rep.X, +1)
+        for name, lhs in (
+            ("X", s["X"] + rep.X),
+            ("Y", s["Y"] * e_plus + e_plus * rep.Y),
+            ("H", s["H"] * e_plus + e_plus * rep.H),
+        ):
+            report.check_matrix_identity(
+                f"antipode m(S x id)D({name}) = 0 [j={rep.j}]",
+                lhs,
+                PolyMatrix.zeros(lhs.weights, lhs.weight),
+            )
     return report

@@ -46,10 +46,10 @@ def bipoly_latex(p: BiPoly) -> str:
 
 
 def matrix_latex(m: PolyMatrix) -> str:
-    if m.rows == 1 and m.cols == 1:
+    if m.rows == 1:
         return bipoly_latex(m[0, 0])
     rows = [
-        " & ".join(bipoly_latex(entry) for entry in row) for row in m.entries
+        " & ".join(bipoly_latex(m[i, j]) for j in range(m.rows)) for i in range(m.rows)
     ]
     body = " \\\\\n".join(rows)
     return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"

@@ -30,7 +30,7 @@ from .exact import (
     commutator,
     nilpotent_apply,
 )
-from .irrep import classical_rep, ensure_half_integer, map_to_deformed, sinh_over_h
+from .irrep import classical_rep, ensure_half_integer, exp_h, map_to_deformed, sinh_over_h
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
@@ -51,10 +51,6 @@ class So4Rep:
     K_zero: PolyMatrix
     copies: dict
 
-    @property
-    def dim(self) -> int:
-        return self.J_plus.rows
-
     def generators(self) -> dict[str, PolyMatrix]:
         return {
             "J+": self.J_plus,
@@ -66,10 +62,6 @@ class So4Rep:
         }
 
 
-def _exp(m: PolyMatrix, sign: int) -> PolyMatrix:
-    return nilpotent_apply("exp", m.scale(sign), h_scale=1)
-
-
 def build_so4(j1, j2) -> So4Rep:
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
     one = map_to_deformed(classical_rep(j1))
@@ -77,8 +69,8 @@ def build_so4(j1, j2) -> So4Rep:
     # copy 2 carries parameter -h
     x2s, y2s, h2s = two.X.negate_h(), two.Y.negate_h(), two.H.negate_h()
 
-    i1 = PolyMatrix.identity(one.dim)
-    i2 = PolyMatrix.identity(two.dim)
+    i1 = PolyMatrix.identity(one.X.weights)
+    i2 = PolyMatrix.identity(two.X.weights)
     x1 = one.X.kron(i2)
     y1 = one.Y.kron(i2)
     h1 = one.H.kron(i2)
@@ -86,8 +78,8 @@ def build_so4(j1, j2) -> So4Rep:
     y2 = i1.kron(y2s)
     h2 = i1.kron(h2s)
 
-    e_x2 = i1.kron(_exp(x2s, +1))      # e^{h X2}
-    f_x1 = _exp(one.X, -1).kron(i2)    # e^{-h X1}
+    e_x2 = i1.kron(exp_h(x2s, +1))      # e^{h X2}
+    f_x1 = exp_h(one.X, -1).kron(i2)    # e^{-h X1}
 
     return So4Rep(
         j1=j1,
@@ -111,12 +103,12 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     jp, jm, j0 = r.J_plus, r.J_minus, r.J_zero
     kp, km, k0 = r.K_plus, r.K_minus, r.K_zero
 
-    sinh_jp = nilpotent_apply("sinh", jp, h_scale=1)
-    cosh_jp = nilpotent_apply("cosh", jp, h_scale=1)
+    sinh_jp = nilpotent_apply("sinh", jp)
+    cosh_jp = nilpotent_apply("cosh", jp)
     two_sinh_over_h = sinh_over_h(jp).scale(2)
-    e_mkp = _exp(kp, -1)   # e^{-h K+}
-    e_pjp = _exp(jp, +1)   # e^{+h J+}
-    e_mjp = _exp(jp, -1)   # e^{-h J+}
+    e_mkp = exp_h(kp, -1)   # e^{-h K+}
+    e_pjp = exp_h(jp, +1)   # e^{+h J+}
+    e_mjp = exp_h(jp, -1)   # e^{-h J+}
 
     report.check_matrix_identity("[J0,J+] = (2/h) sinh(hJ+)",
                                  commutator(j0, jp), two_sinh_over_h)
@@ -131,7 +123,7 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
         commutator(k0, km),
         -anticommutator(jm, e_mkp) - anticommutator(km, sinh_jp),
     )
-    cosh_minus_exp = (cosh_jp - e_mkp).divide_h(1).scale(2)
+    cosh_minus_exp = (cosh_jp - e_mkp).divide_h().scale(2)
     report.check_matrix_identity("[J0,K+] = (2/h)(cosh(hJ+) - e^{-hK+})",
                                  commutator(j0, kp), cosh_minus_exp)
     report.check_matrix_identity("[K0,J+] = (2/h)(cosh(hJ+) - e^{-hK+})",
@@ -140,7 +132,7 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     # h/8-weighted quadratic tail shared by [J0,K-] and [K0,J-]
     plus_part = (j0 + k0) * e_mjp + e_mjp * (j0 + k0)
     minus_part = (j0 - k0) * e_pjp + e_pjp * (j0 - k0)
-    quad = (plus_part * minus_part).scale(Fraction(1, 8)).mul_h(1)
+    quad = (plus_part * minus_part).scale(Fraction(1, 8)).mul_h()
     report.check_matrix_identity(
         "[J0,K-] = -{K-, cosh(hJ+)} - (h/8)(J0+K0,e^{-hJ+})(J0-K0,e^{hJ+})",
         commutator(j0, km),
@@ -156,11 +148,11 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     report.check_matrix_identity("[J+,K-] = K0", commutator(jp, km), k0)
     report.check_matrix_identity("[K+,J-] = K0", commutator(kp, jm), k0)
     report.check_matrix_identity("[J+,K+] = 0", commutator(jp, kp),
-                                 PolyMatrix.zeros(r.dim, r.dim))
+                                 PolyMatrix.zeros(jp.weights, 2 * jp.weight))
     jmkm = (
         -((jm + km) * (e_mjp * (j0 - k0) * e_pjp + (j0 - k0))).scale(Fraction(1, 4))
         - (((j0 + k0) * e_mjp + e_mjp * (j0 + k0)) * (jm - km) * e_pjp).scale(Fraction(1, 4))
-    ).mul_h(1)
+    ).mul_h()
     report.check_matrix_identity(
         "[J-,K-] = -(h/4)(J-+K-)(e^{-hJ+}(J0-K0)e^{hJ+}+(J0-K0)) - (h/4)((J0+K0),e^{-hJ+})(J--K-)e^{hJ+}",
         commutator(jm, km),
@@ -183,10 +175,10 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 
 def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
     """Route (a): coproducts written directly in the composite generators."""
-    i = PolyMatrix.identity(r.dim)
-    cosh_jp = nilpotent_apply("cosh", r.J_plus, h_scale=1)
-    sinh_jp = nilpotent_apply("sinh", r.J_plus, h_scale=1)
-    e_mkp = _exp(r.K_plus, -1)
+    i = PolyMatrix.identity(r.J_plus.weights)
+    cosh_jp = nilpotent_apply("cosh", r.J_plus)
+    sinh_jp = nilpotent_apply("sinh", r.J_plus)
+    e_mkp = exp_h(r.K_plus, -1)
     return {
         "J+": TensorSum([(r.J_plus, i), (i, r.J_plus)]),
         "J-": TensorSum([(r.J_minus, cosh_jp), (e_mkp, r.J_minus), (r.K_minus, sinh_jp)]),
@@ -204,11 +196,11 @@ def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
     group-like), D(Y_i) = Y_i (x) e^{h theta_i X_i} + e^{-h theta_i X_i} (x) Y_i
     with theta_1 = +1, theta_2 = -1, and likewise for H_i."""
     c = r.copies
-    i = PolyMatrix.identity(r.dim)
-    e_x1p = _exp(c["x1"], +1)
-    e_x1m = _exp(c["x1"], -1)
-    e_x2p = _exp(c["x2"], +1)
-    e_x2m = _exp(c["x2"], -1)
+    i = PolyMatrix.identity(r.J_plus.weights)
+    e_x1p = exp_h(c["x1"], +1)
+    e_x1m = exp_h(c["x1"], -1)
+    e_x2p = exp_h(c["x2"], +1)
+    e_x2m = exp_h(c["x2"], -1)
 
     def primitive(m):
         return TensorSum([(m, i), (i, m)])
@@ -241,9 +233,9 @@ def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
 
 
 def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
-    cosh_jp = nilpotent_apply("cosh", r.J_plus, h_scale=1)
-    sinh_jp = nilpotent_apply("sinh", r.J_plus, h_scale=1)
-    e_pkp = _exp(r.K_plus, +1)
+    cosh_jp = nilpotent_apply("cosh", r.J_plus)
+    sinh_jp = nilpotent_apply("sinh", r.J_plus)
+    e_pkp = exp_h(r.K_plus, +1)
     return {
         "J+": -r.J_plus,
         "J-": -(e_pkp * (r.J_minus * cosh_jp - r.K_minus * sinh_jp)),
@@ -259,8 +251,8 @@ def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
     S(Y1 e^{hX2}) = S(e^{hX2}) S(Y1), with per-copy values
     S(Y_i) = -e^{h theta_i X_i} Y_i e^{-h theta_i X_i} and S(X_i) = -X_i."""
     c = r.copies
-    e_x1p, e_x1m = _exp(c["x1"], +1), _exp(c["x1"], -1)
-    e_x2p, e_x2m = _exp(c["x2"], +1), _exp(c["x2"], -1)
+    e_x1p, e_x1m = exp_h(c["x1"], +1), exp_h(c["x1"], -1)
+    e_x2p, e_x2m = exp_h(c["x2"], +1), exp_h(c["x2"], -1)
     s_y1 = -(e_x1p * c["y1"] * e_x1m)
     s_h1 = -(e_x1p * c["h1"] * e_x1m)
     s_y2 = -(e_x2m * c["y2"] * e_x2p)
@@ -302,14 +294,15 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
 
     # counit: eps is the one-dimensional trivial representation, (j1, j2) =
     # (0, 0), so building the direct coproducts there turns each left leg into
-    # its counit, and sum_i eps(left_i) right_i must reproduce the generator.
-    # The check tests the direct coproduct formulas, not the representation.
+    # its counit, a 1x1 matrix of the leg's weight, and sum_i eps(left_i) (x)
+    # right_i must reproduce the generator.  The check tests the direct
+    # coproduct formulas, not the representation.
     trivial = _coproducts_direct(build_so4(0, 0))
     gens = r.generators()
     for name in GENERATOR_NAMES:
-        collapsed = PolyMatrix.zeros(r.dim, r.dim)
-        for (eps, _), (_, right) in zip(trivial[name].pairs, direct[name].pairs):
-            collapsed = collapsed + right.scale(eps[0, 0])
+        collapsed = [eps.kron(right) for (eps, _), (_, right)
+                     in zip(trivial[name].pairs, direct[name].pairs)]
+        collapsed = sum(collapsed[1:], collapsed[0])
         report.check_matrix_identity(
             f"counit (eps x id) on {name}", collapsed, gens[name]
         )

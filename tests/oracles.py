@@ -6,7 +6,8 @@ action is rebuilt by direct operator application of the defining relations,
 the h^2 and h^4 matrix elements come from closed forms, the combinatorial
 counts from exhaustive enumeration, normal forms from a reducer with a
 free choice of swap, sums of Kronecker products by assembling the full
-matrix, and spectra by the characteristic polynomial.
+matrix, graded matrix arithmetic by the same operations on grids of
+polynomials in h, and spectra by the characteristic polynomial.
 """
 
 from fractions import Fraction
@@ -14,8 +15,9 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from jordanrep.errors import DimensionMismatch
+from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
+from jordanrep.exact.series import STREAMS
 from jordanrep.ncseries import NCElement, normal_order_word
 
 
@@ -27,9 +29,21 @@ def term(coeff, deg_lam: int, deg_h: int) -> BiPoly:
     return BiPoly({(deg_lam, deg_h): Fraction(coeff)})
 
 
+def ladder(n: int) -> tuple[int, ...]:
+    """The basis weights n-1, n-3, ..., 1-n of the n-dimensional irrep."""
+    return tuple(range(n - 1, -n, -2))
+
+
+def graded(rows, weight: int) -> PolyMatrix:
+    """A matrix of the given weight on the n-dimensional irrep from a grid
+    of rationals and polynomials in h, each of which must sit on its grade."""
+    polys = [[p if isinstance(p, BiPoly) else BiPoly.const(p) for p in row] for row in rows]
+    return PolyMatrix.from_polys(polys, ladder(len(rows)), weight)
+
+
 def diagonal(values) -> PolyMatrix:
     n = len(values)
-    return PolyMatrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return graded([[values[i] if i == j else 0 for j in range(n)] for i in range(n)], 0)
 
 
 def trace(m: PolyMatrix) -> BiPoly:
@@ -39,9 +53,14 @@ def trace(m: PolyMatrix) -> BiPoly:
     return acc
 
 
-def subs_h(m: PolyMatrix, value) -> PolyMatrix:
-    """Every entry evaluated at h = value."""
-    return m.map_entries(lambda a: a.subs_h(value))
+def subs_h(m: PolyMatrix, value) -> list:
+    """Every entry evaluated at h = value, as a grid of rationals."""
+    value = Fraction(value)
+    return [
+        [sum((c * value**dh for (_, dh), c in m[i, j].items()), Fraction(0))
+         for j in range(m.rows)]
+        for i in range(m.rows)
+    ]
 
 
 def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
@@ -261,22 +280,76 @@ def assemble(tensor_sum: TensorSum):
     return acc
 
 
+# -- grids of polynomials in h -----------------------------------------------------
+#
+# The graded PolyMatrix keeps values at h = 1 and one weight; these grids keep
+# every entry as a full polynomial, entry by entry, with no grading at all.
+
+
+def expand(m: PolyMatrix) -> list:
+    """The matrix as a grid of polynomials c * h^d."""
+    return [[m[i, j] for j in range(m.rows)] for i in range(m.rows)]
+
+
+def grid_identity(n: int) -> list:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def grid_add(a, b) -> list:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def grid_scale(a, p: BiPoly) -> list:
+    return [[x * p for x in row] for row in a]
+
+
+def grid_mul(a, b) -> list:
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def grid_kron(a, b) -> list:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def grid_negate_h(a) -> list:
+    return [[BiPoly({k: -c if k[1] % 2 else c for k, c in p.items()}) for p in row] for row in a]
+
+
+def grid_nilpotent_apply(kind: str, a, h_power: int) -> list:
+    """sum_k f_k (h^h_power a)^k, stopping at the first zero power."""
+    n = len(a)
+    stream = STREAMS[kind]()
+    step = grid_scale(a, BiPoly({(0, h_power): 1}))
+    acc = grid_scale(grid_identity(n), BiPoly.const(next(stream)))
+    power = grid_identity(n)
+    for _ in range(n):  # a nilpotent n x n grid has a zero n-th power
+        power = grid_mul(power, step)
+        coeff = next(stream)
+        if all(p.is_zero for row in power for p in row):
+            return acc
+        acc = grid_add(acc, grid_scale(power, BiPoly.const(coeff)))
+    raise NotNilpotent("grid power is nonzero")
+
+
 def charpoly(m: PolyMatrix) -> list[BiPoly]:
     """Characteristic polynomial coefficients [1, c1, ..., cn] of det(xI - m).
 
-    Faddeev-LeVerrier: exact over any commutative ring containing the
-    rationals, so the coefficients come out as BiPoly values.
+    Faddeev-LeVerrier on the grid of polynomials: exact over any commutative
+    ring containing the rationals, so the coefficients come out as BiPoly
+    values.
     """
-    if m.rows != m.cols:
-        raise DimensionMismatch("characteristic polynomial needs a square matrix")
     n = m.rows
+    a = expand(m)
     coeffs = [ONE]
-    aux = PolyMatrix.identity(n)
-    mat = m
+    aux = grid_identity(n)
+    mat = a
     for k in range(1, n + 1):
         if k > 1:
-            aux = m * aux + PolyMatrix.identity(n).scale(coeffs[k - 1])
-            mat = m * aux
-        c = trace(mat).scale(Fraction(-1, k))
+            aux = grid_add(grid_mul(a, aux), grid_scale(grid_identity(n), coeffs[k - 1]))
+            mat = grid_mul(a, aux)
+        c = sum((mat[i][i] for i in range(n)), ZERO).scale(Fraction(-1, k))
         coeffs.append(c)
     return coeffs

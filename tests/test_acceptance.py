@@ -103,15 +103,14 @@ def test_criterion_4_closed_form_equivalence():
 
 def test_criterion_5_relation_suite_all_spins():
     with Budget("5 defining relations + Casimir, j<=6, both bases", 30.0):
-        table = build_table(13)
         j = Fraction(1, 2)
         while j <= 6:
-            for rep in (verma_basis_irrep(j, table), map_to_deformed(classical_rep(j))):
+            for rep in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
                 report = verify_sl2_relations(rep)
                 assert report.passed, (j, rep.basis, [e.relation_label for e in report.failures()])
                 is_scalar, value = casimir(rep)
                 assert is_scalar, (j, rep.basis)
-                assert value.subs_h(0).constant_value() == j * (j + 1), (j, rep.basis)
+                assert value == j * (j + 1), (j, rep.basis)
             j += Fraction(1, 2)
 
 

@@ -133,7 +133,7 @@ def test_elements_latex(capsys):
 
 
 def test_latex_one_by_one_zero():
-    assert matrix_latex(PolyMatrix.zeros(1, 1)) == "0"
+    assert matrix_latex(PolyMatrix.zeros((0,), 0)) == "0"
 
 
 def test_latex_half_spin_x(capsys):
@@ -188,6 +188,8 @@ def test_usage_errors_exit_two(argv, capsys):
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "1e200"],
         ["spectrum", "--omega", "1e10", "--grid", "0:1:0.5", "--pi0", "1e154", "--out", "json"],
         ["verify", "e2", "--order", "1"],
+        ["verify", "qe3", "--order", str(cli.MAX_ORDER + 1)],
+        ["verify", "all", "--order", "1000000000"],
         ["irrep", "--j", "1", "--output", "/nonexistent/x.json"],
     ],
 )
@@ -225,6 +227,41 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_off_grade_from_json_entry_exits_two(tmp_path, capsys):
+    """X has weight 2, so its (0, 1) entry on the diagonal basis is a pure
+    number: a term in h or in lam there is off its grade and refused as
+    input, not compared at h = 1."""
+    assert main(["irrep", "--j", "1", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    capsys.readouterr()
+    for extra in ({"c": "1", "l": 0, "h": 1}, {"c": "1", "l": 1, "h": 0}):
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        payload["matrices"]["X"][0][1].append(extra)
+        rep_file = tmp_path / "off_grade.json"
+        rep_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", "--from-json", str(rep_file)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "off its grade" in captured.err
+
+
+def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
+    def never(order):
+        raise AssertionError(f"suite ran at order {order}")
+
+    monkeypatch.setattr(cli.ncseries, "suite_qe3", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "qe3", "--order", str(cli.MAX_ORDER + 1)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    # the largest allowed order reaches the suite
+    with pytest.raises(AssertionError, match=f"order {cli.MAX_ORDER}"):
+        main(["verify", "qe3", "--order", str(cli.MAX_ORDER)])
 
 
 def test_grid_cap_is_checked_before_allocating():

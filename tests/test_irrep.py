@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from jordanrep import irrep
-from jordanrep.exact import ONE, BiPoly, PolyMatrix
+from jordanrep.errors import DimensionMismatch
+from jordanrep.exact import ONE, BiPoly, PolyMatrix, commutator, nilpotent_apply
+from jordanrep.report import VerificationReport
 from jordanrep.irrep import (
     Irrep,
     casimir,
@@ -18,7 +20,7 @@ from jordanrep.irrep import (
 from jordanrep.verma import build_table
 
 import golden
-from oracles import act, charpoly, diagonal, is_homogeneous_h, subs_h, term, trace
+from oracles import act, charpoly, diagonal, graded, is_homogeneous_h, subs_h, term, trace
 
 HALF = Fraction(1, 2)
 
@@ -66,13 +68,13 @@ def test_trivial_irrep_j_zero():
     assert r.X.is_zero and r.Y.is_zero and r.H.is_zero
     assert verify_sl2_relations(r).passed
     sc, value = casimir(r)
-    assert sc and value.is_zero
+    assert sc and value == 0
 
 
 def test_verma_irrep_j_half():
     r = verma_basis_irrep(HALF)
-    assert r.X == PolyMatrix([[0, 1], [0, 0]])
-    assert r.Y == PolyMatrix([[0, 0], [1, 0]])
+    assert r.X == graded([[0, 1], [0, 0]], 2)
+    assert r.Y == graded([[0, 0], [1, 0]], -2)
     assert r.H == diagonal([1, -1])
 
 
@@ -92,8 +94,8 @@ def test_verma_irrep_j_two_y_corrections():
 
 def test_classical_rep_small():
     r = classical_rep(HALF)
-    assert r.plus == PolyMatrix([[0, 1], [0, 0]])
-    assert r.minus == PolyMatrix([[0, 0], [1, 0]])
+    assert r.plus == graded([[0, 1], [0, 0]], 2)
+    assert r.minus == graded([[0, 0], [1, 0]], -2)
     assert r.zero == diagonal([1, -1])
     r1 = classical_rep(1)
     assert [r1.plus[i, i + 1] for i in range(2)] == [BiPoly.const(2)] * 2
@@ -145,14 +147,24 @@ def test_relations_both_bases(j):
 
 def test_relations_negative_control():
     r = verma_basis_irrep(Fraction(3, 2))
-    rows = [list(row) for row in r.X.entries]
+    rows = [list(row) for row in r.X.values]
     rows[0][1] = -rows[0][1]
-    corrupted = Irrep(j=r.j, basis=r.basis, X=PolyMatrix(rows), Y=r.Y, H=r.H)
+    corrupted = Irrep(j=r.j, basis=r.basis, X=PolyMatrix(rows, r.X.weights, 2), Y=r.Y, H=r.H)
     report = verify_sl2_relations(corrupted)
     assert not report.passed
     failing = report.failures()
     assert failing
     assert "mismatch at" in failing[0].detail
+
+
+def test_missing_power_of_h_is_caught_by_the_weight():
+    """[H,X] = 2 sinh(hX) lacks the 1/h of the true relation, yet both sides
+    have the same values at h = 1; only their weights, 2 and 0, differ."""
+    for r in (verma_basis_irrep(Fraction(5, 2)), map_to_deformed(classical_rep(Fraction(5, 2)))):
+        lhs, wrong = commutator(r.H, r.X), nilpotent_apply("sinh", r.X).scale(2)
+        assert lhs.values == wrong.values
+        with pytest.raises(DimensionMismatch):
+            VerificationReport("control").check_matrix_identity("[H,X] = 2 sinh(hX)", lhs, wrong)
 
 
 def test_traces_vanish():
@@ -165,11 +177,11 @@ def test_traces_vanish():
 
 def test_casimir_values():
     sc, value = casimir(verma_basis_irrep(HALF))
-    assert sc and value == BiPoly.const(Fraction(3, 4))
+    assert sc and value == Fraction(3, 4)
     # both bases agree for j = 7/2, and the scalar is exactly j(j+1)
     sc_v, v_verma = casimir(verma_basis_irrep(Fraction(7, 2)))
     sc_d, v_diag = casimir(map_to_deformed(classical_rep(Fraction(7, 2))))
-    assert sc_v and sc_d and v_verma == v_diag == BiPoly.const(Fraction(63, 4))
+    assert sc_v and sc_d and v_verma == v_diag == Fraction(63, 4)
 
 
 @pytest.mark.parametrize("j", [HALF, 1, 2, Fraction(5, 2)])
@@ -177,7 +189,7 @@ def test_casimir_classical_limit(j):
     for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
         sc, value = casimir(r)
         assert sc
-        assert value.subs_h(0).constant_value() == j * (j + 1)
+        assert value == j * (j + 1)
 
 
 def _weight_ladder_charpoly(j, dim):
@@ -221,11 +233,13 @@ def test_classical_limit_of_verma_matrices():
     h0 = subs_h(r.H, 0)
     y0 = subs_h(r.Y, 0)
     for n in range(r.dim):
-        assert h0[n, n] == BiPoly.const(lam - 2 * n)
+        assert h0[n][n] == lam - 2 * n
         if n + 1 < r.dim:
-            assert x0[n, n + 1] == BiPoly.const((n + 1) * (lam - n))
-            assert y0[n + 1, n] == ONE
-    assert x0.first_difference(r.X.map_entries(lambda p: p.subs_h(0))) is None
+            assert x0[n][n + 1] == (n + 1) * (lam - n)
+            assert y0[n + 1][n] == 1
+    # at h = 0 only the entries of degree 0 survive: the classical triple
+    c = classical_rep(Fraction(5, 2))
+    assert (graded(x0, 2), graded(y0, -2), graded(h0, 0)) == (c.plus, c.minus, c.zero)
 
 
 @pytest.mark.parametrize("j1,j2", [(HALF, HALF), (1, HALF)])

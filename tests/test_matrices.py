@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from jordanrep.errors import DimensionMismatch, NotNilpotent
 from jordanrep.exact import (
-    H,
     ONE,
     ZERO,
     BiPoly,
@@ -15,11 +14,25 @@ from jordanrep.exact import (
     commutator,
     nilpotent_apply,
 )
-from oracles import assemble, charpoly, diagonal, term, trace
+from oracles import (
+    assemble,
+    charpoly,
+    diagonal,
+    expand,
+    graded,
+    grid_add,
+    grid_kron,
+    grid_mul,
+    grid_negate_h,
+    grid_nilpotent_apply,
+    ladder,
+    term,
+    trace,
+)
 
 # classical raising matrix for the 8-dimensional module, superdiagonal
 # (j-m)(j+m+1) with weights descending
-J_PLUS_8 = PolyMatrix(
+J_PLUS_8 = graded(
     [
         [0, 7, 0, 0, 0, 0, 0, 0],
         [0, 0, 12, 0, 0, 0, 0, 0],
@@ -29,48 +42,78 @@ J_PLUS_8 = PolyMatrix(
         [0, 0, 0, 0, 0, 0, 12, 0],
         [0, 0, 0, 0, 0, 0, 0, 7],
         [0, 0, 0, 0, 0, 0, 0, 0],
-    ]
+    ],
+    2,
 )
 
 
 def test_arctanh_map_on_two_dim_is_identity_map():
-    j = PolyMatrix([[0, 1], [0, 0]])
-    x = nilpotent_apply("arctanh", j.scale(Fraction(1, 2)), h_scale=1).divide_h(1).scale(2)
+    j = graded([[0, 1], [0, 0]], 2)
+    x = nilpotent_apply("arctanh", j.scale(Fraction(1, 2))).divide_h().scale(2)
     assert x == j  # j^2 = 0 kills all higher terms
 
 
 def test_arctanh_map_on_eight_dim_golden_entry():
-    x = nilpotent_apply("arctanh", J_PLUS_8.scale(Fraction(1, 2)), h_scale=1)
-    x = x.divide_h(1).scale(2)
+    x = nilpotent_apply("arctanh", J_PLUS_8.scale(Fraction(1, 2)))
+    x = x.divide_h().scale(2)
     assert x[0, 3] == term(105, 0, 2)
     assert x[0, 5] == term(3780, 0, 4)
 
 
 def test_sqrt_conjugation_golden_entry():
-    j_minus = PolyMatrix(
-        [[1 if i == k + 1 else 0 for k in range(8)] for i in range(8)]
-    )
-    root = nilpotent_apply(
-        "sqrt1p", (J_PLUS_8 * J_PLUS_8).scale(Fraction(-1, 4)), h_scale=2
-    )
+    j_minus = graded([[1 if i == k + 1 else 0 for k in range(8)] for i in range(8)], -2)
+    root = nilpotent_apply("sqrt1p", (J_PLUS_8 * J_PLUS_8).scale(Fraction(-1, 4)))
     y = root * j_minus * root
     assert y[0, 1] == term(Fraction(-21, 2), 0, 2)
 
 
 def test_not_nilpotent():
     with pytest.raises(NotNilpotent):
-        nilpotent_apply("exp", PolyMatrix.identity(2), h_scale=1)
+        nilpotent_apply("exp", PolyMatrix.identity(ladder(2)))
     with pytest.raises(NotNilpotent):
-        nilpotent_apply("exp", PolyMatrix([[0, 1], [1, 0]]), h_scale=1)
+        nilpotent_apply("exp", PolyMatrix([[0, 1], [1, 0]], (0, 0), 0))
 
 
 def test_dimension_mismatch_is_an_error():
-    a = PolyMatrix.identity(2)
-    b = PolyMatrix.zeros(3, 3)
+    a = PolyMatrix.identity(ladder(2))
+    b = PolyMatrix.zeros(ladder(3), 0)
     with pytest.raises(DimensionMismatch):
         a + b
     with pytest.raises(DimensionMismatch):
         a * b
+    with pytest.raises(DimensionMismatch):  # same values, one more power of h
+        a.first_difference(a.mul_h())
+    with pytest.raises(DimensionMismatch):
+        PolyMatrix([[1, 0]], ladder(2), 0)
+
+
+def test_off_grade_entries_are_refused():
+    with pytest.raises(DimensionMismatch):  # J+ entry read as weight 0
+        graded([[0, 1], [0, 0]], 0)
+    with pytest.raises(DimensionMismatch):  # 1 + h has no single grade
+        graded([[0, ONE + term(1, 0, 1)], [0, 0]], 2)
+    with pytest.raises(DimensionMismatch):  # lam is not a power of h
+        graded([[0, term(1, 1, 0)], [0, 0]], 2)
+    with pytest.raises(DimensionMismatch):  # odd weight on an even ladder
+        nilpotent_apply("exp", PolyMatrix.zeros(ladder(2), 1))
+    assert graded([[0, term(3, 0, 1)], [0, 0]], 0)[0, 1] == term(3, 0, 1)
+
+
+def test_divide_h_refuses_an_entry_without_h():
+    j_plus = graded([[0, 2, 0], [0, 0, 2], [0, 0, 0]], 2)
+    with pytest.raises(DimensionMismatch):
+        j_plus.divide_h()
+    assert j_plus.mul_h().divide_h() == j_plus
+    assert j_plus.mul_h()[0, 1] == term(2, 0, 1)
+
+
+def test_negate_h_flips_odd_powers_only():
+    m = graded([[0, 1, term(5, 0, 1)], [0, 0, 2], [0, 0, 0]], 2).mul_h()
+    assert expand(m.negate_h()) == [
+        [ZERO, term(-1, 0, 1), term(5, 0, 2)],
+        [ZERO, ZERO, term(-2, 0, 1)],
+        [ZERO, ZERO, ZERO],
+    ]
 
 
 def test_trace_and_kron():
@@ -79,17 +122,18 @@ def test_trace_and_kron():
     assert trace(a) == BiPoly.const(3)
     k = a.kron(b)
     assert k.rows == 4 and k[0, 0] == BiPoly.const(3) and k[3, 3] == BiPoly.const(8)
+    assert k.weights == (2, 0, 0, -2)
 
 
 def test_charpoly_known_matrix():
     m = diagonal([1, 2])
     assert charpoly(m) == [ONE, BiPoly.const(-3), BiPoly.const(2)]
-    n = PolyMatrix([[0, 1], [0, 0]])
+    n = graded([[0, 1], [0, 0]], 2)
     assert charpoly(n) == [ONE, ZERO, ZERO]
 
 
 def test_first_difference_locates_mismatch():
-    a = PolyMatrix.identity(3)
+    a = PolyMatrix.identity(ladder(3))
     b = diagonal([1, 5, 1])
     assert a.first_difference(b)[:2] == (1, 1)
     assert a.first_difference(a) is None
@@ -105,80 +149,97 @@ strict_upper = st.integers(2, 8).flatmap(
 
 
 def _upper_from(n, vals):
+    """A weight-2 matrix on the n-dimensional irrep: entry (i, j), j > i,
+    carries h^(j-i-1)."""
     it = iter(vals)
-    return PolyMatrix(
-        [[next(it) if j > i else 0 for j in range(n)] for i in range(n)]
-    )
+    return PolyMatrix([[next(it) if j > i else 0 for j in range(n)] for i in range(n)],
+                      ladder(n), 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(strict_upper)
 def test_exp_of_nilpotent_inverts(m):
-    e_plus = nilpotent_apply("exp", m, h_scale=1)
-    e_minus = nilpotent_apply("exp", -m, h_scale=1)
-    assert e_plus * e_minus == PolyMatrix.identity(m.rows)
+    e_plus = nilpotent_apply("exp", m)
+    e_minus = nilpotent_apply("exp", -m)
+    assert e_plus * e_minus == PolyMatrix.identity(m.weights)
 
 
 @settings(max_examples=40, deadline=None)
 @given(strict_upper)
 def test_hyperbolic_split_of_exponential(m):
-    s = nilpotent_apply("sinh", m, h_scale=1)
-    c = nilpotent_apply("cosh", m, h_scale=1)
-    assert c + s == nilpotent_apply("exp", m, h_scale=1)
+    s = nilpotent_apply("sinh", m)
+    c = nilpotent_apply("cosh", m)
+    assert c + s == nilpotent_apply("exp", m)
     assert commutator(s, c).is_zero
 
 
 def test_tensor_sum_first_difference_locates_mismatch():
-    e01 = PolyMatrix([[0, 1], [0, 0]])
-    zero = PolyMatrix.zeros(2, 2)
+    e01 = graded([[0, 1], [0, 0]], 2)
+    zero = PolyMatrix.zeros(ladder(2), 2)
     regrouped = TensorSum([(e01, e01.scale(3)), (e01.scale(2), -e01)])
     assert regrouped.first_difference(TensorSum([(e01, e01)])) is None
     # e01 (x) e01 has its single nonzero entry at (0*2+0, 1*2+1)
     diff = TensorSum([(e01, e01)]).first_difference(TensorSum([(e01, zero)]))
     assert diff == (0, 3, ONE, ZERO)
+    # on a basis of weight-0 vectors every 2x2 matrix has weight 0:
     # mismatches in blocks (0,0) at (1,0) and (0,1) at (0,3): row-major order
     # reports the second, which lies in an earlier row
-    left, right = PolyMatrix([[1, 0]]), PolyMatrix([[0, 1]])
-    e10 = PolyMatrix([[0, 0], [1, 0]])
-    lhs = TensorSum([(left, e01 + e10)])
-    rhs = TensorSum([(left, e01), (right, e01)])
+    def flat(rows):
+        return PolyMatrix(rows, (0, 0), 0)
+
+    e00, f01, f10 = flat([[1, 0], [0, 0]]), flat([[0, 1], [0, 0]]), flat([[0, 0], [1, 0]])
+    lhs = TensorSum([(e00, f01 + f10)])
+    rhs = TensorSum([(e00, f01), (f01, f01)])
     diff = lhs.first_difference(rhs)
     assert diff == (0, 3, ZERO, ONE)
 
 
 def test_tensor_sum_first_difference_rejects_bad_shapes():
-    i2, i3 = PolyMatrix.identity(2), PolyMatrix.identity(3)
+    i2, i3 = PolyMatrix.identity(ladder(2)), PolyMatrix.identity(ladder(3))
     with pytest.raises(DimensionMismatch):
         TensorSum([(i2, i2)]).first_difference(TensorSum([(i2, i3)]))
     with pytest.raises(DimensionMismatch):
         TensorSum([(i2, i2), (i3, i2)]).first_difference(TensorSum([(i2, i2)]))
+    with pytest.raises(DimensionMismatch):  # pairs of weights 0 and -2
+        TensorSum([(i2, i2), (i2, i2.mul_h())]).first_difference(TensorSum([(i2, i2)]))
     with pytest.raises(ValueError):
         TensorSum([]).first_difference(TensorSum([(i2, i2)]))
 
 
-# sparse entries, some carrying powers of h, so that blocks and whole block
-# rows are often zero
-small_entries = st.sampled_from(
-    [0, 0, 0, 1, -1, 2, H, term(Fraction(-1, 2), 0, 2)]
-)
+# sparse values, so that blocks and whole block rows are often zero
+small_values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2)])
 
 
-def _matrices(rows, cols):
-    return st.lists(small_entries, min_size=rows * cols, max_size=rows * cols).map(
-        lambda vals: PolyMatrix([vals[i * cols:(i + 1) * cols] for i in range(rows)])
+@st.composite
+def graded_matrices(draw, n: int, weight: int):
+    """A random matrix of the given weight on the n-dimensional irrep: each
+    entry whose power of h, j - i - weight/2, is a natural number gets a
+    random value, every other entry is zero."""
+    return PolyMatrix(
+        [[draw(small_values) if j - i - weight // 2 >= 0 else 0 for j in range(n)]
+         for i in range(n)],
+        ladder(n),
+        weight,
     )
 
 
 @st.composite
 def tensor_sum_pairs(draw):
-    """Two sums over the same leg shapes: the second regroups the first
-    (reversed, with one right leg split in two) and adds 0-2 stray pairs, so
-    both equal and unequal sides come up."""
-    n, m, r, s = (draw(st.integers(1, 3)) for _ in range(4))
-    pairs = st.lists(st.tuples(_matrices(n, m), _matrices(r, s)), min_size=1, max_size=3)
+    """Two sums over the same leg bases and pair weight: the second regroups
+    the first (reversed, with one right leg split in two) and adds 0-2 stray
+    pairs, so both equal and unequal sides come up."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    total = draw(st.sampled_from([-2, 0, 2]))
+
+    @st.composite
+    def pair(draw):
+        left = draw(st.sampled_from([-2, 0, 2]))
+        return draw(graded_matrices(n, left)), draw(graded_matrices(r, total - left))
+
+    pairs = st.lists(pair(), min_size=1, max_size=3)
     lhs = draw(pairs)
     (a, b), rest = lhs[0], lhs[1:]
-    part = draw(_matrices(r, s))
+    part = draw(graded_matrices(r, b.weight))
     rhs = list(reversed(rest)) + [(a, b - part), (a, part)]
     if draw(st.booleans()):
         rhs += draw(pairs)[:2]
@@ -191,3 +252,29 @@ def test_tensor_sum_first_difference_matches_assembled_oracle(sides):
     lhs, rhs = sides
     assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
     assert rhs.first_difference(lhs) == assemble(rhs).first_difference(assemble(lhs))
+
+
+@st.composite
+def graded_operands(draw):
+    """Two matrices on one spin-j space, a third of the first one's weight,
+    and a nilpotent one of weight 2 or 4."""
+    n = draw(st.integers(1, 5))
+    weights = st.sampled_from([-4, -2, 0, 2, 4])
+    wa, wb = draw(weights), draw(weights)
+    a, b = draw(graded_matrices(n, wa)), draw(graded_matrices(n, wb))
+    c = draw(graded_matrices(n, wa))
+    nil = draw(graded_matrices(n, draw(st.sampled_from([2, 4]))))
+    return a, b, c, nil
+
+
+@settings(max_examples=100, deadline=None)
+@given(graded_operands(), st.sampled_from(["exp", "sinh", "cosh", "arctanh", "sqrt1p"]))
+def test_graded_arithmetic_matches_polynomial_grids(operands, kind):
+    a, b, c, nil = operands
+    assert expand(a * b) == grid_mul(expand(a), expand(b))
+    assert expand(a + c) == grid_add(expand(a), expand(c))
+    assert expand(a.kron(b)) == grid_kron(expand(a), expand(b))
+    assert expand(a.negate_h()) == grid_negate_h(expand(a))
+    assert expand(nilpotent_apply(kind, nil)) == grid_nilpotent_apply(
+        kind, expand(nil), nil.weight // 2
+    )

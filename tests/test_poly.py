@@ -52,18 +52,6 @@ def test_canonical_form_drops_zero_terms():
     assert p == ZERO
 
 
-def test_divide_h_exact_and_failing():
-    p = term(3, 1, 2)
-    assert p.divide_h(2) == term(3, 1, 0)
-    with pytest.raises(ValueError):
-        (p + ONE).divide_h(1)
-
-
-def test_negate_h_flips_odd_powers_only():
-    p = term(1, 0, 1) + term(2, 1, 2)
-    assert p.negate_h() == term(-1, 0, 1) + term(2, 1, 2)
-
-
 def test_homogeneity_query():
     assert is_homogeneous_h(term(5, 3, 2), 2)
     assert not is_homogeneous_h(term(5, 3, 2) + H, 2)

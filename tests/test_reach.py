@@ -3,9 +3,10 @@
 A short list of small CLI invocations, covering every subcommand and option
 value, runs in-process under sys.setprofile.  Every function and method
 defined in the package must have been called by one of them, apart from a
-short allowlist of paths that only a failure or a debugger reaches.  Code
-that only the tests use belongs in tests/oracles.py; code that nothing calls
-is deleted.
+short allowlist of paths that only a failure or a debugger reaches, and
+every parameter with a default must have been passed another value by at
+least one of those calls.  Code that only the tests use belongs in
+tests/oracles.py; code and parameters that nothing uses are deleted.
 """
 
 import inspect
@@ -28,6 +29,8 @@ ALLOWED = {
     "jordanrep.report.VerificationReport.add_fail",
     "jordanrep.report.VerificationReport.failures",
     "jordanrep.ncseries.AlgebraPresentation.monomial_str",
+    # a failure report prints the two mismatching entries as polynomials
+    "jordanrep.exact.poly.BiPoly.__str__",
 }
 
 
@@ -61,11 +64,13 @@ def package_modules():
             if name == "jordanrep" or name.startswith("jordanrep.")]
 
 
-def package_functions() -> dict:
+def package_functions() -> tuple[dict, dict]:
     """Code object -> the names it is bound to, for every function and
     method compiled from the package's source (so not the methods that
-    dataclasses generate), nested functions included."""
+    dataclasses generate), nested functions included; and code object ->
+    {parameter: default} for those that are module or class attributes."""
     found: dict = {}
+    defaults: dict = {}
 
     def visit(code, name):
         if Path(code.co_filename).resolve().is_relative_to(PACKAGE_DIR):
@@ -86,19 +91,34 @@ def package_functions() -> dict:
                 if isinstance(fn, types.FunctionType):
                     qualname = obj.__qualname__ if attr is None else f"{obj.__qualname__}.{attr}"
                     visit(fn.__code__, f"{modname}.{qualname}")
-    return found
+                    params = inspect.signature(fn).parameters.values()
+                    if fn.__code__ in found and any(p.default is not p.empty for p in params):
+                        defaults[fn.__code__] = {
+                            p.name: p.default for p in params if p.default is not p.empty
+                        }
+    return found, defaults
 
 
 def allowed(names) -> bool:
     return any(name in ALLOWED or name.rsplit(".", 1)[-1] in ALLOWED for name in names)
 
 
+def is_default(value, default) -> bool:
+    return value is default or (type(value) is type(default) and value == default)
+
+
 def test_every_package_function_runs_on_some_cli_path(tmp_path, capsys):
+    functions, defaults = package_functions()
     called = set()
+    overridden = set()  # (code, parameter) that some call passed a non-default
 
     def profile(frame, event, arg):
         if event == "call":
-            called.add(frame.f_code)
+            code = frame.f_code
+            called.add(code)
+            for param, default in defaults.get(code, {}).items():
+                if not is_default(frame.f_locals[param], default):
+                    overridden.add((code, param))
 
     # empty the lru caches so that what they wrap runs here, whatever ran before
     for module in package_modules():
@@ -114,8 +134,14 @@ def test_every_package_function_runs_on_some_cli_path(tmp_path, capsys):
     capsys.readouterr()
 
     never = sorted(
-        min(names) for code, names in package_functions().items()
+        min(names) for code, names in functions.items()
         if code not in called and not allowed(names)
     )
     assert not never, "run by no CLI path: " + ", ".join(never)
+    always_default = sorted(
+        f"{min(functions[code])}({param})"
+        for code, params in defaults.items() if code in called
+        for param in params if (code, param) not in overridden
+    )
+    assert not always_default, "parameters no CLI path sets: " + ", ".join(always_default)
 

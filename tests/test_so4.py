@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jordanrep import so4
+from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator, nilpotent_apply
 from jordanrep.irrep import casimir, classical_rep, map_to_deformed, sinh_over_h
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
@@ -15,10 +16,7 @@ PAIRS = [(HALF, HALF), (Fraction(1), HALF), (Fraction(1), Fraction(1))]
 
 def exact_rank(m: PolyMatrix, h_value=Fraction(1)) -> int:
     """Gaussian-elimination rank over the rationals at a fixed h."""
-    rows = [
-        [entry.subs_h(h_value).constant_value() for entry in row]
-        for row in m.entries
-    ]
+    rows = subs_h(m, h_value)
     rank = 0
     col = 0
     n_rows, n_cols = len(rows), len(rows[0])
@@ -40,7 +38,7 @@ def exact_rank(m: PolyMatrix, h_value=Fraction(1)) -> int:
 
 def test_j_plus_rank_on_four_dim_space():
     r = build_so4(HALF, HALF)
-    assert r.dim == 4
+    assert r.J_plus.rows == 4
     assert exact_rank(r.J_plus) == 2
 
 
@@ -58,8 +56,8 @@ def test_plus_generators_commute_and_are_nilpotent():
         r = build_so4(j1, j2)
         assert commutator(r.J_plus, r.K_plus).is_zero
         # terminating exponentials exist for both
-        nilpotent_apply("exp", r.J_plus, h_scale=1)
-        nilpotent_apply("exp", r.K_plus, h_scale=1)
+        nilpotent_apply("exp", r.J_plus)
+        nilpotent_apply("exp", r.K_plus)
 
 
 @pytest.mark.parametrize("j1,j2", PAIRS)
@@ -84,7 +82,7 @@ def test_j_triple_satisfies_deformed_sl2():
     for j1, j2 in PAIRS:
         r = build_so4(j1, j2)
         assert commutator(r.J_zero, r.J_plus) == sinh_over_h(r.J_plus).scale(2)
-        cosh_jp = nilpotent_apply("cosh", r.J_plus, h_scale=1)
+        cosh_jp = nilpotent_apply("cosh", r.J_plus)
         assert commutator(r.J_zero, r.J_minus) == -(
             r.J_minus * cosh_jp + cosh_jp * r.J_minus
         )
@@ -99,8 +97,9 @@ def test_per_copy_casimirs_central():
         sc2, c2 = casimir(rep2)
         assert sc1 and sc2
         r = build_so4(j1, j2)
-        big1 = PolyMatrix.identity(r.dim).scale(c1)
-        big2 = PolyMatrix.identity(r.dim).scale(c2.negate_h())
+        # copy 2 carries -h, but its Casimir value has no h to flip
+        big1 = PolyMatrix.identity(r.J_plus.weights).scale(c1)
+        big2 = PolyMatrix.identity(r.J_plus.weights).scale(c2)
         for g in r.generators().values():
             assert commutator(big1, g).is_zero
             assert commutator(big2, g).is_zero
@@ -130,7 +129,7 @@ def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
 
     def with_stray_pair(rep):
         sums = honest(rep)
-        sums["J0"] = sums["J0"] + TensorSum([(rep.J_plus, rep.K_zero)])
+        sums["J0"] = sums["J0"] + TensorSum([(rep.J_zero, rep.K_zero)])
         return sums
 
     monkeypatch.setattr(so4, "_coproducts_per_copy", with_stray_pair)
@@ -143,6 +142,22 @@ def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
     entry = report.failures()[0]
     assert entry.detail == f"first mismatch at ({i},{j})"
     assert entry.residual_sample == f"lhs={lhs} rhs={rhs}"
+
+
+def test_coalgebra_refuses_an_off_grade_pair(monkeypatch):
+    # J+ (x) K0 has weight 2, the coproduct of J0 weight 0: no comparison
+    # at h = 1 can be made, so the check raises instead of reporting
+    r = build_so4(HALF, HALF)
+    honest = so4._coproducts_per_copy
+
+    def with_off_grade_pair(rep):
+        sums = honest(rep)
+        sums["J0"] = sums["J0"] + TensorSum([(rep.J_plus, rep.K_zero)])
+        return sums
+
+    monkeypatch.setattr(so4, "_coproducts_per_copy", with_off_grade_pair)
+    with pytest.raises(DimensionMismatch):
+        verify_so4_coalgebra(r)
 
 
 def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):

@@ -12,8 +12,9 @@ or input error.  Every refused input gets one ``error:`` line: a zero or
 non-finite spectrum parameter, an empty, unbounded or oversized --grid, a
 scan that overflows floats, malformed --from-json input (including an entry
 that is not c*h^d with the power d that its position and generator fix), an
-unwritable --output, a truncation order below 2 or above MAX_ORDER, or a
-selection that runs no checks.
+unwritable --output, a truncation order below 2 or above MAX_ORDER, a
+tensor dimension (2j1+1)(2j2+1) above MAX_TENSOR_DIM, or a selection that
+runs no checks.
 Any other package error is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
@@ -52,6 +53,11 @@ MAX_GRID_POINTS = 100_000
 #: Largest truncation order of the series suites: `verify qe3` at this
 #: order takes about a minute on a 2-vCPU host.
 MAX_ORDER = 30
+
+#: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`.
+#: The slowest shape is the most lopsided: `verify so4 --j1 0 --j2 40` takes
+#: about a minute on a 2-vCPU host, and (4, 4) about 7 s.
+MAX_TENSOR_DIM = 81
 
 
 def half_integer(text: str) -> Fraction:
@@ -204,14 +210,11 @@ def cmd_elements(args) -> int:
     return 0
 
 
-def _build_irrep(j: Fraction, basis: str) -> Irrep:
-    if basis == "verma":
-        return verma_basis_irrep(j)
-    return map_to_deformed(classical_rep(j))
-
-
 def cmd_irrep(args) -> int:
-    rep = _build_irrep(args.j, args.basis)
+    if args.basis == "verma":
+        rep = verma_basis_irrep(args.j)
+    else:
+        rep = map_to_deformed(classical_rep(args.j))
     if args.format == "latex":
         parts = [
             f"% j = {rep.j}, basis = {rep.basis}",
@@ -239,11 +242,12 @@ def cmd_singvec(args) -> int:
 
 
 def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
+    # one table for every j: the table of level 2j_max + 1 holds each smaller one
+    table = build_table(int(2 * j_max) + 1)
     reports = []
     j = Fraction(1, 2)
     while j <= j_max:
-        for basis in ("verma", "diagonal"):
-            rep = _build_irrep(j, basis)
+        for rep in (verma_basis_irrep(j, table), map_to_deformed(classical_rep(j))):
             report = verify_sl2_relations(rep)
             is_scalar, value = casimir(rep)
             if is_scalar and value == j * (j + 1):
@@ -261,6 +265,11 @@ def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
 def cmd_verify(args) -> int:
     if args.order > MAX_ORDER:
         raise InputError(f"--order {args.order} is above the largest order {MAX_ORDER}")
+    if args.suite in ("so4", "hopf"):
+        dim = int((2 * args.j1 + 1) * (2 * args.j2 + 1))
+        if dim > MAX_TENSOR_DIM:
+            raise InputError(f"--j1 {args.j1} --j2 {args.j2} give tensor dimension {dim}, "
+                             f"above the largest {MAX_TENSOR_DIM}")
     reports: list[VerificationReport] = []
     if args.suite == "sl2":
         if args.from_json:

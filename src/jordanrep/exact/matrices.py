@@ -235,14 +235,47 @@ def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     return acc
 
 
+def _axpy(acc: dict, c, items) -> dict:
+    """acc += c * x for the (key, value) items of a sparse x; zeros are dropped."""
+    for key, x in items:
+        s = acc.get(key, 0) + c * x
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]  # c * x is nonzero, so the key was there
+    return acc
+
+
+def _sparse(m: PolyMatrix) -> dict:
+    """The nonzero values at h = 1 of m, keyed by (row, col)."""
+    return {(i, k): x for i, row in enumerate(m.values) for k, x in enumerate(row) if x}
+
+
+def _first_nonzero(pairs, r: int):
+    """(row, col) of the first nonzero entry, in row-major order, of
+    sum E (x) F over pairs of sparse legs whose right legs are r x r; None
+    for an empty list.  Entry (p*r + i, q*r + k) is sum E[p,q] F[i,k]."""
+    for row in sorted({p * r + i for e, f in pairs for p, _ in e for i, _ in f}):
+        p, i = divmod(row, r)
+        acc: dict = {}
+        for e, f in pairs:
+            f_row = [(k, y) for (ii, k), y in f.items() if ii == i]
+            for (pp, q), x in e.items():
+                if pp == p:
+                    _axpy(acc, x, [(q * r + k, y) for k, y in f_row])
+        if acc:
+            return row, min(acc)
+    return None
+
+
 class TensorSum:
     """A sum of Kronecker pairs, never assembled into one big matrix.
 
     Used for coproduct checks on tensor squares: products obey
     (A (x) B)(C (x) D) = AC (x) BD, so all arithmetic happens on the small
-    factors, and :meth:`first_difference` compares two sums one block row at
-    a time.  Every pair must share the bases of its legs and the weight
-    A.weight + B.weight of its product.
+    factors, and :meth:`first_difference` decides an identity between two
+    sums by exact elimination on their left legs.  Every pair must share the
+    bases of its legs and the weight A.weight + B.weight of its product.
     """
 
     __slots__ = ("pairs",)
@@ -270,53 +303,45 @@ class TensorSum:
             raise DimensionMismatch(f"tensor pairs of several gradings: {sorted(gradings)}")
         return gradings.pop()
 
-    def _sparse_pairs(self) -> list:
-        """Each pair as (rows of the left leg, (row, col, value) for every
-        nonzero value of the right leg)."""
-        return [
-            (a.values, [(i, k, e) for i, row in enumerate(b.values)
-                        for k, e in enumerate(row) if e])
-            for a, b in self.pairs
-        ]
-
-    @staticmethod
-    def _block_row(sparse_pairs, p: int, n: int, r: int) -> list:
-        """Block row p of the assembled sum at h = 1: for each block column q,
-        the block sum_i A_i[p,q] B_i as a list of rows."""
-        blocks = [[[0] * r for _ in range(r)] for _ in range(n)]
-        for a_rows, b_nonzero in sparse_pairs:
-            for q, coeff in enumerate(a_rows[p]):
-                if coeff:  # zero left-leg scalars contribute nothing
-                    block = blocks[q]
-                    for i, k, e in b_nonzero:
-                        acc = block[i][k]
-                        block[i][k] = acc + coeff * e if acc else coeff * e
-        return blocks
-
     def first_difference(self, other: "TensorSum"):
         """(row, col, self_entry, other_entry) of the first mismatch, or None.
 
         The same answer as comparing the two assembled Kronecker sums in
-        row-major order, but only one block row of each side exists at a time:
-        block (p,q) of sum_i A_i (x) B_i sits at rows p*r.. and columns q*r..,
-        where B_i is r x r.  Every pair has one weight, so the values at h = 1
-        add up entry by entry."""
+        row-major order (block (p,q) of sum_i A_i (x) B_i sits at rows p*r..
+        and columns q*r.., where B_i is r x r), without assembling them.
+        Every pair has one weight, so the values at h = 1 add up entry by
+        entry.  The difference self - other is rewritten as sum_m E_m (x) F_m
+        with linearly independent E_m (an operator-Schmidt reduction, by
+        Gaussian elimination over Q on the flattened left legs): each left
+        leg is reduced against the earlier pivots, each multiple c E_m it
+        contains adds c B to F_m, and a nonzero remainder becomes a new E_m.
+        The sums agree exactly when every F_m is zero; otherwise only the
+        pairs with F_m != 0 are scanned for the first mismatch."""
         grading, other_grading = self._grading(), other._grading()
         if grading != other_grading:
             raise DimensionMismatch(f"tensor gradings {grading} vs {other_grading}")
         left, right, weight = grading
-        n, r = len(left), len(right)
-        lhs_pairs, rhs_pairs = self._sparse_pairs(), other._sparse_pairs()
-        for p in range(n):
-            lhs = self._block_row(lhs_pairs, p, n, r)
-            rhs = self._block_row(rhs_pairs, p, n, r)
-            for row in range(r):
-                for q in range(n):
-                    l_row, r_row = lhs[q][row], rhs[q][row]
-                    if l_row != r_row:
-                        col = next(c for c in range(r) if l_row[c] != r_row[c])
-                        weights = tuple(a + b for a in left for b in right)
-                        i, j = p * r + row, q * r + col
-                        return (i, j, _term(weights, weight, i, j, l_row[col]),
-                                _term(weights, weight, i, j, r_row[col]))
-        return None
+        r = len(right)
+        basis = []  # (pivot key, pivot value, E_m, F_m), E_m and F_m sparse
+        for sign, pairs in ((1, self.pairs), (-1, other.pairs)):
+            for a, b in pairs:
+                v, b_items = _sparse(a), _sparse(b).items()
+                for key, pivot, e, f in basis:
+                    c = v.get(key)
+                    if c:
+                        c /= pivot
+                        _axpy(v, -c, e.items())
+                        _axpy(f, sign * c, b_items)
+                if v:
+                    key = next(iter(v))
+                    basis.append((key, v[key], v, _axpy({}, sign, b_items)))
+        found = _first_nonzero([(e, f) for _, _, e, f in basis if f], r)
+        if found is None:
+            return None
+        row, col = found
+        (p, i), (q, k) = divmod(row, r), divmod(col, r)
+        weights = tuple(a + b for a in left for b in right)
+        lhs, rhs = (_term(weights, weight, row, col,
+                          sum(a.values[p][q] * b.values[i][k] for a, b in pairs))
+                    for pairs in (self.pairs, other.pairs))
+        return row, col, lhs, rhs

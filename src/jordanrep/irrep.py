@@ -182,13 +182,15 @@ def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
 # -- the two constructions ------------------------------------------------------
 
 
-def verma_basis_irrep(j) -> Irrep:
+def verma_basis_irrep(j, table: ElementTable | None = None) -> Irrep:
     """X, H restricted from the specialized table; Y = unit subdiagonal plus
-    the singular-vector corrections in the last column."""
+    the singular-vector corrections in the last column.  Any table of level
+    at least 2j + 1 serves: tables are prefix-closed."""
     j = ensure_half_integer(j)
     lam = int(2 * j)
     dim = lam + 1
-    table = build_table(lam + 1)
+    if table is None:
+        table = build_table(lam + 1)
     sv = singular_vector(j, table)
 
     xm = [[table.X(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]

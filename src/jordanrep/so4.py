@@ -169,8 +169,9 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 # -- coalgebra -------------------------------------------------------------------
 #
 # Coproducts on the tensor square are handled as sums of Kronecker pairs:
-# products act on the dim x dim legs, and the two routes are compared one
-# block row at a time, so no dim^2 x dim^2 matrix is ever assembled.
+# products act on the dim x dim legs, and the two routes are compared by exact
+# elimination on the left legs of their difference (TensorSum.first_difference),
+# so no dim^2 x dim^2 matrix and no block of one is ever assembled.
 
 
 def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,30 @@ def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
     # the largest allowed order reaches the suite
     with pytest.raises(AssertionError, match=f"order {cli.MAX_ORDER}"):
         main(["verify", "qe3", "--order", str(cli.MAX_ORDER)])
+
+
+def test_tensor_cap_is_checked_before_any_work(monkeypatch, capsys):
+    def never(j1, j2):
+        raise AssertionError(f"suite ran at ({j1}, {j2})")
+
+    monkeypatch.setattr(cli.so4, "build_so4", never)
+    monkeypatch.setattr(cli, "verify_hopf", never)
+    # 2j2 + 1 = MAX_TENSOR_DIM + 1 with j1 = 0, and a square just past the cap
+    side = math.isqrt(cli.MAX_TENSOR_DIM) + 1
+    too_big = [("0", str(Fraction(cli.MAX_TENSOR_DIM, 2))),
+               (str(Fraction(side - 1, 2)), str(Fraction(side - 1, 2)))]
+    for suite in ("so4", "hopf"):
+        for j1, j2 in too_big:
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", suite, "--j1", j1, "--j2", j2])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "tensor dimension" in err
+        # the largest allowed dimension reaches the suite
+        largest = str(Fraction(cli.MAX_TENSOR_DIM - 1, 2))
+        with pytest.raises(AssertionError, match=f"suite ran at \\(0, {largest}\\)"):
+            main(["verify", suite, "--j1", "0", "--j2", largest])
 
 
 def test_grid_cap_is_checked_before_allocating():

@@ -12,6 +12,7 @@ from jordanrep.exact import (
     PolyMatrix,
     TensorSum,
     commutator,
+    matrices,
     nilpotent_apply,
 )
 from oracles import (
@@ -252,6 +253,60 @@ def test_tensor_sum_first_difference_matches_assembled_oracle(sides):
     lhs, rhs = sides
     assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
     assert rhs.first_difference(lhs) == assemble(rhs).first_difference(assemble(lhs))
+
+
+@st.composite
+def dependent_tensor_sums(draw):
+    """Two sums whose left legs depend linearly on each other, so that only
+    elimination on the left legs decides them: (a+c) (x) b against
+    a (x) b + c (x) b, (2a) (x) (b/2) against a (x) b, and
+    a (x) b + (a+c) (x) d + c (x) (-d), whose legs cancel only once a+c is
+    reduced against a, against a (x) (b+d).  Pairs come in any order, and a
+    stray pair on either side makes the sums unequal."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    left, total = draw(st.sampled_from([-2, 0, 2])), draw(st.sampled_from([-2, 0, 2]))
+    a, c = draw(graded_matrices(n, left)), draw(graded_matrices(n, left))
+    b, d = draw(graded_matrices(r, total - left)), draw(graded_matrices(r, total - left))
+    lhs, rhs = draw(st.sampled_from([
+        ([(a + c, b)], [(a, b), (c, b)]),
+        ([(a.scale(2), b.scale(Fraction(1, 2)))], [(a, b)]),
+        ([(a, b), (a + c, d), (c, -d)], [(a, b + d)]),
+    ]))
+    if draw(st.booleans()):
+        stray = (draw(graded_matrices(n, left)), draw(graded_matrices(r, total - left)))
+        (lhs if draw(st.booleans()) else rhs).append(stray)
+    return TensorSum(draw(st.permutations(lhs))), TensorSum(draw(st.permutations(rhs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dependent_tensor_sums())
+def test_dependent_left_legs_match_assembled_oracle(sides):
+    lhs, rhs = sides
+    assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
+    assert rhs.first_difference(lhs) == assemble(rhs).first_difference(assemble(lhs))
+
+
+def test_tensor_sum_mismatch_on_one_reduced_leg(monkeypatch):
+    # a (x) b + (a+c) (x) d - a (x) (b+d) - c (x) (d+e) = -c (x) e: after
+    # elimination the left leg a carries a zero right factor, so only c is
+    # scanned, and equal sums leave nothing to scan
+    scanned = []
+    scan = matrices._first_nonzero
+    monkeypatch.setattr(matrices, "_first_nonzero",
+                        lambda pairs, r: scanned.append(len(pairs)) or scan(pairs, r))
+
+    def flat(rows):
+        return PolyMatrix(rows, (0, 0), 0)
+
+    a, c = flat([[2, 0], [0, 0]]), flat([[0, Fraction(-1, 2)], [0, 0]])
+    b, d, e = flat([[0, 1], [0, 0]]), flat([[0, 0], [1, 0]]), flat([[1, 0], [0, 0]])
+    lhs = TensorSum([(a, b), (a + c, d)])
+    rhs = TensorSum([(a, b + d), (c, d + e)])
+    # c (x) e is nonzero only at (0*2+0, 1*2+0)
+    assert lhs.first_difference(rhs) == (0, 2, ZERO, BiPoly.const(Fraction(-1, 2)))
+    assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
+    assert lhs.first_difference(TensorSum([(a, b + d), (c, d)])) is None
+    assert scanned == [1, 1, 0]
 
 
 @st.composite

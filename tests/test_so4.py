@@ -105,7 +105,9 @@ def test_per_copy_casimirs_central():
             assert commutator(big2, g).is_zero
 
 
-@pytest.mark.parametrize("j1,j2", PAIRS)
+# the benchmark's tensor points (3/2, 1) and (3/2, 3/2) as well
+@pytest.mark.parametrize("j1,j2", PAIRS + [(Fraction(3, 2), Fraction(1)),
+                                           (Fraction(3, 2), Fraction(3, 2))])
 def test_coalgebra_two_routes(j1, j2):
     r = build_so4(j1, j2)
     report = verify_so4_coalgebra(r)

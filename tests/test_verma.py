@@ -100,6 +100,14 @@ def test_build_table_is_deterministic_and_idempotent():
     assert a == b
 
 
+def test_tables_are_prefix_closed():
+    # `verify sl2` builds one table for its largest j and reads every smaller
+    # irrep from it
+    small = dict(build_table(5).stored_items())
+    large = dict(build_table(9).stored_items())
+    assert small and {key: large[key] for key in small} == small
+
+
 def test_accessors_zero_outside_domain():
     t = build_table(3)
     assert t.X(1, 1).is_zero      # parity

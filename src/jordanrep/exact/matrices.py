@@ -334,7 +334,9 @@ class TensorSum:
                         _axpy(f, sign * c, b_items)
                 if v:
                     key = next(iter(v))
-                    basis.append((key, v[key], v, _axpy({}, sign, b_items)))
+                    # identity and zeros hold ints: a Fraction pivot keeps
+                    # c / pivot off int / int, which would give a float
+                    basis.append((key, as_fraction(v[key]), v, _axpy({}, sign, b_items)))
         found = _first_nonzero([(e, f) for _, _, e, f in basis if f], r)
         if found is None:
             return None

@@ -207,8 +207,10 @@ def test_tensor_sum_first_difference_rejects_bad_shapes():
         TensorSum([]).first_difference(TensorSum([(i2, i2)]))
 
 
-# sparse values, so that blocks and whole block rows are often zero
-small_values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2)])
+# sparse values, so that blocks and whole block rows are often zero; 1/10
+# and 1/5 have no exact binary form, so any float in the arithmetic shows
+small_values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(1, 10),
+                                Fraction(1, 5)])
 
 
 @st.composite
@@ -262,10 +264,15 @@ def dependent_tensor_sums(draw):
     a (x) b + c (x) b, (2a) (x) (b/2) against a (x) b, and
     a (x) b + (a+c) (x) d + c (x) (-d), whose legs cancel only once a+c is
     reduced against a, against a (x) (b+d).  Pairs come in any order, and a
-    stray pair on either side makes the sums unequal."""
+    stray pair on either side makes the sums unequal.  Weight-0 left legs
+    may be the identity, whose values are ints, so that a and c can both be
+    the identity and a+c twice it."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     left, total = draw(st.sampled_from([-2, 0, 2])), draw(st.sampled_from([-2, 0, 2]))
-    a, c = draw(graded_matrices(n, left)), draw(graded_matrices(n, left))
+    legs = graded_matrices(n, left)
+    if left == 0:
+        legs = st.one_of(legs, st.just(PolyMatrix.identity(ladder(n))))
+    a, c = draw(legs), draw(legs)
     b, d = draw(graded_matrices(r, total - left)), draw(graded_matrices(r, total - left))
     lhs, rhs = draw(st.sampled_from([
         ([(a + c, b)], [(a, b), (c, b)]),
@@ -307,6 +314,29 @@ def test_tensor_sum_mismatch_on_one_reduced_leg(monkeypatch):
     assert lhs.first_difference(rhs) == assemble(lhs).first_difference(assemble(rhs))
     assert lhs.first_difference(TensorSum([(a, b + d), (c, d)])) is None
     assert scanned == [1, 1, 0]
+
+
+def test_tensor_sum_decision_is_exact_on_identity_legs():
+    # identity legs hold ints; 1/10 + 2/10 - 3/10 is zero over Q but not in
+    # floating point, so the sums must agree exactly
+    eye = PolyMatrix.identity(ladder(2))
+
+    def flat(x):
+        return PolyMatrix([[x, 0], [0, x]], (0, 0), 0)
+
+    b1, b2 = flat(Fraction(1, 10)), flat(Fraction(2, 10))
+    split = TensorSum([(eye, b1), (eye, b2)])
+    # against 2 * identity the quotient is 2 one way round and 1/2 the other
+    for whole in (TensorSum([(eye, b1 + b2)]),
+                  TensorSum([(eye + eye, (b1 + b2).scale(Fraction(1, 2)))])):
+        assert split.first_difference(whole) is None
+        assert whole.first_difference(split) is None
+        assert assemble(split).first_difference(assemble(whole)) is None
+    off = TensorSum([(eye, flat(Fraction(3, 10) + Fraction(1, 10**20)))])
+    assert split.first_difference(off) == (0, 0, BiPoly.const(Fraction(3, 10)),
+                                           BiPoly.const(Fraction(3, 10) + Fraction(1, 10**20)))
+    assert split.first_difference(off) == assemble(split).first_difference(assemble(off))
+    assert off.first_difference(split) == assemble(off).first_difference(assemble(split))
 
 
 @st.composite

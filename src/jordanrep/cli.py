@@ -56,7 +56,7 @@ MAX_ORDER = 30
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`.
 #: The slowest shape is the most lopsided: `verify so4 --j1 0 --j2 40` takes
-#: about a minute on a 2-vCPU host, and (4, 4) about 7 s.
+#: 16-19 s on a 2-vCPU host, (1, 13) about 9 s and (4, 4) about 7 s.
 MAX_TENSOR_DIM = 81
 
 

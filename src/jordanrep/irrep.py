@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import SingularLeadingElement
 from .exact import (
@@ -102,6 +103,12 @@ class Irrep:
     @property
     def dim(self) -> int:
         return int(2 * self.j) + 1
+
+    @cached_property
+    def e(self) -> dict[int, PolyMatrix]:
+        """{+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every exponential, cosh and sinh."""
+        return {+1: nilpotent_apply("exp", self.X), -1: nilpotent_apply("exp", -self.X),
+                0: PolyMatrix.identity(self.X.weights)}
 
     def to_obj(self) -> dict:
         return {
@@ -240,20 +247,20 @@ def map_to_deformed(c: ClassicalRep) -> Irrep:
 # -- exact verification -----------------------------------------------------------
 
 
-def sinh_over_h(x: PolyMatrix) -> PolyMatrix:
-    """(1/h) sinh(h x), exact because every series term carries h-degree >= 1."""
-    return nilpotent_apply("sinh", x).divide_h()
+def cosh_sinh(e_plus: PolyMatrix, e_minus: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
+    """cosh(hx) and sinh(hx) from the pair e^{hx}, e^{-hx}."""
+    return (e_plus + e_minus).scale(Fraction(1, 2)), (e_plus - e_minus).scale(Fraction(1, 2))
 
 
-def _check_sl2(report: VerificationReport, prefix: str, x, y, h):
-    """The three defining relations of the triple (x, y, h), each label
-    starting with ``prefix``."""
+def _check_sl2(report: VerificationReport, prefix: str, x, y, h, e_plus, e_minus):
+    """The three defining relations of the triple (x, y, h), with e^{±hx}
+    given, each label starting with ``prefix``."""
+    cosh_hx, sinh_hx = cosh_sinh(e_plus, e_minus)
     report.check_matrix_identity(
-        f"{prefix}[H,X] = (2/h) sinh(hX)", commutator(h, x), sinh_over_h(x).scale(2)
+        f"{prefix}[H,X] = (2/h) sinh(hX)", commutator(h, x), sinh_hx.divide_h().scale(2)
     )
     report.check_matrix_identity(
-        f"{prefix}[H,Y] = -{{Y, cosh(hX)}}", commutator(h, y),
-        -anticommutator(y, nilpotent_apply("cosh", x)),
+        f"{prefix}[H,Y] = -{{Y, cosh(hX)}}", commutator(h, y), -anticommutator(y, cosh_hx)
     )
     report.check_matrix_identity(f"{prefix}[X,Y] = H", commutator(x, y), h)
 
@@ -261,14 +268,14 @@ def _check_sl2(report: VerificationReport, prefix: str, x, y, h):
 def verify_sl2_relations(r: Irrep) -> VerificationReport:
     """The three defining relations as exact matrix identities."""
     report = VerificationReport(f"sl2 relations j={r.j} basis={r.basis}")
-    _check_sl2(report, "", r.X, r.Y, r.H)
+    _check_sl2(report, "", r.X, r.Y, r.H, r.e[+1], r.e[-1])
     return report
 
 
 def casimir(r: Irrep) -> tuple[bool, Fraction]:
     """The central element as a matrix of weight 0, whose diagonal entries
     carry no h; returns (is_scalar, scalar value)."""
-    sinh_hx = nilpotent_apply("sinh", r.X)
+    _, sinh_hx = cosh_sinh(r.e[+1], r.e[-1])
     c = anticommutator(r.Y, sinh_hx).divide_h().scale(Fraction(1, 2))
     c = c + (r.H * r.H).scale(Fraction(1, 4))
     c = c + (sinh_hx * sinh_hx).scale(Fraction(1, 4))
@@ -286,26 +293,19 @@ def casimir(r: Irrep) -> tuple[bool, Fraction]:
 # The counit is the one-dimensional trivial representation (all generators 0),
 # and the antipode identity m(S(x)id)D(g) = eps(g) 1 collapses to single-space
 # matrix identities via S(X) = -X, S(Y) = -e^{hX} Y e^{-hX}, S(H) likewise.
-
-
-def exp_h(x: PolyMatrix, sign: int) -> PolyMatrix:
-    """e^{sign h x}."""
-    return nilpotent_apply("exp", x.scale(sign))
+# Exponentials are each factor's e^{±hX} (Irrep.e) or Kronecker products of them.
 
 
 def coproduct_triple(a: Irrep, b: Irrep) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    eb = exp_h(b.X, +1)
-    fa = exp_h(a.X, -1)
-    ia, ib = PolyMatrix.identity(a.X.weights), PolyMatrix.identity(b.X.weights)
-    dx = a.X.kron(ib) + ia.kron(b.X)
-    dy = a.Y.kron(eb) + fa.kron(b.Y)
-    dh = a.H.kron(eb) + fa.kron(b.H)
+    dx = a.X.kron(b.e[0]) + a.e[0].kron(b.X)
+    dy = a.Y.kron(b.e[+1]) + a.e[-1].kron(b.Y)
+    dh = a.H.kron(b.e[+1]) + a.e[-1].kron(b.H)
     return dx, dy, dh
 
 
 def _antipodes(rep: Irrep) -> dict[str, PolyMatrix]:
     """S(X) = -X, S(Y) = -e^{hX} Y e^{-hX} and S(H) = -e^{hX} H e^{-hX}."""
-    e_plus, e_minus = exp_h(rep.X, +1), exp_h(rep.X, -1)
+    e_plus, e_minus = rep.e[+1], rep.e[-1]
     return {
         "X": -rep.X,
         "Y": -(e_plus * rep.Y * e_minus),
@@ -320,7 +320,9 @@ def verify_hopf(j1, j2) -> VerificationReport:
     a = map_to_deformed(classical_rep(j1))
     b = map_to_deformed(classical_rep(j2))
 
-    _check_sl2(report, "coproduct ", *coproduct_triple(a, b))
+    # D(X) is primitive, so e^{hD(X)} = e^{hX} (x) e^{hX}
+    _check_sl2(report, "coproduct ", *coproduct_triple(a, b),
+               a.e[+1].kron(b.e[+1]), a.e[-1].kron(b.e[-1]))
 
     # counit axiom: collapsing either tensor leg to the trivial representation
     # (spin 0, all generators 0) must reproduce the generator on the other leg.
@@ -338,7 +340,7 @@ def verify_hopf(j1, j2) -> VerificationReport:
     # S(e^{-hX}) = e^{hX}, m(S x id)D(g) = S(g) e^{hX} + e^{hX} g for g = Y, H
     for rep in (a, b):
         s = _antipodes(rep)
-        e_plus = exp_h(rep.X, +1)
+        e_plus = rep.e[+1]
         for name, lhs in (
             ("X", s["X"] + rep.X),
             ("Y", s["Y"] * e_plus + e_plus * rep.Y),

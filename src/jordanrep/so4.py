@@ -9,9 +9,10 @@ product of two finite-dimensional irreps we form
     J0 = H1 e^{hX2} + e^{-hX1} H2    K0 = H1 e^{hX2} - e^{-hX1} H2
 
 and verify the full list of bracket relations and the coalgebra maps as
-exact polynomial-matrix identities.  All exponentials terminate: the raising
-matrices are strictly upper triangular, so J+ and K+ (and any combination of
-X1, X2) are nilpotent.
+exact polynomial-matrix identities.  Each exponential is a Kronecker product
+of per-copy series e^{±hX_i}, finite as X_i is strictly upper triangular: X1
+and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
+and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
 
 Verification runs on concrete representations: passing at several (j1, j2)
 pairs is evidence for the abstract identities, not a proof, and the default
@@ -20,17 +21,11 @@ suite covers (1/2,1/2), (1,1/2) and (1,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .exact import (
-    PolyMatrix,
-    TensorSum,
-    anticommutator,
-    commutator,
-    nilpotent_apply,
-)
-from .irrep import classical_rep, ensure_half_integer, exp_h, map_to_deformed, sinh_over_h
+from .exact import PolyMatrix, TensorSum, anticommutator, commutator
+from .irrep import Irrep, classical_rep, cosh_sinh, ensure_half_integer, map_to_deformed
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
@@ -38,8 +33,8 @@ GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
 
 @dataclass(frozen=True)
 class So4Rep:
-    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space,
-    together with the per-copy tensored triples they were built from."""
+    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space, the
+    per-copy tensored triples and the two irreps (copy 2 at -h) they came from."""
 
     j1: Fraction
     j2: Fraction
@@ -50,6 +45,16 @@ class So4Rep:
     K_minus: PolyMatrix
     K_zero: PolyMatrix
     copies: dict
+    factors: tuple[Irrep, Irrep]
+
+    def exp(self, s1: int, s2: int) -> PolyMatrix:
+        """e^{h(s1 X1 + s2 X2)} for s1, s2 in {-1, 0, 1}."""
+        one, two = self.factors
+        return one.e[s1].kron(two.e[s2])
+
+    def cosh_sinh(self) -> tuple[PolyMatrix, PolyMatrix]:
+        """cosh(hJ+) and sinh(hJ+)."""
+        return cosh_sinh(self.exp(+1, +1), self.exp(-1, -1))
 
     def generators(self) -> dict[str, PolyMatrix]:
         return {
@@ -67,19 +72,18 @@ def build_so4(j1, j2) -> So4Rep:
     one = map_to_deformed(classical_rep(j1))
     two = map_to_deformed(classical_rep(j2))
     # copy 2 carries parameter -h
-    x2s, y2s, h2s = two.X.negate_h(), two.Y.negate_h(), two.H.negate_h()
+    two = replace(two, X=two.X.negate_h(), Y=two.Y.negate_h(), H=two.H.negate_h())
 
-    i1 = PolyMatrix.identity(one.X.weights)
-    i2 = PolyMatrix.identity(two.X.weights)
+    i1, i2 = one.e[0], two.e[0]
     x1 = one.X.kron(i2)
     y1 = one.Y.kron(i2)
     h1 = one.H.kron(i2)
-    x2 = i1.kron(x2s)
-    y2 = i1.kron(y2s)
-    h2 = i1.kron(h2s)
+    x2 = i1.kron(two.X)
+    y2 = i1.kron(two.Y)
+    h2 = i1.kron(two.H)
 
-    e_x2 = i1.kron(exp_h(x2s, +1))      # e^{h X2}
-    f_x1 = exp_h(one.X, -1).kron(i2)    # e^{-h X1}
+    e_x2 = i1.kron(two.e[+1])      # e^{h X2}
+    f_x1 = one.e[-1].kron(i2)      # e^{-h X1}
 
     return So4Rep(
         j1=j1,
@@ -94,6 +98,7 @@ def build_so4(j1, j2) -> So4Rep:
             "x1": x1, "y1": y1, "h1": h1,
             "x2": x2, "y2": y2, "h2": h2,
         },
+        factors=(one, two),
     )
 
 
@@ -103,12 +108,9 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     jp, jm, j0 = r.J_plus, r.J_minus, r.J_zero
     kp, km, k0 = r.K_plus, r.K_minus, r.K_zero
 
-    sinh_jp = nilpotent_apply("sinh", jp)
-    cosh_jp = nilpotent_apply("cosh", jp)
-    two_sinh_over_h = sinh_over_h(jp).scale(2)
-    e_mkp = exp_h(kp, -1)   # e^{-h K+}
-    e_pjp = exp_h(jp, +1)   # e^{+h J+}
-    e_mjp = exp_h(jp, -1)   # e^{-h J+}
+    e_pjp, e_mjp, e_mkp = r.exp(+1, +1), r.exp(-1, -1), r.exp(-1, +1)  # e^{±hJ+}, e^{-hK+}
+    cosh_jp, sinh_jp = cosh_sinh(e_pjp, e_mjp)
+    two_sinh_over_h = sinh_jp.divide_h().scale(2)
 
     report.check_matrix_identity("[J0,J+] = (2/h) sinh(hJ+)",
                                  commutator(j0, jp), two_sinh_over_h)
@@ -177,9 +179,8 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
     """Route (a): coproducts written directly in the composite generators."""
     i = PolyMatrix.identity(r.J_plus.weights)
-    cosh_jp = nilpotent_apply("cosh", r.J_plus)
-    sinh_jp = nilpotent_apply("sinh", r.J_plus)
-    e_mkp = exp_h(r.K_plus, -1)
+    cosh_jp, sinh_jp = r.cosh_sinh()
+    e_mkp = r.exp(-1, +1)
     return {
         "J+": TensorSum([(r.J_plus, i), (i, r.J_plus)]),
         "J-": TensorSum([(r.J_minus, cosh_jp), (e_mkp, r.J_minus), (r.K_minus, sinh_jp)]),
@@ -198,10 +199,8 @@ def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
     with theta_1 = +1, theta_2 = -1, and likewise for H_i."""
     c = r.copies
     i = PolyMatrix.identity(r.J_plus.weights)
-    e_x1p = exp_h(c["x1"], +1)
-    e_x1m = exp_h(c["x1"], -1)
-    e_x2p = exp_h(c["x2"], +1)
-    e_x2m = exp_h(c["x2"], -1)
+    e_x1p, e_x1m = r.exp(+1, 0), r.exp(-1, 0)
+    e_x2p, e_x2m = r.exp(0, +1), r.exp(0, -1)
 
     def primitive(m):
         return TensorSum([(m, i), (i, m)])
@@ -234,9 +233,8 @@ def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
 
 
 def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
-    cosh_jp = nilpotent_apply("cosh", r.J_plus)
-    sinh_jp = nilpotent_apply("sinh", r.J_plus)
-    e_pkp = exp_h(r.K_plus, +1)
+    cosh_jp, sinh_jp = r.cosh_sinh()
+    e_pkp = r.exp(+1, -1)
     return {
         "J+": -r.J_plus,
         "J-": -(e_pkp * (r.J_minus * cosh_jp - r.K_minus * sinh_jp)),
@@ -252,8 +250,8 @@ def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
     S(Y1 e^{hX2}) = S(e^{hX2}) S(Y1), with per-copy values
     S(Y_i) = -e^{h theta_i X_i} Y_i e^{-h theta_i X_i} and S(X_i) = -X_i."""
     c = r.copies
-    e_x1p, e_x1m = exp_h(c["x1"], +1), exp_h(c["x1"], -1)
-    e_x2p, e_x2m = exp_h(c["x2"], +1), exp_h(c["x2"], -1)
+    e_x1p, e_x1m = r.exp(+1, 0), r.exp(-1, 0)
+    e_x2p, e_x2m = r.exp(0, +1), r.exp(0, -1)
     s_y1 = -(e_x1p * c["y1"] * e_x1m)
     s_h1 = -(e_x1p * c["h1"] * e_x1m)
     s_y2 = -(e_x2m * c["y2"] * e_x2p)

@@ -12,6 +12,7 @@ tests/oracles.py; code and parameters that nothing uses are deleted.
 import inspect
 import sys
 import types
+from functools import cached_property
 from pathlib import Path
 
 import jordanrep
@@ -86,7 +87,11 @@ def package_functions() -> tuple[dict, dict]:
                 continue
             members = vars(obj).items() if isinstance(obj, type) else [(None, obj)]
             for attr, raw in members:
-                fn = raw.fget if isinstance(raw, property) else raw
+                fn = raw
+                if isinstance(raw, property):
+                    fn = raw.fget
+                elif isinstance(raw, cached_property):
+                    fn = raw.func
                 fn = inspect.unwrap(getattr(fn, "__func__", fn))
                 if isinstance(fn, types.FunctionType):
                     qualname = obj.__qualname__ if attr is None else f"{obj.__qualname__}.{attr}"

@@ -1,12 +1,15 @@
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from jordanrep import so4
+from jordanrep import irrep, so4
+from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator, nilpotent_apply
-from jordanrep.irrep import casimir, classical_rep, map_to_deformed, sinh_over_h
+from jordanrep.exact import matrices as exact_matrices
+from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
 from oracles import assemble, subs_h
 
@@ -81,7 +84,8 @@ def test_relations_negative_control():
 def test_j_triple_satisfies_deformed_sl2():
     for j1, j2 in PAIRS:
         r = build_so4(j1, j2)
-        assert commutator(r.J_zero, r.J_plus) == sinh_over_h(r.J_plus).scale(2)
+        assert commutator(r.J_zero, r.J_plus) == (
+            nilpotent_apply("sinh", r.J_plus).divide_h().scale(2))
         cosh_jp = nilpotent_apply("cosh", r.J_plus)
         assert commutator(r.J_zero, r.J_minus) == -(
             r.J_minus * cosh_jp + cosh_jp * r.J_minus
@@ -177,4 +181,71 @@ def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):
     assert [e.relation_label for e in report.failures()] == [
         "coproduct of J-: direct = per-copy",
         "counit (eps x id) on J-",
+    ]
+
+
+@pytest.mark.parametrize("j1,j2", [(0, Fraction(3, 2)), (HALF, 1), (Fraction(3, 2), 1)])
+def test_exponentials_factor_over_the_copies(j1, j2):
+    """Kronecker products of the per-copy group-likes against the series
+    on the full tensor space, which stays the reference."""
+    r = build_so4(j1, j2)
+    x1, x2 = r.copies["x1"], r.copies["x2"]
+    for s1 in (-1, 0, 1):
+        for s2 in (-1, 0, 1):
+            assert r.exp(s1, s2) == nilpotent_apply("exp", x1.scale(s1) + x2.scale(s2))
+    assert r.cosh_sinh() == (nilpotent_apply("cosh", r.J_plus),
+                             nilpotent_apply("sinh", r.J_plus))
+    for rep in r.factors:
+        assert cosh_sinh(rep.e[+1], rep.e[-1]) == (nilpotent_apply("cosh", rep.X),
+                                                   nilpotent_apply("sinh", rep.X))
+
+
+@pytest.mark.parametrize("argv, largest", [
+    (["verify", "so4", "--j1", "1/2", "--j2", "1"], 3),
+    (["verify", "hopf", "--j1", "1", "--j2", "1/2"], 3),
+])
+def test_series_run_on_single_copies_only(monkeypatch, capsys, argv, largest):
+    """Every series is evaluated on one factor's matrices, none on the
+    tensor space of dimension (2j1+1)(2j2+1)."""
+    honest = exact_matrices.nilpotent_apply
+    rows = []
+
+    def spy(kind, m):
+        rows.append(m.rows)
+        return honest(kind, m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jordanrep") and getattr(module, "nilpotent_apply", None) is honest:
+            monkeypatch.setattr(module, "nilpotent_apply", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert rows and max(rows) <= largest
+
+
+def _corrupt(rep):
+    """Put e^{+hX} in place of e^{-hX} in the group-likes of rep."""
+    rep.__dict__["e"] = {**rep.e, -1: rep.e[+1]}
+    return rep
+
+
+def test_a_corrupted_group_like_is_caught(monkeypatch):
+    """The checks read their exponentials from the shared group-likes; a wrong
+    one fails the relations and one of the two coalgebra comparisons, so the
+    shared factors do not make either route agree by construction."""
+    coproducts = [f"coproduct of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
+    antipodes = [f"antipode of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
+    for copy, expected in ((0, coproducts), (1, antipodes)):
+        r = build_so4(HALF, 1)
+        _corrupt(r.factors[copy])
+        assert len(verify_so4_relations(r).failures()) == 10
+        assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == expected
+
+    honest = irrep.map_to_deformed
+    monkeypatch.setattr(irrep, "map_to_deformed",
+                        lambda c: _corrupt(honest(c)) if c.j == 1 else honest(c))
+    assert [e.relation_label for e in irrep.verify_hopf(HALF, 1).failures()] == [
+        "coproduct [H,X] = (2/h) sinh(hX)",
+        "coproduct [H,Y] = -{Y, cosh(hX)}",
+        "antipode m(S x id)D(Y) = 0 [j=1]",
+        "antipode m(S x id)D(H) = 0 [j=1]",
     ]

@@ -145,15 +145,6 @@ class PolyMatrix:
         """Exact division by h, weight + 2; an entry without h is refused."""
         return PolyMatrix(self.values, self.weights, self.weight + 2)
 
-    def negate_h(self) -> "PolyMatrix":
-        """Substitute h -> -h: entries with an odd power of h change sign."""
-        wt, w = self.weights, self.weight
-        return _graded(
-            [[-a if (wt[r] - wt[c] - w) // 2 % 2 else a for c, a in enumerate(row)]
-             for r, row in enumerate(self.values)],
-            wt, w,
-        )
-
     # -- structure ----------------------------------------------------------------
 
     @property
@@ -293,6 +284,9 @@ class TensorSum:
 
     def __neg__(self) -> "TensorSum":
         return TensorSum([(-a, b) for (a, b) in self.pairs])
+
+    def __sub__(self, other: "TensorSum") -> "TensorSum":
+        return self + -other
 
     def _grading(self) -> tuple:
         """(left-leg basis weights, right-leg basis weights, weight of each pair)."""

@@ -286,31 +286,38 @@ def casimir(r: Irrep) -> tuple[bool, Fraction]:
 
 # -- Hopf structure on tensor products ----------------------------------------------
 #
-# The coproduct triple on V_{j1} (x) V_{j2}:
-#   D(X) = X(x)1 + 1(x)X,
-#   D(Y) = Y(x)e^{hX} + e^{-hX}(x)Y,
-#   D(H) = H(x)e^{hX} + e^{-hX}(x)H.
-# The counit is the one-dimensional trivial representation (all generators 0),
-# and the antipode identity m(S(x)id)D(g) = eps(g) 1 collapses to single-space
-# matrix identities via S(X) = -X, S(Y) = -e^{hX} Y e^{-hX}, S(H) likewise.
-# Exponentials are each factor's e^{±hX} (Irrep.e) or Kronecker products of them.
+# The coproduct is stated once, as (left, right) leg names, with e+- = e^{+-hX}
+# (Irrep.e); every Hopf check here and in so4 reads it.  ``contract`` sums
+# op(left leg, right leg) over the pairs: with op = kron that is D on
+# V_{j1} (x) V_{j2}, or the counit when one side is the trivial representation
+# (all generators 0), and with the matrix product and the antipodes on the
+# left it is m(S(x)id)D(g), which must be eps(g) 1.
+
+COPRODUCT = {
+    "X": [("X", "1"), ("1", "X")],     # D(X) = X(x)1 + 1(x)X
+    "Y": [("Y", "e+"), ("e-", "Y")],   # D(Y) = Y(x)e+ + e-(x)Y
+    "H": [("H", "e+"), ("e-", "H")],
+    "e+": [("e+", "e+")],              # group-like
+    "e-": [("e-", "e-")],
+}
 
 
-def coproduct_triple(a: Irrep, b: Irrep) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
-    dx = a.X.kron(b.e[0]) + a.e[0].kron(b.X)
-    dy = a.Y.kron(b.e[+1]) + a.e[-1].kron(b.Y)
-    dh = a.H.kron(b.e[+1]) + a.e[-1].kron(b.H)
-    return dx, dy, dh
+def legs(r: Irrep) -> dict[str, PolyMatrix]:
+    """The leg names of COPRODUCT on r's matrices."""
+    return {"X": r.X, "Y": r.Y, "H": r.H, "1": r.e[0], "e+": r.e[+1], "e-": r.e[-1]}
 
 
-def _antipodes(rep: Irrep) -> dict[str, PolyMatrix]:
-    """S(X) = -X, S(Y) = -e^{hX} Y e^{-hX} and S(H) = -e^{hX} H e^{-hX}."""
-    e_plus, e_minus = rep.e[+1], rep.e[-1]
-    return {
-        "X": -rep.X,
-        "Y": -(e_plus * rep.Y * e_minus),
-        "H": -(e_plus * rep.H * e_minus),
-    }
+def antipodes(legs: dict) -> dict:
+    """S on every leg name: S(X) = -X, S(g) = -e+ g e- for g = Y, H, S(1) = 1, S(e+-) = e-+."""
+    ep, em = legs["e+"], legs["e-"]
+    return {"X": -legs["X"], "Y": -(ep * legs["Y"] * em), "H": -(ep * legs["H"] * em),
+            "1": legs["1"], "e+": em, "e-": ep}
+
+
+def contract(pairs, left: dict, right: dict, op):
+    """The sum of op(left[l], right[r]) over the (l, r) leg-name pairs."""
+    terms = [op(left[l], right[r]) for l, r in pairs]
+    return sum(terms[1:], terms[0])
 
 
 def verify_hopf(j1, j2) -> VerificationReport:
@@ -319,36 +326,27 @@ def verify_hopf(j1, j2) -> VerificationReport:
     report = VerificationReport(f"hopf j1={j1} j2={j2}")
     a = map_to_deformed(classical_rep(j1))
     b = map_to_deformed(classical_rep(j2))
+    la, lb = legs(a), legs(b)
+    kron = PolyMatrix.kron
 
-    # D(X) is primitive, so e^{hD(X)} = e^{hX} (x) e^{hX}
-    _check_sl2(report, "coproduct ", *coproduct_triple(a, b),
-               a.e[+1].kron(b.e[+1]), a.e[-1].kron(b.e[-1]))
+    # D is an algebra map: D(X), D(Y), D(H) satisfy the relations, with
+    # e^{hD(X)} = D(e+) since D(X) is primitive
+    d = {g: contract(pairs, la, lb, kron) for g, pairs in COPRODUCT.items()}
+    _check_sl2(report, "coproduct ", d["X"], d["Y"], d["H"], d["e+"], d["e-"])
 
     # counit axiom: collapsing either tensor leg to the trivial representation
-    # (spin 0, all generators 0) must reproduce the generator on the other leg.
-    eps = map_to_deformed(classical_rep(0))
-    for side, rep in (("left", a), ("right", b)):
-        if side == "left":
-            ex, ey, eh = coproduct_triple(eps, rep)
-        else:
-            ex, ey, eh = coproduct_triple(rep, eps)
-        report.check_matrix_identity(f"counit (eps x id) on X [{side} j={rep.j}]", ex, rep.X)
-        report.check_matrix_identity(f"counit (eps x id) on Y [{side} j={rep.j}]", ey, rep.Y)
-        report.check_matrix_identity(f"counit (eps x id) on H [{side} j={rep.j}]", eh, rep.H)
+    # must reproduce the generator on the other leg.
+    eps = legs(map_to_deformed(classical_rep(0)))
+    for side, rep, left, right in (("left", a, eps, la), ("right", b, lb, eps)):
+        for g in GENERATOR_WEIGHTS:
+            report.check_matrix_identity(f"counit (eps x id) on {g} [{side} j={rep.j}]",
+                                         contract(COPRODUCT[g], left, right, kron), getattr(rep, g))
 
-    # antipode identity on each factor: m(S x id)D(X) = S(X) + X, and with
-    # S(e^{-hX}) = e^{hX}, m(S x id)D(g) = S(g) e^{hX} + e^{hX} g for g = Y, H
-    for rep in (a, b):
-        s = _antipodes(rep)
-        e_plus = rep.e[+1]
-        for name, lhs in (
-            ("X", s["X"] + rep.X),
-            ("Y", s["Y"] * e_plus + e_plus * rep.Y),
-            ("H", s["H"] * e_plus + e_plus * rep.H),
-        ):
-            report.check_matrix_identity(
-                f"antipode m(S x id)D({name}) = 0 [j={rep.j}]",
-                lhs,
-                PolyMatrix.zeros(lhs.weights, lhs.weight),
-            )
+    # antipode identity on each factor: m(S x id)D(g) = eps(g) 1 = 0 for g = X, Y, H
+    for rep, r_legs in ((a, la), (b, lb)):
+        s = antipodes(r_legs)
+        for g in GENERATOR_WEIGHTS:
+            lhs = contract(COPRODUCT[g], s, r_legs, PolyMatrix.__mul__)
+            report.check_matrix_identity(f"antipode m(S x id)D({g}) = 0 [j={rep.j}]",
+                                         lhs, PolyMatrix.zeros(lhs.weights, lhs.weight))
     return report

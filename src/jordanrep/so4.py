@@ -1,18 +1,21 @@
 """The deformed so(4) built on two commuting copies of the deformed sl(2).
 
-Copy 1 carries deformation parameter +h and copy 2 carries -h (the -h copy
-is produced by the substitution h -> -h on matrix entries).  On the tensor
-product of two finite-dimensional irreps we form
+Copy 1 carries deformation parameter +h and copy 2 carries -h.  The irreps
+are even in h, so the sign shows only where the coalgebra sees it: copy 2's
+group-likes e+ = e^{hX} and e- = e^{-hX} trade places.  On the tensor
+product of two finite-dimensional irreps ``combine`` forms, from the two
+copies' legs (the names of :data:`~jordanrep.irrep.COPRODUCT`),
 
     J+ = X1 + X2                     K+ = X1 - X2
     J- = Y1 e^{hX2} + e^{-hX1} Y2    K- = Y1 e^{hX2} - e^{-hX1} Y2
     J0 = H1 e^{hX2} + e^{-hX1} H2    K0 = H1 e^{hX2} - e^{-hX1} H2
 
-and verify the full list of bracket relations and the coalgebra maps as
-exact polynomial-matrix identities.  Each exponential is a Kronecker product
-of per-copy series e^{±hX_i}, finite as X_i is strictly upper triangular: X1
-and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
-and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
+and the full list of bracket relations and the coalgebra maps are verified
+as exact polynomial-matrix identities.  Each exponential is a Kronecker
+product of per-copy series e^{±hX_i}, finite as X_i is strictly upper
+triangular: X1 and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x)
+e^{s2 hX2}.  cosh and sinh are half the sum and half the difference of
+e^{+h.} and e^{-h.}.
 
 Verification runs on concrete representations: passing at several (j1, j2)
 pairs is evidence for the abstract identities, not a proof, and the default
@@ -21,20 +24,42 @@ suite covers (1/2,1/2), (1,1/2) and (1,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
-from .irrep import Irrep, classical_rep, cosh_sinh, ensure_half_integer, map_to_deformed
+from .irrep import (COPRODUCT, Irrep, antipodes, classical_rep, contract, cosh_sinh,
+                    ensure_half_integer, legs, map_to_deformed)
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
 
 
+def combine(c1: dict, c2: dict) -> dict:
+    """J+-, J0, K+-, K0 (in GENERATOR_NAMES order) from the legs X, Y, H, e-
+    of copy 1 and copy 2, whatever they hold: matrices, coproducts or
+    antipodes.  Every product pairs legs of different copies, which commute,
+    so the anti-homomorphism S needs no reversal."""
+    y1, y2 = c1["Y"] * c2["e-"], c1["e-"] * c2["Y"]
+    h1, h2 = c1["H"] * c2["e-"], c1["e-"] * c2["H"]
+    return {"J+": c1["X"] + c2["X"], "J-": y1 + y2, "J0": h1 + h2,
+            "K+": c1["X"] - c2["X"], "K-": y1 - y2, "K0": h1 - h2}
+
+
+def copy_legs(one: Irrep, two: Irrep) -> tuple[dict, dict]:
+    """Each copy's legs on the tensor space; copy 2 carries -h, so its e+
+    and e- trade places."""
+    i1, i2 = one.e[0], two.e[0]
+    c1 = {name: m.kron(i2) for name, m in legs(one).items()}
+    c2 = {name: i1.kron(m) for name, m in legs(two).items()}
+    c2["e+"], c2["e-"] = c2["e-"], c2["e+"]
+    return c1, c2
+
+
 @dataclass(frozen=True)
 class So4Rep:
-    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space, the
-    per-copy tensored triples and the two irreps (copy 2 at -h) they came from."""
+    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space and
+    the two irreps they came from."""
 
     j1: Fraction
     j2: Fraction
@@ -44,7 +69,6 @@ class So4Rep:
     K_plus: PolyMatrix
     K_minus: PolyMatrix
     K_zero: PolyMatrix
-    copies: dict
     factors: tuple[Irrep, Irrep]
 
     def exp(self, s1: int, s2: int) -> PolyMatrix:
@@ -57,49 +81,20 @@ class So4Rep:
         return cosh_sinh(self.exp(+1, +1), self.exp(-1, -1))
 
     def generators(self) -> dict[str, PolyMatrix]:
-        return {
-            "J+": self.J_plus,
-            "J-": self.J_minus,
-            "J0": self.J_zero,
-            "K+": self.K_plus,
-            "K-": self.K_minus,
-            "K0": self.K_zero,
-        }
+        return dict(zip(GENERATOR_NAMES, (self.J_plus, self.J_minus, self.J_zero,
+                                          self.K_plus, self.K_minus, self.K_zero)))
+
+    def legs(self) -> dict[str, PolyMatrix]:
+        """The leg names of COPRODUCT_DIRECT on this representation."""
+        cosh_jp, sinh_jp = self.cosh_sinh()
+        return {**self.generators(), "1": PolyMatrix.identity(self.J_plus.weights),
+                "cosh": cosh_jp, "sinh": sinh_jp, "e^{-hK+}": self.exp(-1, +1)}
 
 
 def build_so4(j1, j2) -> So4Rep:
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
-    one = map_to_deformed(classical_rep(j1))
-    two = map_to_deformed(classical_rep(j2))
-    # copy 2 carries parameter -h
-    two = replace(two, X=two.X.negate_h(), Y=two.Y.negate_h(), H=two.H.negate_h())
-
-    i1, i2 = one.e[0], two.e[0]
-    x1 = one.X.kron(i2)
-    y1 = one.Y.kron(i2)
-    h1 = one.H.kron(i2)
-    x2 = i1.kron(two.X)
-    y2 = i1.kron(two.Y)
-    h2 = i1.kron(two.H)
-
-    e_x2 = i1.kron(two.e[+1])      # e^{h X2}
-    f_x1 = one.e[-1].kron(i2)      # e^{-h X1}
-
-    return So4Rep(
-        j1=j1,
-        j2=j2,
-        J_plus=x1 + x2,
-        J_minus=y1 * e_x2 + f_x1 * y2,
-        J_zero=h1 * e_x2 + f_x1 * h2,
-        K_plus=x1 - x2,
-        K_minus=y1 * e_x2 - f_x1 * y2,
-        K_zero=h1 * e_x2 - f_x1 * h2,
-        copies={
-            "x1": x1, "y1": y1, "h1": h1,
-            "x2": x2, "y2": y2, "h2": h2,
-        },
-        factors=(one, two),
-    )
+    factors = map_to_deformed(classical_rep(j1)), map_to_deformed(classical_rep(j2))
+    return So4Rep(j1, j2, *combine(*copy_legs(*factors)).values(), factors=factors)
 
 
 def verify_so4_relations(r: So4Rep) -> VerificationReport:
@@ -170,66 +165,40 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 
 # -- coalgebra -------------------------------------------------------------------
 #
+# The coproducts come by two routes.  Route (a) is the table below, written
+# in the composite generators.  Route (b) evaluates the sl(2) table
+# irrep.COPRODUCT on each copy's legs and feeds the results to ``combine``.
 # Coproducts on the tensor square are handled as sums of Kronecker pairs:
 # products act on the dim x dim legs, and the two routes are compared by exact
 # elimination on the left legs of their difference (TensorSum.first_difference),
 # so no dim^2 x dim^2 matrix and no block of one is ever assembled.
 
+#: Route (a): the coproducts as (left, right) names of So4Rep.legs.
+COPRODUCT_DIRECT = {
+    "J+": [("J+", "1"), ("1", "J+")],
+    "J-": [("J-", "cosh"), ("e^{-hK+}", "J-"), ("K-", "sinh")],
+    "J0": [("J0", "cosh"), ("e^{-hK+}", "J0"), ("K0", "sinh")],
+    "K+": [("K+", "1"), ("1", "K+")],
+    "K-": [("K-", "cosh"), ("e^{-hK+}", "K-"), ("J-", "sinh")],
+    "K0": [("K0", "cosh"), ("e^{-hK+}", "K0"), ("J0", "sinh")],
+}
+
+
+def _pair(a: PolyMatrix, b: PolyMatrix) -> TensorSum:
+    return TensorSum([(a, b)])
+
 
 def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
-    """Route (a): coproducts written directly in the composite generators."""
-    i = PolyMatrix.identity(r.J_plus.weights)
-    cosh_jp, sinh_jp = r.cosh_sinh()
-    e_mkp = r.exp(-1, +1)
-    return {
-        "J+": TensorSum([(r.J_plus, i), (i, r.J_plus)]),
-        "J-": TensorSum([(r.J_minus, cosh_jp), (e_mkp, r.J_minus), (r.K_minus, sinh_jp)]),
-        "J0": TensorSum([(r.J_zero, cosh_jp), (e_mkp, r.J_zero), (r.K_zero, sinh_jp)]),
-        "K+": TensorSum([(r.K_plus, i), (i, r.K_plus)]),
-        "K-": TensorSum([(r.K_minus, cosh_jp), (e_mkp, r.K_minus), (r.J_minus, sinh_jp)]),
-        "K0": TensorSum([(r.K_zero, cosh_jp), (e_mkp, r.K_zero), (r.J_zero, sinh_jp)]),
-    }
+    """Route (a): the table COPRODUCT_DIRECT on r's legs."""
+    r_legs = r.legs()
+    return {name: contract(pairs, r_legs, r_legs, _pair)
+            for name, pairs in COPRODUCT_DIRECT.items()}
 
 
 def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
-    """Route (b): apply the per-copy coproducts to the defining combinations.
-
-    Copy i has D(X_i) = X_i (x) 1 + 1 (x) X_i (so exponentials of X_i are
-    group-like), D(Y_i) = Y_i (x) e^{h theta_i X_i} + e^{-h theta_i X_i} (x) Y_i
-    with theta_1 = +1, theta_2 = -1, and likewise for H_i."""
-    c = r.copies
-    i = PolyMatrix.identity(r.J_plus.weights)
-    e_x1p, e_x1m = r.exp(+1, 0), r.exp(-1, 0)
-    e_x2p, e_x2m = r.exp(0, +1), r.exp(0, -1)
-
-    def primitive(m):
-        return TensorSum([(m, i), (i, m)])
-
-    def twisted(m, e_plus, e_minus):
-        # D(g) = g (x) e^{h theta X} + e^{-h theta X} (x) g
-        return TensorSum([(m, e_plus), (e_minus, m)])
-
-    d_x1 = primitive(c["x1"])
-    d_x2 = primitive(c["x2"])
-    d_y1 = twisted(c["y1"], e_x1p, e_x1m)
-    d_h1 = twisted(c["h1"], e_x1p, e_x1m)
-    d_y2 = twisted(c["y2"], e_x2m, e_x2p)   # theta_2 = -1 swaps the exponentials
-    d_h2 = twisted(c["h2"], e_x2m, e_x2p)
-    d_e_x2 = TensorSum([(e_x2p, e_x2p)])    # group-like: D(e^{hX2}) = e^{hX2} (x) e^{hX2}
-    d_f_x1 = TensorSum([(e_x1m, e_x1m)])
-
-    d_jm = d_y1 * d_e_x2 + d_f_x1 * d_y2
-    d_j0 = d_h1 * d_e_x2 + d_f_x1 * d_h2
-    d_km = d_y1 * d_e_x2 + (-(d_f_x1 * d_y2))
-    d_k0 = d_h1 * d_e_x2 + (-(d_f_x1 * d_h2))
-    return {
-        "J+": d_x1 + d_x2,
-        "J-": d_jm,
-        "J0": d_j0,
-        "K+": d_x1 + (-d_x2),
-        "K-": d_km,
-        "K0": d_k0,
-    }
+    """Route (b): the sl(2) coproduct of each copy's legs, combined."""
+    return combine(*({g: contract(pairs, c, c, _pair) for g, pairs in COPRODUCT.items()}
+                     for c in copy_legs(*r.factors)))
 
 
 def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
@@ -246,26 +215,8 @@ def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
 
 
 def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
-    """The antipode is an anti-homomorphism, so on the combinations:
-    S(Y1 e^{hX2}) = S(e^{hX2}) S(Y1), with per-copy values
-    S(Y_i) = -e^{h theta_i X_i} Y_i e^{-h theta_i X_i} and S(X_i) = -X_i."""
-    c = r.copies
-    e_x1p, e_x1m = r.exp(+1, 0), r.exp(-1, 0)
-    e_x2p, e_x2m = r.exp(0, +1), r.exp(0, -1)
-    s_y1 = -(e_x1p * c["y1"] * e_x1m)
-    s_h1 = -(e_x1p * c["h1"] * e_x1m)
-    s_y2 = -(e_x2m * c["y2"] * e_x2p)
-    s_h2 = -(e_x2m * c["h2"] * e_x2p)
-    s_e_x2 = e_x2m          # S(e^{hX2}) = e^{-hX2}
-    s_f_x1 = e_x1p          # S(e^{-hX1}) = e^{hX1}
-    return {
-        "J+": -c["x1"] - c["x2"],
-        "J-": s_e_x2 * s_y1 + s_y2 * s_f_x1,
-        "J0": s_e_x2 * s_h1 + s_h2 * s_f_x1,
-        "K+": -c["x1"] + c["x2"],
-        "K-": s_e_x2 * s_y1 - s_y2 * s_f_x1,
-        "K0": s_e_x2 * s_h1 - s_h2 * s_f_x1,
-    }
+    """The sl(2) antipode of each copy's legs, combined."""
+    return combine(*(antipodes(c) for c in copy_legs(*r.factors)))
 
 
 def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
@@ -292,17 +243,13 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
         )
 
     # counit: eps is the one-dimensional trivial representation, (j1, j2) =
-    # (0, 0), so building the direct coproducts there turns each left leg into
-    # its counit, a 1x1 matrix of the leg's weight, and sum_i eps(left_i) (x)
-    # right_i must reproduce the generator.  The check tests the direct
-    # coproduct formulas, not the representation.
-    trivial = _coproducts_direct(build_so4(0, 0))
-    gens = r.generators()
-    for name in GENERATOR_NAMES:
-        collapsed = [eps.kron(right) for (eps, _), (_, right)
-                     in zip(trivial[name].pairs, direct[name].pairs)]
-        collapsed = sum(collapsed[1:], collapsed[0])
+    # (0, 0), whose legs are each leg's counit, a 1x1 matrix of the leg's
+    # weight; route (a)'s table with those legs on the left must reproduce
+    # the generator.  The check tests the table, not the representation.
+    eps, r_legs = build_so4(0, 0).legs(), r.legs()
+    for name, g in r.generators().items():
         report.check_matrix_identity(
-            f"counit (eps x id) on {name}", collapsed, gens[name]
+            f"counit (eps x id) on {name}",
+            contract(COPRODUCT_DIRECT[name], eps, r_legs, PolyMatrix.kron), g
         )
     return report

@@ -63,6 +63,13 @@ def subs_h(m: PolyMatrix, value) -> list:
     ]
 
 
+def negate_h(m: PolyMatrix) -> PolyMatrix:
+    """Substitute h -> -h: entries with an odd power of h change sign."""
+    wt, w = m.weights, m.weight
+    return PolyMatrix([[-a if (wt[r] - wt[c] - w) // 2 % 2 else a for c, a in enumerate(row)]
+                       for r, row in enumerate(m.values)], wt, w)
+
+
 def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
     """True when every term has h-degree exactly ``degree`` (zero counts)."""
     return all(dh == degree for (_, dh), _ in p.items())

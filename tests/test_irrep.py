@@ -20,7 +20,9 @@ from jordanrep.irrep import (
 from jordanrep.verma import build_table
 
 import golden
-from oracles import act, charpoly, diagonal, graded, is_homogeneous_h, subs_h, term, trace
+from oracles import (
+    act, charpoly, diagonal, graded, is_homogeneous_h, negate_h, subs_h, term, trace,
+)
 
 HALF = Fraction(1, 2)
 
@@ -254,24 +256,56 @@ def test_hopf_checks(j1, j2):
 @pytest.mark.parametrize(
     "wrong, generator",
     [
-        (lambda rep: rep.X, "X"),       # S(X) = X: sign lost
-        (lambda rep: -rep.Y, "Y"),      # S(Y) = -Y: conjugation by e^{hX} lost
+        (lambda legs: legs["X"], "X"),       # S(X) = X: sign lost
+        (lambda legs: -legs["Y"], "Y"),      # S(Y) = -Y: conjugation by e^{hX} lost
     ],
 )
 def test_hopf_antipode_negative_controls(monkeypatch, wrong, generator):
-    honest = irrep._antipodes
+    honest = irrep.antipodes
 
-    def mutated(rep):
-        s = honest(rep)
-        s[generator] = wrong(rep)
+    def mutated(legs):
+        s = honest(legs)
+        s[generator] = wrong(legs)
         return s
 
-    monkeypatch.setattr(irrep, "_antipodes", mutated)
+    monkeypatch.setattr(irrep, "antipodes", mutated)
     report = verify_hopf(HALF, 1)
     assert [e.relation_label for e in report.failures()] == [
         f"antipode m(S x id)D({generator}) = 0 [j=1/2]",
         f"antipode m(S x id)D({generator}) = 0 [j=1]",
     ]
+
+
+ANTIPODE_Y_H = [f"antipode m(S x id)D({g}) = 0 [j={j}]" for j in ("1/2", "1") for g in "YH"]
+
+
+def test_hopf_rejects_the_opposite_coproduct(monkeypatch):
+    """D^op is an algebra map and has the counit too; only the antipode
+    identity, now read from the same table, tells it from D."""
+    for g in ("Y", "H"):
+        monkeypatch.setitem(irrep.COPRODUCT, g, [("e+", g), (g, "e-")])
+    assert [e.relation_label for e in verify_hopf(HALF, 1).failures()] == ANTIPODE_Y_H
+
+
+def test_hopf_rejects_a_wrong_antipode_of_e_minus(monkeypatch):
+    honest = irrep.antipodes
+
+    def mutated(legs):
+        return {**honest(legs), "e-": legs["e-"]}  # S(e^{-hX}) = e^{-hX}
+
+    monkeypatch.setattr(irrep, "antipodes", mutated)
+    assert [e.relation_label for e in verify_hopf(HALF, 1).failures()] == ANTIPODE_Y_H
+
+
+@pytest.mark.parametrize("basis", ["verma", "diagonal"])
+def test_irreps_are_even_in_h(basis):
+    """h -> -h leaves every irrep unchanged, so a copy at -h differs from
+    one at +h only through its coproduct."""
+    table = build_table(9)
+    for two_j in range(9):
+        j = Fraction(two_j, 2)
+        r = verma_basis_irrep(j, table) if basis == "verma" else map_to_deformed(classical_rep(j))
+        assert (negate_h(r.X), negate_h(r.Y), negate_h(r.H)) == (r.X, r.Y, r.H)
 
 
 def test_irrep_json_round_trip():

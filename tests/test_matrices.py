@@ -27,6 +27,7 @@ from oracles import (
     grid_negate_h,
     grid_nilpotent_apply,
     ladder,
+    negate_h,
     term,
     trace,
 )
@@ -110,7 +111,7 @@ def test_divide_h_refuses_an_entry_without_h():
 
 def test_negate_h_flips_odd_powers_only():
     m = graded([[0, 1, term(5, 0, 1)], [0, 0, 2], [0, 0, 0]], 2).mul_h()
-    assert expand(m.negate_h()) == [
+    assert expand(negate_h(m)) == [
         [ZERO, term(-1, 0, 1), term(5, 0, 2)],
         [ZERO, ZERO, term(-2, 0, 1)],
         [ZERO, ZERO, ZERO],
@@ -359,7 +360,7 @@ def test_graded_arithmetic_matches_polynomial_grids(operands, kind):
     assert expand(a * b) == grid_mul(expand(a), expand(b))
     assert expand(a + c) == grid_add(expand(a), expand(c))
     assert expand(a.kron(b)) == grid_kron(expand(a), expand(b))
-    assert expand(a.negate_h()) == grid_negate_h(expand(a))
+    assert expand(negate_h(a)) == grid_negate_h(expand(a))
     assert expand(nilpotent_apply(kind, nil)) == grid_nilpotent_apply(
         kind, expand(nil), nil.weight // 2
     )

@@ -10,7 +10,7 @@ from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator, nilpotent_apply
 from jordanrep.exact import matrices as exact_matrices
 from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
-from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
+from jordanrep.so4 import build_so4, copy_legs, verify_so4_coalgebra, verify_so4_relations
 from oracles import assemble, subs_h
 
 HALF = Fraction(1, 2)
@@ -47,11 +47,11 @@ def test_j_plus_rank_on_four_dim_space():
 
 def test_classical_limits():
     r = build_so4(HALF, HALF)
-    c = r.copies
-    assert subs_h(r.J_zero, 0) == subs_h(c["h1"] + c["h2"], 0)
-    assert subs_h(r.K_zero, 0) == subs_h(c["h1"] - c["h2"], 0)
-    assert subs_h(r.J_plus, 0) == subs_h(c["x1"] + c["x2"], 0)
-    assert subs_h(r.J_minus, 0) == subs_h(c["y1"] + c["y2"], 0)
+    c1, c2 = copy_legs(*r.factors)
+    assert subs_h(r.J_zero, 0) == subs_h(c1["H"] + c2["H"], 0)
+    assert subs_h(r.K_zero, 0) == subs_h(c1["H"] - c2["H"], 0)
+    assert subs_h(r.J_plus, 0) == subs_h(c1["X"] + c2["X"], 0)
+    assert subs_h(r.J_minus, 0) == subs_h(c1["Y"] + c2["Y"], 0)
 
 
 def test_plus_generators_commute_and_are_nilpotent():
@@ -131,20 +131,17 @@ def test_coproduct_of_raising_generator_is_primitive():
 
 def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
     r = build_so4(Fraction(1), HALF)
-    honest = so4._coproducts_per_copy
-
-    def with_stray_pair(rep):
-        sums = honest(rep)
-        sums["J0"] = sums["J0"] + TensorSum([(rep.J_zero, rep.K_zero)])
-        return sums
-
-    monkeypatch.setattr(so4, "_coproducts_per_copy", with_stray_pair)
+    # a stray J0 (x) K0 in route (a)'s J0; its counit is zero, so only the
+    # coproduct comparison sees it
+    monkeypatch.setitem(so4.COPRODUCT_DIRECT, "J0",
+                        so4.COPRODUCT_DIRECT["J0"] + [("J0", "K0")])
     report = verify_so4_coalgebra(r)
     assert [e.relation_label for e in report.failures()] == [
         "coproduct of J0: direct = per-copy"
     ]
-    direct = so4._coproducts_direct(r)["J0"]
-    i, j, lhs, rhs = assemble(direct).first_difference(assemble(with_stray_pair(r)["J0"]))
+    per_copy = so4._coproducts_per_copy(r)["J0"]
+    i, j, lhs, rhs = assemble(so4._coproducts_direct(r)["J0"]).first_difference(
+        assemble(per_copy))
     entry = report.failures()[0]
     assert entry.detail == f"first mismatch at ({i},{j})"
     assert entry.residual_sample == f"lhs={lhs} rhs={rhs}"
@@ -168,15 +165,9 @@ def test_coalgebra_refuses_an_off_grade_pair(monkeypatch):
 
 def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):
     r = build_so4(HALF, HALF)
-    honest = so4._coproducts_direct
-
-    def with_wrong_right_leg(rep):
-        sums = honest(rep)
-        (a, cosh_jp), (e_mkp, _), rest = sums["J-"].pairs  # e^{-hK+} (x) J-, counit 1
-        sums["J-"] = TensorSum([(a, cosh_jp), (e_mkp, rep.K_minus), rest])
-        return sums
-
-    monkeypatch.setattr(so4, "_coproducts_direct", with_wrong_right_leg)
+    # e^{-hK+} (x) K- in place of e^{-hK+} (x) J-, the pair with counit 1
+    monkeypatch.setitem(so4.COPRODUCT_DIRECT, "J-",
+                        [("J-", "cosh"), ("e^{-hK+}", "K-"), ("K-", "sinh")])
     report = verify_so4_coalgebra(r)
     assert [e.relation_label for e in report.failures()] == [
         "coproduct of J-: direct = per-copy",
@@ -189,7 +180,7 @@ def test_exponentials_factor_over_the_copies(j1, j2):
     """Kronecker products of the per-copy group-likes against the series
     on the full tensor space, which stays the reference."""
     r = build_so4(j1, j2)
-    x1, x2 = r.copies["x1"], r.copies["x2"]
+    x1, x2 = (c["X"] for c in copy_legs(*r.factors))
     for s1 in (-1, 0, 1):
         for s2 in (-1, 0, 1):
             assert r.exp(s1, s2) == nilpotent_apply("exp", x1.scale(s1) + x2.scale(s2))
@@ -249,3 +240,31 @@ def test_a_corrupted_group_like_is_caught(monkeypatch):
         "antipode m(S x id)D(Y) = 0 [j=1]",
         "antipode m(S x id)D(H) = 0 [j=1]",
     ]
+
+
+LOWERING = ("J-", "J0", "K-", "K0")
+
+
+def test_per_copy_route_rejects_the_opposite_coproduct(monkeypatch):
+    """Route (b) reads the sl(2) table: D^op there parts it from route (a)
+    on every generator that carries a group-like, and on nothing else."""
+    for g in ("Y", "H"):
+        monkeypatch.setitem(irrep.COPRODUCT, g, [("e+", g), (g, "e-")])
+    r = build_so4(1, HALF)
+    assert verify_so4_relations(r).passed
+    assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == [
+        f"coproduct of {g}: direct = per-copy" for g in LOWERING]
+
+
+def test_per_copy_antipodes_reject_a_wrong_antipode_of_e_minus(monkeypatch):
+    honest = irrep.antipodes
+
+    def mutated(legs):
+        return {**honest(legs), "e-": legs["e-"]}  # S(e^{-hX}) = e^{-hX}
+
+    for module in (irrep, so4):
+        monkeypatch.setattr(module, "antipodes", mutated)
+    r = build_so4(1, HALF)
+    assert verify_so4_relations(r).passed
+    assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == [
+        f"antipode of {g}: direct = per-copy" for g in LOWERING]

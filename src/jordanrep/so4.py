@@ -188,9 +188,8 @@ def _pair(a: PolyMatrix, b: PolyMatrix) -> TensorSum:
     return TensorSum([(a, b)])
 
 
-def _coproducts_direct(r: So4Rep) -> dict[str, TensorSum]:
-    """Route (a): the table COPRODUCT_DIRECT on r's legs."""
-    r_legs = r.legs()
+def _coproducts_direct(r_legs: dict) -> dict[str, TensorSum]:
+    """Route (a): the table COPRODUCT_DIRECT on the legs of So4Rep.legs."""
     return {name: contract(pairs, r_legs, r_legs, _pair)
             for name, pairs in COPRODUCT_DIRECT.items()}
 
@@ -224,7 +223,8 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     per-copy antipodes, and counit compatibility."""
     report = VerificationReport(f"so4 coalgebra j1={r.j1} j2={r.j2}")
 
-    direct = _coproducts_direct(r)
+    r_legs = r.legs()
+    direct = _coproducts_direct(r_legs)
     per_copy = _coproducts_per_copy(r)
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
@@ -246,7 +246,7 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     # (0, 0), whose legs are each leg's counit, a 1x1 matrix of the leg's
     # weight; route (a)'s table with those legs on the left must reproduce
     # the generator.  The check tests the table, not the representation.
-    eps, r_legs = build_so4(0, 0).legs(), r.legs()
+    eps = build_so4(0, 0).legs()
     for name, g in r.generators().items():
         report.check_matrix_identity(
             f"counit (eps x id) on {name}",

@@ -140,7 +140,7 @@ def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
         "coproduct of J0: direct = per-copy"
     ]
     per_copy = so4._coproducts_per_copy(r)["J0"]
-    i, j, lhs, rhs = assemble(so4._coproducts_direct(r)["J0"]).first_difference(
+    i, j, lhs, rhs = assemble(so4._coproducts_direct(r.legs())["J0"]).first_difference(
         assemble(per_copy))
     entry = report.failures()[0]
     assert entry.detail == f"first mismatch at ({i},{j})"

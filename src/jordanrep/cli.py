@@ -13,8 +13,9 @@ non-finite spectrum parameter, an empty, unbounded or oversized --grid, a
 scan that overflows floats, malformed --from-json input (including an entry
 that is not c*h^d with the power d that its position and generator fix), an
 unwritable --output, a truncation order below 2 or above MAX_ORDER, a
-tensor dimension (2j1+1)(2j2+1) above MAX_TENSOR_DIM, or a selection that
-runs no checks.
+tensor dimension (2j1+1)(2j2+1) above MAX_TENSOR_DIM, a symbolic element
+table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
+MAX_SPIN, or a selection that runs no checks.
 Any other package error is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
@@ -58,6 +59,19 @@ MAX_ORDER = 30
 #: The slowest shape is the most lopsided: `verify so4 --j1 0 --j2 40` takes
 #: 16-19 s on a 2-vCPU host, (1, 13) about 9 s and (4, 4) about 7 s.
 MAX_TENSOR_DIM = 81
+
+#: Largest --max-level of the symbolic `elements` table, built in about a
+#: minute on a 2-vCPU host (L = 19 / 21 / 23: 8 / 28 / 80 s, about 2.8x per
+#: two levels).
+MAX_LEVEL = 23
+
+#: Largest spin of `irrep`, `singvec` (as --lambda = 2j) and `verify sl2
+#: --j-max`.  A Verma irrep builds its element table over Q at lam = 2j to
+#: level 2j + 1 (L = 23 / 25 / 27: 1.8 / 5.3 / 17 s on a 2-vCPU host, about
+#: 3.2x per two levels), and `verify sl2 --j-max 13`, which builds one for
+#: every spin, takes about 50 s.  `elements --lambda` builds the same tables,
+#: so its --max-level is capped at 2 MAX_SPIN + 1 (27: 25 s at lam = 5/3).
+MAX_SPIN = 13
 
 
 def half_integer(text: str) -> Fraction:
@@ -189,11 +203,22 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _refuse_spin(flag: str, value, spin: Fraction):
+    """An input error before any work when ``spin`` is above MAX_SPIN."""
+    if spin > MAX_SPIN:
+        raise InputError(f"{flag} {value} is above the largest spin {MAX_SPIN}")
+
+
 def cmd_elements(args) -> int:
-    table = build_table(args.max_level)
+    kind, largest = ("symbolic", MAX_LEVEL) if args.lam is None else ("rational", 2 * MAX_SPIN + 1)
+    if args.max_level > largest:
+        raise InputError(f"--max-level {args.max_level} is above the largest {kind} level "
+                         f"{largest}")
+    if args.lam is None:
+        table = build_table(args.max_level)
+    else:
+        table = build_table(args.max_level, args.lam)
     items = list(table.stored_items())
-    if args.lam is not None:
-        items = [(key, value.subs_lam(args.lam)) for key, value in items]
     if args.format == "latex":
         _emit(elements_latex(items), args.output)
         return 0
@@ -211,6 +236,7 @@ def cmd_elements(args) -> int:
 
 
 def cmd_irrep(args) -> int:
+    _refuse_spin("--j", args.j, args.j)
     if args.basis == "verma":
         rep = verma_basis_irrep(args.j)
     else:
@@ -229,25 +255,27 @@ def cmd_irrep(args) -> int:
 
 
 def cmd_singvec(args) -> int:
+    _refuse_spin("--lambda", args.lam, Fraction(args.lam, 2))
     sv = singular_vector(Fraction(args.lam, 2))
+    levels = sv.levels()
     payload = {
         "kind": "singular-vector",
         "lambda": args.lam,
         "top_level": args.lam + 1,
-        "coefficients": [c.to_obj() for c in sv.coeffs],
-        "levels": {str(level): c.to_obj() for level, c in sorted(sv.levels().items())},
+        "coefficients": [levels[args.lam + 1 - 2 * p].to_obj()
+                         for p in range(1, len(sv.coeffs) + 1)],
+        "levels": {str(level): c.to_obj() for level, c in sorted(levels.items())},
     }
     _emit(_json(payload), args.output)
     return 0
 
 
 def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
-    # one table for every j: the table of level 2j_max + 1 holds each smaller one
-    table = build_table(int(2 * j_max) + 1)
+    _refuse_spin("--j-max", j_max, j_max)
     reports = []
     j = Fraction(1, 2)
     while j <= j_max:
-        for rep in (verma_basis_irrep(j, table), map_to_deformed(classical_rep(j))):
+        for rep in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
             report = verify_sl2_relations(rep)
             is_scalar, value = casimir(rep)
             if is_scalar and value == j * (j + 1):

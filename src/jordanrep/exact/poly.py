@@ -1,9 +1,11 @@
 """Exact bivariate polynomials in the weight symbol and the deformation parameter.
 
-Every scalar appearing in the representation machinery is a polynomial in two
-commuting formal symbols -- ``lam`` (the highest weight, printed as a lambda)
-and ``h`` (the deformation parameter) -- with arbitrary-precision rational
-coefficients.  A :class:`BiPoly` stores a canonical term map
+A :class:`BiPoly` is a polynomial in two commuting formal symbols -- ``lam``
+(the highest weight, printed as a lambda) and ``h`` (the deformation
+parameter) -- with arbitrary-precision rational coefficients.  The symbolic
+element table computes in lam alone, since its indices fix each power of h;
+output, failure reports and --from-json input use the full form c lam^a h^b.
+A :class:`BiPoly` stores a canonical term map
 ``(deg_lam, deg_h) -> Fraction`` with no zero coefficients, so two
 polynomials are equal exactly when their term maps are equal.  All arithmetic
 is exact; nothing here ever rounds.
@@ -56,28 +58,10 @@ class BiPoly:
                         canon[key] = c0
         self._terms = canon
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def const(value) -> "BiPoly":
-        return BiPoly({(0, 0): as_fraction(value)})
-
     # -- mapping access ----------------------------------------------------
 
     def items(self):
         return self._terms.items()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def constant_value(self) -> Fraction:
-        """The value of a degree-zero polynomial; error if any symbol survives."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {(0, 0)}:
-            raise ValueError(f"{self} is not a constant")
-        return self._terms[(0, 0)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -138,37 +122,6 @@ class BiPoly:
         return _wrap(out)
 
     __rmul__ = __mul__
-
-    def scale(self, q) -> "BiPoly":
-        q = as_fraction(q)
-        if q == 0:
-            return ZERO
-        return _wrap({key: c * q for key, c in self._terms.items()})
-
-    # -- substitutions -----------------------------------------------------
-
-    def subs_lam(self, value) -> "BiPoly":
-        """Evaluate the weight symbol at an exact rational value."""
-        value = as_fraction(value)
-        out = {}
-        for (dl, dh), c in self._terms.items():
-            c = c * value**dl
-            if c == 0:
-                continue
-            key = (0, dh)
-            c0 = out.get(key)
-            if c0 is None:
-                out[key] = c
-            else:
-                c0 = c0 + c
-                if c0 == 0:
-                    del out[key]
-                else:
-                    out[key] = c0
-        return _wrap(out)
-
-    def mul_h(self, k: int) -> "BiPoly":
-        return _wrap({(dl, dh + k): c for (dl, dh), c in self._terms.items()})
 
     # -- canonical comparisons ----------------------------------------------
 

@@ -4,11 +4,11 @@ For weight lam = 2j the Verma module acquires a singular vector
 
     w_s = w_{2j+1} + sum_{p=1}^{[j]} C_p w_{2j-2p+1},
 
-whose coefficients solve a triangular linear system in the X elements
-specialized at lam = 2j.  Factoring out the submodule it generates leaves a
-(2j+1)-dimensional irreducible on w_0..w_{2j}: X and H restrict from the
-element table, and Y is the unit subdiagonal plus corrections -C_p in the
-last column.
+whose coefficients solve a triangular linear system in the X elements at
+lam = 2j, read from an element table built over the rationals at that lam.
+Factoring out the submodule it generates leaves a (2j+1)-dimensional
+irreducible on w_0..w_{2j}: X and H restrict from the element table, and Y
+is the unit subdiagonal plus corrections -C_p in the last column.
 
 The same irreps arise from the invertible nonlinear map on a classical
 spin-j triple (J+, J-, J0),
@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import SingularLeadingElement
+from .errors import DimensionMismatch, SingularLeadingElement
 from .exact import (
     ONE,
-    ZERO,
     BiPoly,
     PolyMatrix,
     anticommutator,
@@ -66,22 +65,23 @@ def spin_weights(j: Fraction) -> tuple[int, ...]:
 class SingularVector:
     """Coefficients C_1..C_[j] of the singular vector at weight lam = 2j.
 
-    C_p multiplies w_{2j-2p+1}; each is homogeneous of degree 2p in h.  For
-    j < 1 the list is empty and the singular vector is w_{2j+1} itself."""
+    C_p multiplies w_{2j-2p+1} and is c_p h^{2p}; ``coeffs`` holds the
+    rationals c_p.  For j < 1 the list is empty and the singular vector is
+    w_{2j+1} itself."""
 
     j: Fraction
-    coeffs: tuple[BiPoly, ...]
+    coeffs: tuple[Fraction, ...]
 
     @property
     def lam(self) -> int:
         return int(2 * self.j)
 
     def levels(self) -> dict[int, BiPoly]:
-        """The vector as a map level -> coefficient."""
+        """The vector as a map level -> coefficient C_p = c_p h^{2p}."""
         top = self.lam + 1
         vec = {top: ONE}
         for p, c in enumerate(self.coeffs, start=1):
-            vec[top - 2 * p] = c
+            vec[top - 2 * p] = BiPoly({(0, 2 * p): c})
         return vec
 
 
@@ -130,21 +130,24 @@ class Irrep:
 
     @staticmethod
     def from_obj(obj) -> "Irrep":
+        """X, Y and H from grids of polynomials, each entry checked against
+        its grade; the grid size is checked against j before any basis
+        weight is made."""
         if obj["basis"] not in ("verma", "diagonal"):
             raise ValueError(f"basis must be verma or diagonal, got {obj['basis']!r}")
+        j = ensure_half_integer(obj["j"])
         grids = {
             name: [[BiPoly.from_obj(a) for a in row] for row in obj["matrices"][name]]
             for name in GENERATOR_WEIGHTS
         }
-        return _graded_irrep(ensure_half_integer(obj["j"]), obj["basis"], grids)
-
-
-def _graded_irrep(j: Fraction, basis: str, grids: dict) -> Irrep:
-    """X, Y and H from grids of polynomials, each entry checked against its grade."""
-    return Irrep(j=j, basis=basis, **{
-        name: PolyMatrix.from_polys(grids[name], spin_weights(j), weight)
-        for name, weight in GENERATOR_WEIGHTS.items()
-    })
+        for name, grid in grids.items():
+            if len(grid) != 2 * j + 1:
+                raise DimensionMismatch(f"{name} has {len(grid)} rows, "
+                                        f"but j = {j} needs {2 * j + 1}")
+        return Irrep(j=j, basis=obj["basis"], **{
+            name: PolyMatrix.from_polys(grids[name], spin_weights(j), weight)
+            for name, weight in GENERATOR_WEIGHTS.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -162,52 +165,51 @@ class ClassicalRep:
 
 def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
     """Solve the triangular zero-mode system at lam = 2j by forward
-    substitution."""
+    substitution, on the h-coefficients of a table over the rationals at
+    that lam."""
     j = ensure_half_integer(j)
     lam = int(2 * j)
     num = int(j)  # [j] coefficients
     if table is None:
-        table = build_table(lam + 1)
-    coeffs: list[BiPoly] = []
+        table = build_table(lam + 1, Fraction(lam))
+    coeffs: list[Fraction] = []
     for r in range(1, num + 1):
-        acc = table.X(lam + 1, lam - 2 * r).subs_lam(lam)
+        acc = table.X(lam + 1, lam - 2 * r)
         for p in range(1, r):
-            acc = acc + coeffs[p - 1] * table.X(lam + 1 - 2 * p, lam - 2 * r).subs_lam(lam)
-        lead = table.X(lam + 1 - 2 * r, lam - 2 * r).subs_lam(lam)
-        try:
-            lead_value = lead.constant_value()
-        except ValueError:
-            lead_value = Fraction(0)
-        if lead_value == 0:
+            acc = acc + coeffs[p - 1] * table.X(lam + 1 - 2 * p, lam - 2 * r)
+        lead = table.X(lam + 1 - 2 * r, lam - 2 * r)
+        if lead == 0:
             raise SingularLeadingElement(
                 f"diagonal element X_{lam + 1 - 2 * r}^{lam - 2 * r}(lam={lam}) vanished"
             )
-        coeffs.append(acc.scale(-1 / lead_value))
+        coeffs.append(-acc / lead)
     return SingularVector(j=j, coeffs=tuple(coeffs))
 
 
 # -- the two constructions ------------------------------------------------------
 
 
-def verma_basis_irrep(j, table: ElementTable | None = None) -> Irrep:
-    """X, H restricted from the specialized table; Y = unit subdiagonal plus
-    the singular-vector corrections in the last column.  Any table of level
-    at least 2j + 1 serves: tables are prefix-closed."""
+def verma_basis_irrep(j) -> Irrep:
+    """X, H restricted from the table over the rationals at lam = 2j;
+    Y = unit subdiagonal plus the singular-vector corrections in the last
+    column.  Each grid holds h-coefficients, whose powers of h the grading
+    fixes."""
     j = ensure_half_integer(j)
     lam = int(2 * j)
     dim = lam + 1
-    if table is None:
-        table = build_table(lam + 1)
+    table = build_table(lam + 1, Fraction(lam))
     sv = singular_vector(j, table)
 
-    xm = [[table.X(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]
-    hm = [[table.H(n, m).subs_lam(lam) for n in range(dim)] for m in range(dim)]
-    ym = [[ZERO] * dim for _ in range(dim)]
+    xm = [[table.X(n, m) for n in range(dim)] for m in range(dim)]
+    hm = [[table.H(n, m) for n in range(dim)] for m in range(dim)]
+    ym = [[0] * dim for _ in range(dim)]
     for n in range(dim - 1):
-        ym[n + 1][n] = ONE
+        ym[n + 1][n] = 1
     for p, c in enumerate(sv.coeffs, start=1):
         ym[lam - 2 * p + 1][lam] = -c
-    return _graded_irrep(j, "verma", {"X": xm, "Y": ym, "H": hm})
+    weights = spin_weights(j)
+    return Irrep(j=j, basis="verma", X=PolyMatrix(xm, weights, 2), Y=PolyMatrix(ym, weights, -2),
+                 H=PolyMatrix(hm, weights, 0))
 
 
 def classical_rep(j) -> ClassicalRep:

@@ -21,8 +21,13 @@ and the same-degree X elements are partial sums of H elements:
     X_{m+2n+1}^m = sum_{k=0}^{m} H_{k+2n}^k,
 
 where Z_l is the descending product of X elements from level l+2n to level l
-prescribed by the composition.  The weight symbol stays symbolic throughout;
-specialization happens only at singular-vector solve time.
+prescribed by the composition.  The table stores each element as its
+coefficient of h^{2n} alone, since (kind, n, m) fixes the power, and puts
+h^{2n} back only on output (:meth:`ElementTable.stored_items`).  The
+recursion only adds, multiplies and tests for zero, and putting a value in
+for lam is a ring homomorphism, so it runs over whichever ring holds lam:
+polynomials in lam when lam is the symbol LAM, or the rationals when lam is a
+Fraction, as for the irreps at lam = 2j.
 
 The tests check the recursion against independent closed forms of the
 degree-2 and degree-4 elements.
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BadParity, MissingElement
-from .exact import BiPoly, LAM, ONE, ZERO
+from .exact import BiPoly, LAM
 
 
 def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
@@ -63,103 +68,110 @@ def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
 
 
 class ElementTable:
-    """Memoized matrix elements of the X and H actions up to a maximum level.
+    """Memoized h-coefficients of the X and H actions up to a maximum level.
 
     A completed table is immutable by contract: the operations below only
-    read from it.  Accessors return the zero polynomial for index pairs ruled
-    out by parity or range (the action never maps below w_0)."""
+    read from it.  Every value lies in the ring of lam, whose zero and one
+    the table keeps; accessors return that zero for index pairs ruled out by
+    parity or range (the action never maps below w_0)."""
 
-    def __init__(self, max_level: int):
+    def __init__(self, max_level: int, lam):
         self.max_level = max_level
-        self._H: dict[tuple[int, int], BiPoly] = {}
-        self._X: dict[tuple[int, int], BiPoly] = {}
+        self.lam = lam
+        self.zero = lam - lam
+        self.one = self.zero + 1
+        self._H: dict[tuple[int, int], object] = {}
+        self._X: dict[tuple[int, int], object] = {}
 
-    def H(self, n: int, m: int) -> BiPoly:
+    def H(self, n: int, m: int):
+        """The coefficient of h^{n-m} in H_n^m."""
         if m < 0 or m > n or (n - m) % 2:
-            return ZERO
+            return self.zero
         try:
             return self._H[(n, m)]
         except KeyError:
             raise MissingElement(f"H_{n}^{m} is not in the table (L={self.max_level})")
 
-    def X(self, n: int, m: int) -> BiPoly:
+    def X(self, n: int, m: int):
+        """The coefficient of h^{n-m-1} in X_n^m."""
         if m < 0 or m >= n or (n - m) % 2 == 0:
-            return ZERO
+            return self.zero
         try:
             return self._X[(n, m)]
         except KeyError:
             raise MissingElement(f"X_{n}^{m} is not in the table (L={self.max_level})")
 
     def stored_items(self):
-        """((kind, n, m), value) pairs for everything the table holds."""
-        for (n, m), v in sorted(self._H.items()):
-            yield ("H", n, m), v
-        for (n, m), v in sorted(self._X.items()):
-            yield ("X", n, m), v
+        """((kind, n, m), element) pairs for everything the table holds, each
+        element a polynomial with its power of h put back."""
+        for kind, store, shift in (("H", self._H, 0), ("X", self._X, 1)):
+            for (n, m), v in sorted(store.items()):
+                yield (kind, n, m), BiPoly({(0, n - m - shift): 1}) * v
 
 
-def z_product(m: int, two_n: int, comp: tuple[int, ...], table: ElementTable) -> BiPoly:
+def z_product(m: int, two_n: int, comp: tuple[int, ...], table: ElementTable):
     """Ordered product of X elements descending from level m+2n to m by the
     steps of the composition; zero as soon as one factor is."""
     level = m + two_n
-    acc = ONE
+    acc = table.one
     for step in comp:
         nxt = level - step
         factor = table.X(level, nxt)
-        if factor.is_zero:
-            return ZERO
+        if factor == 0:
+            return table.zero
         acc = acc * factor
         level = nxt
     return acc
 
 
-def composition_sums(l: int, two_n: int, table: ElementTable) -> list[BiPoly]:
+def composition_sums(l: int, two_n: int, table: ElementTable) -> list:
     """Z_l summed over the compositions of 2n into 2k odd parts, one sum for
     each k = 1..n."""
     out = []
     for k in range(1, two_n // 2 + 1):
-        acc = ZERO
+        acc = table.zero
         for comp in odd_compositions(two_n, 2 * k):
             z = z_product(l, two_n, comp, table)
-            if not z.is_zero:
+            if z != 0:
                 acc = acc + z
         out.append(acc)
     return out
 
 
-def h_column(two_n: int, count: int, table: ElementTable) -> list[BiPoly]:
-    """H_{m+2n}^m for m = 0..count-1 from the reorganized recursion.  Z_l
+def h_column(two_n: int, count: int, table: ElementTable) -> list:
+    """The h^{2n}-coefficients of H_{m+2n}^m for m = 0..count-1 from the
+    reorganized recursion, where h^{2k}/(2k)! contributes 1/(2k)!.  Z_l
     enters every H with m >= l, so its composition sums are computed once
     and carried along as running sums over l < m.  Needs every X element of
     h-degree below 2n to be present already."""
     if two_n == 0:
-        return [LAM - 2 * m for m in range(count)]
-    below = [ZERO] * (two_n // 2)
+        return [table.lam - 2 * m for m in range(count)]
+    below = [table.zero] * (two_n // 2)
     out = []
     for m in range(count):
         here = composition_sums(m, two_n, table)
-        acc = ZERO
+        acc = table.zero
         for k, (lower, z) in enumerate(zip(below, here), start=1):
-            inner = lower.scale(2) + z
-            acc = acc + inner.scale(Fraction(-1, factorial(2 * k))).mul_h(2 * k)
+            acc = acc + (2 * lower + z) * Fraction(-1, factorial(2 * k))
         out.append(acc)
         below = [a + b for a, b in zip(below, here)]
     return out
 
 
-def x_element(m: int, two_n: int, table: ElementTable) -> BiPoly:
+def x_element(m: int, two_n: int, table: ElementTable):
     """X_{m+2n+1}^m as the partial sum of same-degree H elements."""
     if two_n == 0:
-        return BiPoly.const(m + 1) * (LAM - m)
-    acc = ZERO
+        return (m + 1) * (table.lam - m)
+    acc = table.zero
     for k in range(m + 1):
         acc = acc + table.H(k + two_n, k)
     return acc
 
 
-def build_table(max_level: int) -> ElementTable:
-    """Fill all H_n^m, X_n^m with n <= max_level, in increasing h-degree."""
-    table = ElementTable(max_level)
+def build_table(max_level: int, lam=LAM) -> ElementTable:
+    """Fill all H_n^m, X_n^m with n <= max_level, in increasing h-degree, over
+    the ring of lam: the symbol LAM or an exact Fraction."""
+    table = ElementTable(max_level, lam)
     for two_n in range(0, max_level + 1, 2):
         for m, value in enumerate(h_column(two_n, max_level - two_n + 1, table)):
             table._H[(m + two_n, m)] = value

@@ -37,13 +37,34 @@ def ladder(n: int) -> tuple[int, ...]:
 def graded(rows, weight: int) -> PolyMatrix:
     """A matrix of the given weight on the n-dimensional irrep from a grid
     of rationals and polynomials in h, each of which must sit on its grade."""
-    polys = [[p if isinstance(p, BiPoly) else BiPoly.const(p) for p in row] for row in rows]
+    polys = [[p if isinstance(p, BiPoly) else term(p, 0, 0) for p in row] for row in rows]
     return PolyMatrix.from_polys(polys, ladder(len(rows)), weight)
 
 
 def diagonal(values) -> PolyMatrix:
     n = len(values)
     return graded([[values[i] if i == j else 0 for j in range(n)] for i in range(n)], 0)
+
+
+def with_h(value, degree: int) -> BiPoly:
+    """value * h^degree, for a rational value or a polynomial."""
+    return term(1, 0, degree) * value
+
+
+def subs_lam(p: BiPoly, value) -> BiPoly:
+    """Evaluate the weight symbol at an exact rational value, term by term."""
+    value = Fraction(value)
+    out = ZERO
+    for (dl, dh), c in p.items():
+        out = out + term(c * value**dl, 0, dh)
+    return out
+
+
+def constant_value(p: BiPoly) -> Fraction:
+    """The value of a degree-zero polynomial; error if any symbol survives."""
+    if any(key != (0, 0) for key, _ in p.items()):
+        raise ValueError(f"{p} is not a constant")
+    return sum((c for _, c in p.items()), Fraction(0))
 
 
 def trace(m: PolyMatrix) -> BiPoly:
@@ -92,8 +113,8 @@ def order_part(el: NCElement, k: int) -> dict:
 def _rho2(n: int) -> BiPoly:
     acc = ZERO
     for k in range(n):
-        acc = acc - BiPoly.const((k + 1) * (k + 2)) * (LAM - k) * (LAM - k - 1)
-    tail = BiPoly.const(Fraction((n + 1) * (n + 2), 2)) * (LAM - n) * (LAM - n - 1)
+        acc = acc - (k + 1) * (k + 2) * (LAM - k) * (LAM - k - 1)
+    tail = Fraction((n + 1) * (n + 2), 2) * (LAM - n) * (LAM - n - 1)
     return acc - tail
 
 
@@ -115,9 +136,9 @@ def _falling4(shift: int) -> BiPoly:
 
 def _rho4_term(k: int) -> BiPoly:
     return (
-        BiPoly.const(k + 4) * (LAM - k - 3) * _sigma2(k)
-        + BiPoly.const(k + 1) * (LAM - k) * _sigma2(k + 1)
-        + _falling4(k).scale(2 * comb(k + 4, 4))
+        (k + 4) * (LAM - k - 3) * _sigma2(k)
+        + (k + 1) * (LAM - k) * _sigma2(k + 1)
+        + _falling4(k) * (2 * comb(k + 4, 4))
     )
 
 
@@ -126,7 +147,7 @@ def _rho4(n: int) -> BiPoly:
     acc = ZERO
     for k in range(n):
         acc = acc - _rho4_term(k)
-    return acc - _rho4_term(n).scale(Fraction(1, 2))
+    return acc - _rho4_term(n) * Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +163,7 @@ _CLOSED_FORMS = {"rho2": _rho2, "sigma2": _sigma2, "rho4": _rho4, "sigma4": _sig
 
 def closed_form_oracle(kind: str, n: int) -> BiPoly:
     """Closed-form value of rho2/sigma2/rho4/sigma4 at index n, as a
-    polynomial in the weight symbol (the caller attaches h^2 or h^4)."""
+    polynomial in the weight symbol: the coefficient of h^2 or h^4."""
     if kind not in _CLOSED_FORMS:
         raise ValueError(f"unknown closed form {kind!r}")
     if n < 0:
@@ -153,14 +174,15 @@ def closed_form_oracle(kind: str, n: int) -> BiPoly:
 # -- actions on Verma vectors ---------------------------------------------------
 
 
-def act(table, generator: str, vector: dict, lam=None) -> dict:
+def act(table, generator: str, vector: dict) -> dict:
     """Apply the table-defined X or H action to sum_n v_n w_n.
 
-    With ``lam`` given, elements are specialized before use.  Y needs no
+    Each table element is an h-coefficient in the table's ring, so its power
+    of h, h^{n-m-1} for X and h^{n-m} for H, is put back here.  Y needs no
     table: it shifts levels up by one."""
     out: dict = {}
     for n, coeff in vector.items():
-        if coeff.is_zero:
+        if coeff == 0:
             continue
         if generator == "Y":
             out[n + 1] = out.get(n + 1, ZERO) + coeff
@@ -168,11 +190,10 @@ def act(table, generator: str, vector: dict, lam=None) -> dict:
         start = n - 1 if generator == "X" else n
         for m in range(start, -1, -2):
             elem = table.X(n, m) if generator == "X" else table.H(n, m)
-            if lam is not None:
-                elem = elem.subs_lam(lam)
-            if not elem.is_zero:
-                out[m] = out.get(m, ZERO) + elem * coeff
-    return {m: c for m, c in out.items() if not c.is_zero}
+            if elem != 0:
+                degree = n - m - 1 if generator == "X" else n - m
+                out[m] = out.get(m, ZERO) + with_h(elem, degree) * coeff
+    return {m: c for m, c in out.items() if c != 0}
 
 
 # -- normal ordering ---------------------------------------------------------------
@@ -230,7 +251,7 @@ def brute_force_actions(max_level):
     h_act = {0: {0: LAM}}
 
     def clean(vec):
-        return {m: c for m, c in vec.items() if not c.is_zero}
+        return {m: c for m, c in vec.items() if c != 0}
 
     def add(*vecs):
         out = {}
@@ -260,7 +281,7 @@ def brute_force_actions(max_level):
             k += 1
             cur = apply_x(apply_x(cur))
             cur = {
-                m: c.mul_h(2).scale(Fraction(1, (2 * k - 1) * (2 * k)))
+                m: with_h(c, 2) * Fraction(1, (2 * k - 1) * (2 * k))
                 for m, c in cur.items()
             }
             acc = add(acc, cur)
@@ -330,14 +351,14 @@ def grid_nilpotent_apply(kind: str, a, h_power: int) -> list:
     n = len(a)
     stream = STREAMS[kind]()
     step = grid_scale(a, BiPoly({(0, h_power): 1}))
-    acc = grid_scale(grid_identity(n), BiPoly.const(next(stream)))
+    acc = grid_scale(grid_identity(n), term(next(stream), 0, 0))
     power = grid_identity(n)
     for _ in range(n):  # a nilpotent n x n grid has a zero n-th power
         power = grid_mul(power, step)
         coeff = next(stream)
-        if all(p.is_zero for row in power for p in row):
+        if all(p == 0 for row in power for p in row):
             return acc
-        acc = grid_add(acc, grid_scale(power, BiPoly.const(coeff)))
+        acc = grid_add(acc, grid_scale(power, term(coeff, 0, 0)))
     raise NotNilpotent("grid power is nonzero")
 
 
@@ -357,6 +378,6 @@ def charpoly(m: PolyMatrix) -> list[BiPoly]:
         if k > 1:
             aux = grid_add(grid_mul(a, aux), grid_scale(grid_identity(n), coeffs[k - 1]))
             mat = grid_mul(a, aux)
-        c = sum((mat[i][i] for i in range(n)), ZERO).scale(Fraction(-1, k))
+        c = sum((mat[i][i] for i in range(n)), ZERO) * Fraction(-1, k)
         coeffs.append(c)
     return coeffs

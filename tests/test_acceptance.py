@@ -25,7 +25,7 @@ from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
 from jordanrep.verma import build_table
 
 import golden
-from oracles import brute_force_actions, closed_form_oracle, term
+from oracles import brute_force_actions, closed_form_oracle, term, with_h
 
 
 class Budget:
@@ -95,10 +95,11 @@ def test_criterion_4_closed_form_equivalence():
     with Budget("4 closed-form oracle equivalence n<=12, symbolic weight", 5.0):
         table = build_table(17)
         for n in range(13):
-            assert table.H(n + 2, n) == closed_form_oracle("rho2", n).mul_h(2), n
-            assert table.X(n + 3, n) == closed_form_oracle("sigma2", n).mul_h(2), n
-            assert table.H(n + 4, n) == closed_form_oracle("rho4", n).mul_h(4), n
-            assert table.X(n + 5, n) == closed_form_oracle("sigma4", n).mul_h(4), n
+            # the table holds each element's coefficient of h^2 or h^4
+            assert table.H(n + 2, n) == closed_form_oracle("rho2", n), n
+            assert table.X(n + 3, n) == closed_form_oracle("sigma2", n), n
+            assert table.H(n + 4, n) == closed_form_oracle("rho4", n), n
+            assert table.X(n + 5, n) == closed_form_oracle("sigma4", n), n
 
 
 def test_criterion_5_relation_suite_all_spins():
@@ -123,9 +124,9 @@ def test_criterion_6_direct_action_oracle():
         for n in range(max_level + 1):
             for m in range(n + 1):
                 if (n - m) % 2:
-                    assert x_act[n].get(m, zero) == table.X(n, m), ("X", n, m)
+                    assert x_act[n].get(m, zero) == with_h(table.X(n, m), n - m - 1), ("X", n, m)
                 else:
-                    assert h_act[n].get(m, zero) == table.H(n, m), ("H", n, m)
+                    assert h_act[n].get(m, zero) == with_h(table.H(n, m), n - m), ("H", n, m)
 
 
 def test_criterion_7_hopf_checks():

@@ -1,8 +1,10 @@
-"""The verify jobs of the benchmark's tensor and mixed workloads keep the
-report suites and check labels pinned in bench/reference.json.
+"""The benchmark's jobs keep the output pinned in bench/reference.json: the
+verify jobs of the tensor and mixed workloads their report suites and check
+labels, and the construct jobs their stdout bytes (by SHA-256).
 
-The benchmark gate rejects a run whose labels differ from the reference, so
-a renamed, dropped or reordered check must show here first.  Each job runs
+The benchmark gate rejects a run whose output differs from the reference, so
+a renamed, dropped or reordered check, or one changed byte of a constructed
+table, irrep or singular vector, must show here first.  Each job runs
 in-process and its stdout goes through the gate itself; bench/ is only read.
 """
 
@@ -27,10 +29,20 @@ def _load(name: str):
 gate = _load("gate")
 WORKLOADS = _load("workloads").WORKLOADS
 JOBS = [job for w in ("tensor", "mixed") for job in WORKLOADS[w] if job.is_verify]
+CONSTRUCT = [job for job in WORKLOADS["construct"] if not job.is_verify]
+
+
+def run_through_gate(capsys, job):
+    code = main(list(job.argv))
+    stdout = capsys.readouterr().out.encode()
+    return gate.check(job, code, stdout, gate.load_reference())
 
 
 @pytest.mark.parametrize("job", JOBS, ids=[job.id for job in JOBS])
 def test_verify_job_keeps_its_pinned_labels(capsys, job):
-    code = main(list(job.argv))
-    stdout = capsys.readouterr().out.encode()
-    assert gate.check(job, code, stdout, gate.load_reference()) is None
+    assert run_through_gate(capsys, job) is None
+
+
+@pytest.mark.parametrize("job", CONSTRUCT, ids=[job.id for job in CONSTRUCT])
+def test_construct_job_prints_its_pinned_bytes(capsys, job):
+    assert run_through_gate(capsys, job) is None

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanrep import cli
+from jordanrep import cli, irrep
 from jordanrep.cli import main
 from jordanrep.errors import InputError, NotNilpotent
 from jordanrep.exact import PolyMatrix
@@ -287,6 +287,86 @@ def test_tensor_cap_is_checked_before_any_work(monkeypatch, capsys):
         largest = str(Fraction(cli.MAX_TENSOR_DIM - 1, 2))
         with pytest.raises(AssertionError, match=f"suite ran at \\(0, {largest}\\)"):
             main(["verify", suite, "--j1", "0", "--j2", largest])
+
+
+def test_level_and_spin_caps_are_checked_before_any_work(monkeypatch, capsys):
+    class Started(Exception):
+        pass
+
+    def never(*args):
+        raise Started(*args)
+
+    for name in ("build_table", "verma_basis_irrep", "classical_rep", "singular_vector"):
+        monkeypatch.setattr(cli, name, never)
+    over = str(cli.MAX_SPIN + Fraction(1, 2))
+    too_big = [
+        ["elements", "--max-level", str(cli.MAX_LEVEL + 1)],
+        ["elements", "--max-level", str(2 * cli.MAX_SPIN + 2), "--lambda", "7"],
+        ["irrep", "--j", over, "--basis", "verma"],
+        ["irrep", "--j", over, "--basis", "diagonal"],
+        ["singvec", "--lambda", str(2 * cli.MAX_SPIN + 1)],
+        ["verify", "sl2", "--j-max", over],
+        ["verify", "all", "--j-max", over],
+    ]
+    for argv in too_big:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert "is above the largest" in captured.err
+    # the largest allowed sizes reach the builders
+    largest = [
+        (["elements", "--max-level", str(cli.MAX_LEVEL)], (cli.MAX_LEVEL,)),
+        (["elements", "--max-level", str(2 * cli.MAX_SPIN + 1), "--lambda", "7"],
+         (2 * cli.MAX_SPIN + 1, 7)),
+        (["irrep", "--j", str(cli.MAX_SPIN), "--basis", "verma"], (cli.MAX_SPIN,)),
+        (["irrep", "--j", str(cli.MAX_SPIN), "--basis", "diagonal"], (cli.MAX_SPIN,)),
+        (["singvec", "--lambda", str(2 * cli.MAX_SPIN)], (cli.MAX_SPIN,)),
+    ]
+    for argv, args in largest:
+        with pytest.raises(Started) as exc:
+            main(argv)
+        assert exc.value.args == args, argv
+    for suite in ("sl2", "all"):
+        with pytest.raises(Started):
+            main(["verify", suite, "--j-max", str(cli.MAX_SPIN)])
+
+
+def test_huge_j_from_json_is_refused_before_any_basis_weight(tmp_path, monkeypatch, capsys):
+    """A "j" far above its grids' size exits 2 on the size check, before
+    spin_weights could build 2j + 1 basis weights."""
+    def never(j):
+        raise AssertionError(f"spin_weights({j}) ran")
+
+    monkeypatch.setattr(irrep, "spin_weights", never)
+    payload = {"j": "1000000000000", "basis": "diagonal",
+               "matrices": {name: [[[]]] for name in ("X", "Y", "H")}}
+    rep_file = tmp_path / "huge.json"
+    rep_file.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "needs 2000000000001" in captured.err
+
+
+def test_elements_json_puts_back_each_power_of_h(capsys):
+    """The table keeps h-coefficients; every JSON entry carries h^{n-m} (H)
+    or h^{n-m-1} (X), symbolic or at a rational lam."""
+    for extra in ([], ["--lambda", "5/3"]):
+        code, payload = run_json(capsys, ["elements", "--max-level", "9", *extra])
+        assert code == 0
+        assert len(payload["elements"]) == 30 + 25  # H and X elements up to level 9
+        kinds = set()
+        for e in payload["elements"]:
+            degree = e["n"] - e["m"] - (e["generator"] == "X")
+            assert e["value"] and all(t["h"] == degree for t in e["value"]), e
+            kinds.add(e["generator"])
+        assert kinds == {"H", "X"}
 
 
 def test_grid_cap_is_checked_before_allocating():

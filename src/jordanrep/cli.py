@@ -56,9 +56,12 @@ MAX_GRID_POINTS = 100_000
 MAX_ORDER = 30
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`.
-#: The slowest shape is the most lopsided: `verify so4 --j1 0 --j2 40` takes
-#: 16-19 s on a 2-vCPU host, (1, 13) about 9 s and (4, 4) about 7 s.
-MAX_TENSOR_DIM = 81
+#: The slowest shape is the most lopsided, whose one large irrep carries the
+#: longest integers: `verify so4 --j1 0 --j2 107` takes 49-54 s on a 2-vCPU
+#: host ((0, 40) / (0, 80) / (0, 100): 1.6 / 16 / 36 s, about dim^4.6), and
+#: `verify hopf --j1 0 --j2 107` 37 s.  Wider shapes of the same dimension
+#: are cheaper: (1, 35) takes 6.4 s and (7, 7) 4.6 s.
+MAX_TENSOR_DIM = 215
 
 #: Largest --max-level of the symbolic `elements` table, built in about a
 #: minute on a 2-vCPU host (L = 19 / 21 / 23: 8 / 28 / 80 s, about 2.8x per

@@ -6,16 +6,23 @@ sums on a tensor product), entry (r, c) of a matrix of weight w is a
 multiple of h^d with d = (wt_r - wt_c - w) / 2.  So a :class:`PolyMatrix`
 stores its values at h = 1, the basis weights and w, and two matrices of one
 weight on one basis are equal exactly when their values at h = 1 are.  The
-grade is checked where a matrix enters (the constructor,
-:meth:`~PolyMatrix.from_polys` and :meth:`~PolyMatrix.divide_h`; zeros and
-the identity are graded by construction), and graded operands give graded
-results.
+values are a grid of Python ints over one positive common denominator, in
+canonical form (no factor common to the denominator and every numerator,
+denominator 1 for the zero matrix), so all arithmetic is on ints and
+equality stays structural; a ``Fraction`` is rebuilt per entry only for
+output and failure reports.  The grade is checked where a matrix enters (the
+constructor, :meth:`~PolyMatrix.from_polys` and :meth:`~PolyMatrix.divide_h`;
+zeros and the identity are graded by construction), and graded operands
+give graded results.
 Mismatched bases or weights and off-grade entries raise DimensionMismatch.
 Analytic functions (exp, sinh, arctanh, sqrt, ...) are evaluated on
 nilpotent matrices only, where the Taylor series terminates.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from ..errors import DimensionMismatch, NotNilpotent
 from .poly import BiPoly, ZERO, as_fraction
@@ -30,33 +37,57 @@ def _degree(weights, weight: int, r: int, c: int) -> int:
     return twice // 2
 
 
+def _check_grade(nums, weights, weight: int):
+    """DimensionMismatch unless every nonzero entry sits on its grade."""
+    for r, row in enumerate(nums):
+        for c, v in enumerate(row):
+            if v:
+                _degree(weights, weight, r, c)
+
+
 def _term(weights, weight: int, r: int, c: int, value) -> BiPoly:
     """value * h^d, the entry (r, c) rebuilt for output."""
     return BiPoly({(0, _degree(weights, weight, r, c)): value}) if value else ZERO
 
 
-def _graded(values, weights, weight: int) -> "PolyMatrix":
-    """A matrix whose grade follows from graded operands: no check."""
+def _graded(nums, den: int, weights, weight: int) -> "PolyMatrix":
+    """A matrix already in canonical form whose grade follows from graded
+    operands: no check."""
     m = PolyMatrix.__new__(PolyMatrix)
-    m.values, m.weights, m.weight, m.rows = values, weights, weight, len(weights)
+    m.nums, m.den, m.weights, m.weight, m.rows = nums, den, weights, weight, len(weights)
     return m
 
 
-class PolyMatrix:
-    """Immutable square matrix: values at h = 1, basis weights, one weight."""
+def _reduced(nums, den: int, weights, weight: int) -> "PolyMatrix":
+    """nums / den (den > 0) brought to canonical form by their common factor."""
+    g = den
+    for row in nums:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g != 1:
+        nums, den = [[a // g for a in row] for row in nums], den // g
+    return _graded(nums, den, weights, weight)
 
-    __slots__ = ("values", "weights", "weight", "rows")
+
+class PolyMatrix:
+    """Immutable square matrix: values at h = 1 as int numerators ``nums``
+    over one common denominator ``den``, basis weights, one weight."""
+
+    __slots__ = ("nums", "den", "weights", "weight", "rows")
 
     def __init__(self, values, weights, weight: int):
+        """From a grid of ints and rationals, in one pass over their
+        denominators: over their lcm the grid is already canonical."""
         weights = tuple(weights)
-        values = [[as_fraction(v) for v in row] for row in values]
+        values = [[v if type(v) is int else as_fraction(v) for v in row] for row in values]
         if len(values) != len(weights) or any(len(row) != len(weights) for row in values):
             raise DimensionMismatch(f"{len(weights)} basis weights need a square grid of that size")
-        for r, row in enumerate(values):
-            for c, v in enumerate(row):
-                if v:
-                    _degree(weights, weight, r, c)
-        self.values, self.weights, self.weight, self.rows = values, weights, weight, len(weights)
+        den = lcm(*(v.denominator for row in values for v in row))
+        nums = [[v.numerator * (den // v.denominator) for v in row] for row in values]
+        _check_grade(nums, weights, weight)
+        self.nums, self.den, self.weights, self.weight, self.rows = (
+            nums, den, weights, weight, len(weights))
 
     # -- constructors --------------------------------------------------------
 
@@ -75,19 +106,20 @@ class PolyMatrix:
     @staticmethod
     def zeros(weights, weight: int) -> "PolyMatrix":
         """Graded at any weight."""
-        return _graded([[0] * len(weights) for _ in weights], tuple(weights), weight)
+        return _graded([[0] * len(weights) for _ in weights], 1, tuple(weights), weight)
 
     @staticmethod
     def identity(weights) -> "PolyMatrix":
         """Graded at weight 0: its entries sit on the diagonal."""
         n = len(weights)
-        return _graded([[int(i == j) for j in range(n)] for i in range(n)], tuple(weights), 0)
+        return _graded([[int(i == j) for j in range(n)] for i in range(n)], 1,
+                       tuple(weights), 0)
 
     # -- access ---------------------------------------------------------------
 
     def __getitem__(self, key) -> BiPoly:
         i, j = key
-        return _term(self.weights, self.weight, i, j, self.values[i][j])
+        return _term(self.weights, self.weight, i, j, Fraction(self.nums[i][j], self.den))
 
     def _require_same_grading(self, other: "PolyMatrix"):
         if self.weights != other.weights or self.weight != other.weight:
@@ -99,74 +131,82 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._require_same_grading(other)
-        return _graded(
-            [[a + b if a and b else a or b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.values, other.values)],
-            self.weights, self.weight,
-        )
+        da, db = self.den, other.den
+        if da == db:
+            nums = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.nums, other.nums)]
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g  # lcm(da, db) = da fa = db fb
+            nums = [[a * fa + b * fb for a, b in zip(ra, rb)]
+                    for ra, rb in zip(self.nums, other.nums)]
+            da *= fa
+        return _reduced(nums, da, self.weights, self.weight)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self + -other
 
     def __neg__(self) -> "PolyMatrix":
-        return _graded([[-a if a else 0 for a in row] for row in self.values],
+        return _graded([[-a for a in row] for row in self.nums], self.den,
                        self.weights, self.weight)
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.weights != other.weights:
             raise DimensionMismatch(f"{self.weights} times {other.weights}")
-        bt = other.values
+        # skip zero entries on both sides: the representation matrices are sparse
+        b_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.nums]
         n = self.rows
         out = []
-        for row in self.values:
-            # skip zero left entries: the representation matrices are sparse
-            nz = [(bt[k], a) for k, a in enumerate(row) if a]
+        for row in self.nums:
             acc_row = [0] * n
-            for b_row, a in nz:
-                for j, b in enumerate(b_row):
-                    if b:
-                        acc = acc_row[j]
-                        acc_row[j] = acc + a * b if acc else a * b
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in b_rows[k]:
+                        acc_row[j] += a * b
             out.append(acc_row)
-        return _graded(out, self.weights, self.weight + other.weight)
+        return _reduced(out, self.den * other.den, self.weights, self.weight + other.weight)
 
     def scale(self, q) -> "PolyMatrix":
         q = as_fraction(q)
-        return _graded([[a * q if a else 0 for a in row] for row in self.values],
-                       self.weights, self.weight)
+        p = q.numerator
+        return _reduced([[a * p for a in row] for row in self.nums], self.den * q.denominator,
+                        self.weights, self.weight)
 
     # -- grading ------------------------------------------------------------------
 
     def mul_h(self) -> "PolyMatrix":
         """Times h: one more power of h in every entry, weight - 2."""
-        return _graded(self.values, self.weights, self.weight - 2)
+        return _graded(self.nums, self.den, self.weights, self.weight - 2)
 
     def divide_h(self) -> "PolyMatrix":
         """Exact division by h, weight + 2; an entry without h is refused."""
-        return PolyMatrix(self.values, self.weights, self.weight + 2)
+        _check_grade(self.nums, self.weights, self.weight + 2)
+        return _graded(self.nums, self.den, self.weights, self.weight + 2)
 
     # -- structure ----------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not any(a for row in self.values for a in row)
+        return not any(any(row) for row in self.nums)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
         """Tensor (Kronecker) product, row-major block convention."""
         out = []
-        for ra in self.values:
-            for rb in other.values:
+        for ra in self.nums:
+            for rb in other.nums:
                 out.append([a * b for a in ra for b in rb])
         weights = tuple(a + b for a in self.weights for b in other.weights)
-        return _graded(out, weights, self.weight + other.weight)
+        return _reduced(out, self.den * other.den, weights, self.weight + other.weight)
 
     def first_difference(self, other: "PolyMatrix"):
         """(row, col, self_entry, other_entry) of the first mismatch, or None."""
         self._require_same_grading(other)
-        for i, (ra, rb) in enumerate(zip(self.values, other.values)):
-            if ra != rb:
-                j = next(c for c in range(self.rows) if ra[c] != rb[c])
-                return (i, j, self[i, j], other[i, j])
+        da, db = self.den, other.den
+        for i, (ra, rb) in enumerate(zip(self.nums, other.nums)):
+            if da == db and ra == rb:
+                continue
+            for j, (a, b) in enumerate(zip(ra, rb)):
+                if a * db != b * da:
+                    return (i, j, self[i, j], other[i, j])
         return None
 
     def __eq__(self, other):
@@ -175,7 +215,8 @@ class PolyMatrix:
         return (
             self.weights == other.weights
             and self.weight == other.weight
-            and self.values == other.values
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     # -- serialization --------------------------------------------------------------
@@ -209,7 +250,7 @@ def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     """
     if m.weight < 0 or m.weight % 2:
         raise DimensionMismatch(f"h^(w/2) m needs an even weight w >= 0, got {m.weight}")
-    m = _graded(m.values, m.weights, 0)  # h^{w/2} m has the same values at h = 1
+    m = _graded(m.nums, m.den, m.weights, 0)  # h^{w/2} m has the same values at h = 1
     d = m.rows
     stream = STREAMS[kind]()
     acc = PolyMatrix.identity(m.weights).scale(next(stream))
@@ -226,7 +267,7 @@ def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     return acc
 
 
-def _axpy(acc: dict, c, items) -> dict:
+def _axpy(acc: dict, c: int, items) -> dict:
     """acc += c * x for the (key, value) items of a sparse x; zeros are dropped."""
     for key, x in items:
         s = acc.get(key, 0) + c * x
@@ -237,15 +278,10 @@ def _axpy(acc: dict, c, items) -> dict:
     return acc
 
 
-def _sparse(m: PolyMatrix) -> dict:
-    """The nonzero values at h = 1 of m, keyed by (row, col)."""
-    return {(i, k): x for i, row in enumerate(m.values) for k, x in enumerate(row) if x}
-
-
 def _first_nonzero(pairs, r: int):
     """(row, col) of the first nonzero entry, in row-major order, of
-    sum E (x) F over pairs of sparse legs whose right legs are r x r; None
-    for an empty list.  Entry (p*r + i, q*r + k) is sum E[p,q] F[i,k]."""
+    sum E (x) F over pairs of sparse int legs whose right legs are r x r;
+    None for an empty list.  Entry (p*r + i, q*r + k) is sum E[p,q] F[i,k]."""
     for row in sorted({p * r + i for e, f in pairs for p, _ in e for i, _ in f}):
         p, i = divmod(row, r)
         acc: dict = {}
@@ -257,6 +293,12 @@ def _first_nonzero(pairs, r: int):
         if acc:
             return row, min(acc)
     return None
+
+
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den in lowest terms with a positive denominator."""
+    g = gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
 
 
 class TensorSum:
@@ -304,40 +346,66 @@ class TensorSum:
         row-major order (block (p,q) of sum_i A_i (x) B_i sits at rows p*r..
         and columns q*r.., where B_i is r x r), without assembling them.
         Every pair has one weight, so the values at h = 1 add up entry by
-        entry.  The difference self - other is rewritten as sum_m E_m (x) F_m
-        with linearly independent E_m (an operator-Schmidt reduction, by
-        Gaussian elimination over Q on the flattened left legs): each left
-        leg is reduced against the earlier pivots, each multiple c E_m it
-        contains adds c B to F_m, and a nonzero remainder becomes a new E_m.
-        The sums agree exactly when every F_m is zero; otherwise only the
-        pairs with F_m != 0 are scanned for the first mismatch."""
+        entry.  The difference self - other, times the lcm of the pairs'
+        denominators, is a sum of pairs of int legs, each sign and share of
+        that lcm going into the right leg.  It is rewritten as
+        sum_m E_m (x) F_m with linearly independent E_m (an operator-Schmidt
+        reduction, by fraction-free Gaussian elimination on the flattened
+        left legs): a left leg v with v[key] = c is reduced against the pivot
+        p = E_m[key] as v <- p v - c E_m, its content divided out, and the
+        rational share c/p of its right leg added to F_m; a nonzero
+        remainder becomes a new E_m.  Each pending leg carries one int ratio
+        and each F_m one int denominator.  The sums agree exactly when every
+        F_m is zero; otherwise only the pairs with F_m != 0 are scanned, over
+        one common denominator, for the first mismatch."""
         grading, other_grading = self._grading(), other._grading()
         if grading != other_grading:
             raise DimensionMismatch(f"tensor gradings {grading} vs {other_grading}")
         left, right, weight = grading
         r = len(right)
-        basis = []  # (pivot key, pivot value, E_m, F_m), E_m and F_m sparse
-        for sign, pairs in ((1, self.pairs), (-1, other.pairs)):
-            for a, b in pairs:
-                v, b_items = _sparse(a), _sparse(b).items()
-                for key, pivot, e, f in basis:
-                    c = v.get(key)
-                    if c:
-                        c /= pivot
-                        _axpy(v, -c, e.items())
-                        _axpy(f, sign * c, b_items)
-                if v:
-                    key = next(iter(v))
-                    # identity and zeros hold ints: a Fraction pivot keeps
-                    # c / pivot off int / int, which would give a float
-                    basis.append((key, as_fraction(v[key]), v, _axpy({}, sign, b_items)))
-        found = _first_nonzero([(e, f) for _, _, e, f in basis if f], r)
+        signed = [(1, a, b) for a, b in self.pairs] + [(-1, a, b) for a, b in other.pairs]
+        scale = lcm(*(a.den * b.den for _, a, b in signed))
+        basis = []  # [pivot key, pivot, E_m, F_m, denominator of F_m], sparse int legs
+        for sign, a, b in signed:
+            # the pending term v (x) (num/den) B, with a and b's int numerators v and B
+            v = {(i, k): x for i, row in enumerate(a.nums) for k, x in enumerate(row) if x}
+            b_items = [((i, k), y) for i, row in enumerate(b.nums) for k, y in enumerate(row) if y]
+            num, den = sign * (scale // (a.den * b.den)), 1
+            for item in basis:
+                if not v:
+                    break
+                key, pivot, e, f, f_den = item
+                c = v.get(key)
+                if not c:
+                    continue
+                # v = (c/p) E_m + (p v - c E_m) / p
+                share, share_den = _ratio(c * num, pivot * den)
+                common = lcm(f_den, share_den)
+                if common != f_den:
+                    f_scale = common // f_den
+                    for k in f:
+                        f[k] *= f_scale
+                    item[4] = common
+                _axpy(f, share * (common // share_den), b_items)
+                v = _axpy({k: pivot * x for k, x in v.items()}, -c, e.items())
+                content = gcd(*v.values())
+                if content > 1:
+                    v = {k: x // content for k, x in v.items()}
+                num, den = _ratio(num * content, den * pivot)
+            if v:
+                key = next(iter(v))
+                basis.append([key, v[key], v, {k: num * y for k, y in b_items}, den])
+        live = [(e, f, f_den) for _, _, e, f, f_den in basis if f]
+        common = lcm(*(f_den for _, _, f_den in live))
+        found = _first_nonzero([(e, {k: y * (common // f_den) for k, y in f.items()})
+                                for e, f, f_den in live], r)
         if found is None:
             return None
         row, col = found
         (p, i), (q, k) = divmod(row, r), divmod(col, r)
         weights = tuple(a + b for a in left for b in right)
         lhs, rhs = (_term(weights, weight, row, col,
-                          sum(a.values[p][q] * b.values[i][k] for a, b in pairs))
+                          sum(Fraction(a.nums[p][q] * b.nums[i][k], a.den * b.den)
+                              for a, b in pairs))
                     for pairs in (self.pairs, other.pairs))
         return row, col, lhs, rhs

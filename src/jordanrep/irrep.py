@@ -106,9 +106,20 @@ class Irrep:
 
     @cached_property
     def e(self) -> dict[int, PolyMatrix]:
-        """{+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every exponential, cosh and sinh."""
-        return {+1: nilpotent_apply("exp", self.X), -1: nilpotent_apply("exp", -self.X),
-                0: PolyMatrix.identity(self.X.weights)}
+        """{+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every exponential, cosh and sinh.
+
+        One pass over the powers (hX)^k/k!, which end because X (of weight 2)
+        is strictly upper triangular: the even ones sum to E = cosh(hX), the
+        odd ones to O = sinh(hX), and e^{±hX} = E ± O."""
+        hx = self.X.mul_h()
+        one = PolyMatrix.identity(hx.weights)
+        parts, power, k = [one, PolyMatrix.zeros(hx.weights, 0)], one, 0
+        while not power.is_zero:
+            k += 1
+            power = (power * hx).scale(Fraction(1, k))
+            parts[k % 2] = parts[k % 2] + power
+        even, odd = parts
+        return {+1: even + odd, -1: even - odd, 0: one}
 
     def to_obj(self) -> dict:
         return {
@@ -281,7 +292,7 @@ def casimir(r: Irrep) -> tuple[bool, Fraction]:
     c = anticommutator(r.Y, sinh_hx).divide_h().scale(Fraction(1, 2))
     c = c + (r.H * r.H).scale(Fraction(1, 4))
     c = c + (sinh_hx * sinh_hx).scale(Fraction(1, 4))
-    value = c.values[0][0]
+    value = Fraction(c.nums[0][0], c.den)
     is_scalar = (c - PolyMatrix.identity(c.weights).scale(value)).is_zero
     return is_scalar, value
 

@@ -88,7 +88,7 @@ def negate_h(m: PolyMatrix) -> PolyMatrix:
     """Substitute h -> -h: entries with an odd power of h change sign."""
     wt, w = m.weights, m.weight
     return PolyMatrix([[-a if (wt[r] - wt[c] - w) // 2 % 2 else a for c, a in enumerate(row)]
-                       for r, row in enumerate(m.values)], wt, w)
+                       for r, row in enumerate(subs_h(m, 1))], wt, w)
 
 
 def is_homogeneous_h(p: BiPoly, degree: int) -> bool:

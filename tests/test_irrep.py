@@ -10,6 +10,7 @@ from jordanrep.irrep import (
     Irrep,
     casimir,
     classical_rep,
+    cosh_sinh,
     ensure_half_integer,
     map_to_deformed,
     singular_vector,
@@ -153,7 +154,7 @@ def test_relations_both_bases(j):
 
 def test_relations_negative_control():
     r = verma_basis_irrep(Fraction(3, 2))
-    rows = [list(row) for row in r.X.values]
+    rows = subs_h(r.X, 1)
     rows[0][1] = -rows[0][1]
     corrupted = Irrep(j=r.j, basis=r.basis, X=PolyMatrix(rows, r.X.weights, 2), Y=r.Y, H=r.H)
     report = verify_sl2_relations(corrupted)
@@ -168,9 +169,23 @@ def test_missing_power_of_h_is_caught_by_the_weight():
     have the same values at h = 1; only their weights, 2 and 0, differ."""
     for r in (verma_basis_irrep(Fraction(5, 2)), map_to_deformed(classical_rep(Fraction(5, 2)))):
         lhs, wrong = commutator(r.H, r.X), nilpotent_apply("sinh", r.X).scale(2)
-        assert lhs.values == wrong.values
+        assert subs_h(lhs, 1) == subs_h(wrong, 1)
         with pytest.raises(DimensionMismatch):
             VerificationReport("control").check_matrix_identity("[H,X] = 2 sinh(hX)", lhs, wrong)
+
+
+@pytest.mark.parametrize("two_j", range(13))
+def test_one_pass_exponentials_match_the_two_series(two_j):
+    """Irrep.e sums the even and odd powers of hX in one pass; the two
+    exponential series, cosh and sinh of nilpotent_apply are the oracle."""
+    j = Fraction(two_j, 2)
+    for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+        e_plus, e_minus = r.e[+1], r.e[-1]
+        assert e_plus == nilpotent_apply("exp", r.X)
+        assert e_minus == nilpotent_apply("exp", -r.X)
+        assert e_plus * e_minus == r.e[0] == PolyMatrix.identity(r.X.weights)
+        assert cosh_sinh(e_plus, e_minus) == (nilpotent_apply("cosh", r.X),
+                                              nilpotent_apply("sinh", r.X))
 
 
 def test_traces_vanish():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -214,16 +215,27 @@ small_values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(1, 
 
 
 @st.composite
-def graded_matrices(draw, n: int, weight: int):
+def graded_matrices(draw, n: int, weight: int, values=small_values):
     """A random matrix of the given weight on the n-dimensional irrep: each
     entry whose power of h, j - i - weight/2, is a natural number gets a
     random value, every other entry is zero."""
     return PolyMatrix(
-        [[draw(small_values) if j - i - weight // 2 >= 0 else 0 for j in range(n)]
+        [[draw(values) if j - i - weight // 2 >= 0 else 0 for j in range(n)]
          for i in range(n)],
         ladder(n),
         weight,
     )
+
+
+# a factor per leg, so that the legs of one sum carry distinct denominators
+leg_factors = st.sampled_from([1, -1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 6),
+                               Fraction(3, 10), Fraction(9, 4)])
+
+
+@st.composite
+def scaled_legs(draw, n: int, weight: int):
+    """A graded matrix times a drawn factor."""
+    return draw(graded_matrices(n, weight)).scale(draw(leg_factors))
 
 
 @st.composite
@@ -237,12 +249,12 @@ def tensor_sum_pairs(draw):
     @st.composite
     def pair(draw):
         left = draw(st.sampled_from([-2, 0, 2]))
-        return draw(graded_matrices(n, left)), draw(graded_matrices(r, total - left))
+        return draw(scaled_legs(n, left)), draw(scaled_legs(r, total - left))
 
     pairs = st.lists(pair(), min_size=1, max_size=3)
     lhs = draw(pairs)
     (a, b), rest = lhs[0], lhs[1:]
-    part = draw(graded_matrices(r, b.weight))
+    part = draw(scaled_legs(r, b.weight))
     rhs = list(reversed(rest)) + [(a, b - part), (a, part)]
     if draw(st.booleans()):
         rhs += draw(pairs)[:2]
@@ -264,23 +276,24 @@ def dependent_tensor_sums(draw):
     a (x) b + c (x) b, (2a) (x) (b/2) against a (x) b, and
     a (x) b + (a+c) (x) d + c (x) (-d), whose legs cancel only once a+c is
     reduced against a, against a (x) (b+d).  Pairs come in any order, and a
-    stray pair on either side makes the sums unequal.  Weight-0 left legs
-    may be the identity, whose values are ints, so that a and c can both be
-    the identity and a+c twice it."""
+    stray pair on either side makes the sums unequal.  Every leg carries
+    its own factor, so the pairs' denominators differ.  Weight-0 left legs
+    may be the identity, so that a and c can both be the identity and a+c
+    twice it."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     left, total = draw(st.sampled_from([-2, 0, 2])), draw(st.sampled_from([-2, 0, 2]))
-    legs = graded_matrices(n, left)
+    legs = scaled_legs(n, left)
     if left == 0:
         legs = st.one_of(legs, st.just(PolyMatrix.identity(ladder(n))))
     a, c = draw(legs), draw(legs)
-    b, d = draw(graded_matrices(r, total - left)), draw(graded_matrices(r, total - left))
+    b, d = draw(scaled_legs(r, total - left)), draw(scaled_legs(r, total - left))
     lhs, rhs = draw(st.sampled_from([
         ([(a + c, b)], [(a, b), (c, b)]),
         ([(a.scale(2), b.scale(Fraction(1, 2)))], [(a, b)]),
         ([(a, b), (a + c, d), (c, -d)], [(a, b + d)]),
     ]))
     if draw(st.booleans()):
-        stray = (draw(graded_matrices(n, left)), draw(graded_matrices(r, total - left)))
+        stray = (draw(scaled_legs(n, left)), draw(scaled_legs(r, total - left)))
         (lhs if draw(st.booleans()) else rhs).append(stray)
     return TensorSum(draw(st.permutations(lhs))), TensorSum(draw(st.permutations(rhs)))
 
@@ -363,3 +376,49 @@ def test_graded_arithmetic_matches_polynomial_grids(operands, kind):
     assert expand(nilpotent_apply(kind, nil)) == grid_nilpotent_apply(
         kind, expand(nil), nil.weight // 2
     )
+
+
+# entries with distinct denominators, so that sums and products meet
+# unequal denominators and common factors that must be divided out
+mixed_values = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 10), Fraction(-1, 2),
+                                Fraction(3, 7), Fraction(5, 6), Fraction(-4, 9)])
+
+
+def assert_canonical(m: PolyMatrix):
+    """Int numerators over a positive denominator with no common factor;
+    the zero matrix has denominator 1."""
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for row in m.nums for x in row)
+    assert gcd(m.den, *(x for row in m.nums for x in row)) == 1
+    if m.is_zero:
+        assert m.den == 1
+
+
+@st.composite
+def mixed_triples(draw):
+    """Three matrices with mixed denominators on one spin-j space: a and c
+    of one weight, b of another."""
+    n = draw(st.integers(1, 5))
+    weights = st.sampled_from([-2, 0, 2])
+    wa, wb = draw(weights), draw(weights)
+    return tuple(draw(graded_matrices(n, w, mixed_values)) for w in (wa, wb, wa))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_triples(), st.sampled_from([3, Fraction(-7, 6), Fraction(10, 3), 0]))
+def test_results_are_canonical_and_exact(operands, q):
+    a, b, c = operands
+    results = [a, b, a + c, a - c, a - a, -a, a * b, b * a, a.kron(b), a.scale(q),
+               a.mul_h(), a.mul_h().divide_h(), (a * b).scale(q) + (a * b)]
+    results += [nilpotent_apply(kind, m) for m in (a, b) if m.weight > 0
+                for kind in ("exp", "arctanh")]
+    for m in results:
+        assert_canonical(m)
+    assert (a - a).den == 1 and a.scale(0).den == 1
+    left, right = (a * b) * c.scale(q), a * (b * c.scale(q))
+    assert left.nums == right.nums and left.den == right.den
+    for x, y in ((a, c), (c, a)):
+        s = x + y - y
+        assert s.nums == x.nums and s.den == x.den
+    assert expand(a + c) == grid_add(expand(a), expand(c))
+    assert expand(a * b) == grid_mul(expand(a), expand(b))

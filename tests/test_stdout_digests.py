@@ -1,0 +1,45 @@
+"""Whole-stdout pins for the jobs whose numbers a kernel change could move.
+
+bench/reference.json pins only the suites and check labels of the verify
+jobs, not their details (the Casimir ``value=`` strings, say).  Here the
+full stdout of every tensor and mixed benchmark job, of a few larger or
+degenerate verify runs and of three irrep printouts is pinned by SHA-256, so
+a change to the exact kernel that moves one byte of output shows.  The
+digests were recorded before the integer matrix kernel replaced the
+Fraction grids; the commands run in-process.
+"""
+
+import hashlib
+
+import pytest
+
+from jordanrep.cli import main
+
+DIGESTS = {
+    # the tensor and mixed workloads of bench/workloads.py
+    "verify so4 --j1 1 --j2 1": "77e7217473222059cec42cf81d8047ea164c81235d238d6102b2291ad227d8db",
+    "verify so4 --j1 3/2 --j2 1": "cadd1ca3190958d0e2866745b08979209b450f81ff74856452ed0c5eba6f0149",
+    "verify so4 --j1 2 --j2 1": "bd46d2f2e9533b5ed0eb4ec0d4fbd97bfce1ab1fcefe97994d8bcc80435e3259",
+    "verify so4 --j1 3/2 --j2 3/2": "39ad3a634ea28a8bcef6d37f7e6a6d79d2d2f6c9393588cdd84c66e5d8eb91b2",
+    "verify hopf --j1 3 --j2 3": "226518ed33459fb615e0fb295977ae0cf813c40b37ffe64159c9cbb380c8d72b",
+    "verify all": "cbe6335855d09d05a03cb2529aac5a88aa78ed659c334fdf7c40cdb9eef43a10",
+    "verify sl2 --j-max 6": "0961fbcae10bc8ada5bab0d5922bee2e4bcd2f2c289e23d832e567ad587c3753",
+    # larger and degenerate shapes
+    "verify so4 --j1 2 --j2 2": "98ec62a3949da198c537bd64f414a95646e69f80b58c2fdfa0f6314848915d77",
+    "verify sl2 --j-max 8": "d96a0726018bcf3670fa3cbc7e797c7d88f31a65fa82087ad15a95dc36d8c215",
+    "verify hopf --j1 0 --j2 0": "c117ae4d5977350971ffd6606436b7ba9c4c19f42f3aba1dadea7a4ddf77116d",
+    "verify so4 --j1 0 --j2 0": "01257e22f8dc42b3466f467e944899e2ce3010f12ace2c6807b1e1276ee17c4e",
+    # matrices printed as JSON and as LaTeX
+    "irrep --j 7 --basis diagonal": "e2d4c7353a46f84284592593cee5873686e04362bc54b714b27a0f352b17b3b1",
+    "irrep --j 5/2 --basis diagonal --format latex":
+        "6d37de2b098ac46a276a9134374fab7b5f723ec4e162756d815add0940476c4b",
+    "irrep --j 3 --basis verma --format latex":
+        "d24941826b248beb2713dbdc07216dc3af05ba2656a81b7fd5c712019bd8aa4b",
+}
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_stdout_keeps_its_digest(capsys, command):
+    assert main(command.split()) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == DIGESTS[command]

@@ -6,7 +6,10 @@ power of the deformation parameter) to a rational coefficient, with every
 power above a known truncation order left unknown.  Products are reduced to
 normal form by swapping adjacent out-of-order generator pairs with the
 presentation's commutation rules; each swap either lowers the inversion
-count or strictly shortens the word, so rewriting terminates.
+count or strictly shortens the word, so rewriting terminates.  The structure
+constants are integers, so a product runs on the int numerators of its
+operands over their common denominators, and two monomials whose inverted
+letter pairs all commute multiply by adding exponents, with no rewriting.
 
 The presentations used here are the *classical* Euclidean algebras: the
 deformed generators are defined as nonlinear series in the classical ones,
@@ -36,7 +39,8 @@ class AlgebraPresentation:
     """Ordered generators plus commutators [g_a, g_b] for a > b.
 
     Rule values are linear combinations of generators encoded as
-    ``{exponent_tuple: Fraction}``; an absent pair means the generators
+    ``{exponent_tuple: int}``: the structure constants must be integers, so
+    normal ordering runs on ints.  An absent pair means the generators
     commute.  The Jacobi identity is checked on all triples at construction.
     """
 
@@ -47,11 +51,10 @@ class AlgebraPresentation:
         for (a, b), combo in rules.items():
             if not (0 <= b < a < self.size):
                 raise ValueError(f"rule pair {(a, b)} must satisfy a > b")
-            combo = {
-                tuple(mono): as_fraction(c)
-                for mono, c in combo.items()
-                if c != 0
-            }
+            combo = {tuple(mono): as_fraction(c) for mono, c in combo.items() if c != 0}
+            if any(c.denominator != 1 for c in combo.values()):
+                raise ValueError(f"rule pair {(a, b)} has a non-integer structure constant")
+            combo = {mono: c.numerator for mono, c in combo.items()}
             for mono in combo:
                 if len(mono) != self.size:
                     raise ValueError("rule output references a foreign generator set")
@@ -59,12 +62,6 @@ class AlgebraPresentation:
                 canon[(a, b)] = combo
         self.rules = canon
         self._check_jacobi()
-
-    def __hash__(self):
-        return hash(self.names)
-
-    def __eq__(self, other):
-        return self is other
 
     def generator_exponent(self, idx: int) -> tuple[int, ...]:
         e = [0] * self.size
@@ -87,13 +84,11 @@ class AlgebraPresentation:
             for mv, cv in v.items():
                 b = mv.index(1)
                 for mono, c in self.bracket(a, b).items():
-                    out[mono] = out.get(mono, Fraction(0)) + cu * cv * c
+                    out[mono] = out.get(mono, 0) + cu * cv * c
         return {m: c for m, c in out.items() if c != 0}
 
     def _check_jacobi(self):
-        gens = [
-            {self.generator_exponent(i): Fraction(1)} for i in range(self.size)
-        ]
+        gens = [{self.generator_exponent(i): 1} for i in range(self.size)]
         for a in range(self.size):
             for b in range(a + 1, self.size):
                 for c in range(b + 1, self.size):
@@ -102,7 +97,7 @@ class AlgebraPresentation:
                         inner = self._bracket_linear(gens[x], gens[y])
                         outer = self._bracket_linear(inner, gens[z])
                         for mono, q in outer.items():
-                            acc[mono] = acc.get(mono, Fraction(0)) + q
+                            acc[mono] = acc.get(mono, 0) + q
                     if any(q != 0 for q in acc.values()):
                         raise ValueError(
                             f"Jacobi identity fails on generators {a},{b},{c}"
@@ -131,8 +126,8 @@ def e2_presentation() -> AlgebraPresentation:
     return AlgebraPresentation(
         names=("J", "P+", "P-"),
         rules={
-            (PP, J): {g(PP): Fraction(-1)},
-            (PM, J): {g(PM): Fraction(1)},
+            (PP, J): {g(PP): -1},
+            (PM, J): {g(PM): 1},
         },
     )
 
@@ -151,15 +146,15 @@ def e3_presentation() -> AlgebraPresentation:
     return AlgebraPresentation(
         names=("J+", "J0", "J-", "Pi+", "Pi0", "Pi-"),
         rules={
-            (J0, JP): {g(JP): Fraction(2)},
-            (JM, JP): {g(J0): Fraction(-1)},
-            (JM, J0): {g(JM): Fraction(2)},
-            (PP, J0): {g(PP): Fraction(-2)},
-            (PP, JM): {g(P0): Fraction(1)},
-            (P0, JP): {g(PP): Fraction(2)},
-            (P0, JM): {g(PM): Fraction(-2)},
-            (PM, JP): {g(P0): Fraction(-1)},
-            (PM, J0): {g(PM): Fraction(2)},
+            (J0, JP): {g(JP): 2},
+            (JM, JP): {g(J0): -1},
+            (JM, J0): {g(JM): 2},
+            (PP, J0): {g(PP): -2},
+            (PP, JM): {g(P0): 1},
+            (P0, JP): {g(PP): 2},
+            (P0, JM): {g(PM): -2},
+            (PM, JP): {g(P0): -1},
+            (PM, J0): {g(PM): 2},
         },
     )
 
@@ -183,19 +178,20 @@ def _exponent_of(word: tuple[int, ...], size: int) -> tuple[int, ...]:
 
 def normal_order_word(
     word: tuple[int, ...], p: AlgebraPresentation
-) -> dict[tuple[int, ...], Fraction]:
-    """Reduce a generator word to normal form; returns exponent -> coefficient.
+) -> dict[tuple[int, ...], int]:
+    """Reduce a generator word to normal form; returns exponent -> int
+    coefficient.
 
     Each step swaps the leftmost adjacent inversion.  The rewriting is
     confluent, so every swap order gives the same normal form."""
-    result: dict[tuple[int, ...], Fraction] = {}
-    stack: list[tuple[tuple[int, ...], Fraction]] = [(tuple(word), Fraction(1))]
+    result: dict[tuple[int, ...], int] = {}
+    stack: list[tuple[tuple[int, ...], int]] = [(tuple(word), 1)]
     while stack:
         w, coeff = stack.pop()
         i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
         if i is None:
             mono = _exponent_of(w, p.size)
-            acc = result.get(mono, Fraction(0)) + coeff
+            acc = result.get(mono, 0) + coeff
             if acc == 0:
                 result.pop(mono, None)
             else:
@@ -209,19 +205,22 @@ def normal_order_word(
 
 
 @lru_cache(maxsize=200_000)
-def _normal_order_cached(word: tuple[int, ...], p: AlgebraPresentation):
-    return normal_order_word(word, p)
+def _normal_order_cached(ma: tuple[int, ...], mb: tuple[int, ...], p: AlgebraPresentation):
+    """Normal form of the product of two normal-ordered monomials.  When no
+    inverted letter pair (a in ma, b in mb, a > b) has a bracket, the letters
+    slide past each other and the product is the sum of the exponents."""
+    if not any(ma[a] and mb[b] for a, b in p.rules):
+        return {tuple(x + y for x, y in zip(ma, mb)): 1}
+    return normal_order_word(_word_of(ma) + _word_of(mb), p)
 
 
 # -- elements --------------------------------------------------------------------
 
 
-def _by_monomial(terms) -> dict[tuple[int, ...], list[tuple[int, Fraction]]]:
-    """Flat terms regrouped as monomial -> [(power, coefficient), ...]."""
-    out: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
-    for (mono, k), c in terms.items():
-        out.setdefault(mono, []).append((k, c))
-    return out
+def _numerators(terms) -> tuple[int, list]:
+    """The lcm d of the coefficients' denominators and [(key, c * d), ...]."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
 
 
 class NCElement:
@@ -283,24 +282,19 @@ class NCElement:
             raise ValueError("elements live over different presentations")
         p = self.presentation
         order = min(self.order, other.order)
-        right = _by_monomial(other.terms)
-        out: dict[tuple[tuple[int, ...], int], Fraction] = {}
-        for ma, sa in _by_monomial(self.terms).items():
-            wa = _word_of(ma)
-            for mb, sb in right.items():
-                # the pair's product series; one that vanishes is not normal-ordered
-                s: dict[int, Fraction] = {}
-                for i, a in sa:
-                    for j, b in sb:
-                        if i + j <= order:
-                            s[i + j] = s.get(i + j, 0) + a * b
-                s = {k: c for k, c in s.items() if c != 0}
-                if not s:
+        da, left = _numerators(self.terms)
+        db, right = _numerators(other.terms)
+        out: dict[tuple[tuple[int, ...], int], int] = {}
+        for (ma, i), a in left:
+            for (mb, j), b in right:
+                k = i + j
+                if k > order:
                     continue
-                for mono, c in _normal_order_cached(wa + _word_of(mb), p).items():
-                    for k, v in s.items():
-                        out[(mono, k)] = out.get((mono, k), 0) + c * v
-        return NCElement(p, order, out)
+                ab = a * b
+                for mono, c in _normal_order_cached(ma, mb, p).items():
+                    out[(mono, k)] = out.get((mono, k), 0) + c * ab
+        den = da * db
+        return NCElement(p, order, {key: Fraction(n, den) for key, n in out.items() if n})
 
     def scale(self, q) -> "NCElement":
         q = as_fraction(q)

@@ -24,7 +24,7 @@ suite covers (1/2,1/2), (1,1/2) and (1,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
@@ -58,8 +58,8 @@ def copy_legs(one: Irrep, two: Irrep) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class So4Rep:
-    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space and
-    the two irreps they came from."""
+    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space, the
+    two irreps they came from and those irreps' legs on the space."""
 
     j1: Fraction
     j2: Fraction
@@ -70,6 +70,7 @@ class So4Rep:
     K_minus: PolyMatrix
     K_zero: PolyMatrix
     factors: tuple[Irrep, Irrep]
+    copies: tuple[dict, dict] = field(compare=False, repr=False)
 
     def exp(self, s1: int, s2: int) -> PolyMatrix:
         """e^{h(s1 X1 + s2 X2)} for s1, s2 in {-1, 0, 1}."""
@@ -94,7 +95,8 @@ class So4Rep:
 def build_so4(j1, j2) -> So4Rep:
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
     factors = map_to_deformed(classical_rep(j1)), map_to_deformed(classical_rep(j2))
-    return So4Rep(j1, j2, *combine(*copy_legs(*factors)).values(), factors=factors)
+    copies = copy_legs(*factors)
+    return So4Rep(j1, j2, *combine(*copies).values(), factors=factors, copies=copies)
 
 
 def verify_so4_relations(r: So4Rep) -> VerificationReport:
@@ -197,7 +199,7 @@ def _coproducts_direct(r_legs: dict) -> dict[str, TensorSum]:
 def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
     """Route (b): the sl(2) coproduct of each copy's legs, combined."""
     return combine(*({g: contract(pairs, c, c, _pair) for g, pairs in COPRODUCT.items()}
-                     for c in copy_legs(*r.factors)))
+                     for c in r.copies))
 
 
 def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
@@ -215,7 +217,7 @@ def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
 
 def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
     """The sl(2) antipode of each copy's legs, combined."""
-    return combine(*(antipodes(c) for c in copy_legs(*r.factors)))
+    return combine(*(antipodes(c) for c in r.copies))
 
 
 def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:

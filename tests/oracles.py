@@ -226,7 +226,39 @@ def normal_order_scheduled(word, p, pick) -> dict:
 def normal_order(word, p, order: int) -> NCElement:
     """Normal-order a generator word (indices or names) into an element."""
     idx_word = tuple(w if isinstance(w, int) else p.names.index(w) for w in word)
-    terms = {(mono, 0): c for mono, c in normal_order_word(idx_word, p).items()}
+    terms = {(mono, 0): Fraction(c) for mono, c in normal_order_word(idx_word, p).items()}
+    return NCElement(p, order, terms)
+
+
+def word_of(mono) -> tuple:
+    """The sorted generator word of an exponent vector."""
+    return tuple(idx for idx, e in enumerate(mono) for _ in range(e))
+
+
+def product_by_monomial(x: NCElement, y: NCElement) -> NCElement:
+    """x * y one monomial pair at a time: the pair's truncated product
+    series in the deformation parameter times the scheduled normal form of
+    the concatenated word."""
+    p, order = x.presentation, min(x.order, y.order)
+
+    def series(el):
+        out: dict = {}
+        for (m, k), c in el.terms.items():
+            out.setdefault(m, {})[k] = c
+        return out
+
+    terms: dict = {}
+    for ma, sa in series(x).items():
+        for mb, sb in series(y).items():
+            pair: dict = {}
+            for i, a in sa.items():
+                for j, b in sb.items():
+                    if i + j <= order:
+                        pair[i + j] = pair.get(i + j, 0) + a * b
+            form = normal_order_scheduled(word_of(ma) + word_of(mb), p, lambda pos: pos[0])
+            for mono, c in form.items():
+                for k, v in pair.items():
+                    terms[(mono, k)] = terms.get((mono, k), 0) + c * v
     return NCElement(p, order, terms)
 
 

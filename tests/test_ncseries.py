@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanrep.errors import IllFormedComposition, ZeroOmega
 from jordanrep.ncseries import (
     AlgebraPresentation,
     NCElement,
+    _normal_order_cached,
     e2_presentation,
     e3_presentation,
     momentum_spectrum,
@@ -16,7 +19,8 @@ from jordanrep.ncseries import (
     suite_qe3,
 )
 
-from oracles import normal_order, normal_order_scheduled, order_part
+from oracles import (normal_order, normal_order_scheduled, order_part, product_by_monomial,
+                     word_of)
 
 
 def F(n, d=1):
@@ -44,6 +48,79 @@ def test_broken_presentation_fails_jacobi():
                 (2, 1): {g(2): F(2)},
             },
         )
+
+
+def test_non_integer_structure_constant_is_refused():
+    # [H, E] = E/2: a presentation with integer constants only can be ordered on ints
+    with pytest.raises(ValueError, match="non-integer structure constant"):
+        AlgebraPresentation(names=("E", "H"), rules={(1, 0): {(1, 0): F(1, 2)}})
+
+
+PRESENTATIONS = (e2_presentation(), e3_presentation())
+
+
+def monomials(p, degree=4):
+    """Exponent vectors of total degree at most ``degree``."""
+    letters = st.lists(st.integers(0, p.size - 1), max_size=degree)
+    return letters.map(lambda w: tuple(w.count(idx) for idx in range(p.size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_pair_product_matches_scheduled_oracle(data):
+    """The cached pair product, through the commuting shortcut or the
+    rewriting, equals the normal form of the concatenated word under a
+    freely chosen swap order."""
+    p = data.draw(st.sampled_from(PRESENTATIONS))
+    ma, mb = data.draw(monomials(p)), data.draw(monomials(p))
+    pick = data.draw(st.sampled_from([lambda pos: pos[0], lambda pos: pos[-1]]))
+    assert _normal_order_cached(ma, mb, p) == normal_order_scheduled(
+        word_of(ma) + word_of(mb), p, pick
+    )
+
+
+def test_bracketed_pair_is_not_the_exponent_sum():
+    # negative control of the shortcut: Pi+ J0 = J0 Pi+ - 2 Pi+, not J0 Pi+ alone
+    p = e3_presentation()
+    pi_p, j0 = p.generator_exponent(3), p.generator_exponent(1)
+    product = _normal_order_cached(pi_p, j0, p)
+    assert product != {(0, 1, 0, 1, 0, 0): 1}
+    assert product == {(0, 1, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 0): -2}
+
+
+COEFFS = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 7), F(3, 10), F(7)])
+
+
+@st.composite
+def inhomogeneous_elements(draw, p):
+    """Elements that carry some monomials at several powers of the parameter."""
+    order = draw(st.integers(1, 5))
+    terms = {}
+    for mono in draw(st.lists(monomials(p, degree=3), min_size=0, max_size=4, unique=True)):
+        for k in draw(st.lists(st.integers(0, order), min_size=1, max_size=3, unique=True)):
+            terms[(mono, k)] = draw(COEFFS)
+    return NCElement(p, order, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_flat_product_is_exact_on_inhomogeneous_elements(data):
+    p = data.draw(st.sampled_from(PRESENTATIONS))
+    x = data.draw(inhomogeneous_elements(p))
+    y = data.draw(inhomogeneous_elements(p))
+    product = x * y
+    expected = product_by_monomial(x, y)
+    assert product.order == expected.order == min(x.order, y.order)
+    assert product.terms == expected.terms
+    assert all(type(c) is Fraction for c in product.terms.values())
+
+
+def test_inhomogeneous_product_cancels_across_powers():
+    # (P+ + t P+)(P+ - t P+) = P+^2 - t^2 P+^2: the t^1 terms cancel exactly
+    p = e2_presentation()
+    pp = NCElement.generator(p, "P+", 3)
+    product = (pp + pp.mul_t(1)) * (pp - pp.mul_t(1))
+    assert product.terms == {((0, 2, 0), 0): 1, ((0, 2, 0), 2): -1}
 
 
 def test_normal_order_single_swap():

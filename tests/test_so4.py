@@ -47,7 +47,8 @@ def test_j_plus_rank_on_four_dim_space():
 
 def test_classical_limits():
     r = build_so4(HALF, HALF)
-    c1, c2 = copy_legs(*r.factors)
+    c1, c2 = r.copies
+    assert r.copies == copy_legs(*r.factors)
     assert subs_h(r.J_zero, 0) == subs_h(c1["H"] + c2["H"], 0)
     assert subs_h(r.K_zero, 0) == subs_h(c1["H"] - c2["H"], 0)
     assert subs_h(r.J_plus, 0) == subs_h(c1["X"] + c2["X"], 0)
@@ -180,7 +181,7 @@ def test_exponentials_factor_over_the_copies(j1, j2):
     """Kronecker products of the per-copy group-likes against the series
     on the full tensor space, which stays the reference."""
     r = build_so4(j1, j2)
-    x1, x2 = (c["X"] for c in copy_legs(*r.factors))
+    x1, x2 = (c["X"] for c in r.copies)
     for s1 in (-1, 0, 1):
         for s2 in (-1, 0, 1):
             assert r.exp(s1, s2) == nilpotent_apply("exp", x1.scale(s1) + x2.scale(s2))
@@ -228,6 +229,7 @@ def test_a_corrupted_group_like_is_caught(monkeypatch):
     for copy, expected in ((0, coproducts), (1, antipodes)):
         r = build_so4(HALF, 1)
         _corrupt(r.factors[copy])
+        r = replace(r, copies=copy_legs(*r.factors))  # the legs read the corrupted pair
         assert len(verify_so4_relations(r).failures()) == 10
         assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == expected
 

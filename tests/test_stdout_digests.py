@@ -5,8 +5,9 @@ jobs, not their details (the Casimir ``value=`` strings, say).  Here the
 full stdout of every tensor and mixed benchmark job, of a few larger or
 degenerate verify runs and of three irrep printouts is pinned by SHA-256, so
 a change to the exact kernel that moves one byte of output shows.  The
-digests were recorded before the integer matrix kernel replaced the
-Fraction grids; the commands run in-process.
+matrix digests were recorded before the integer matrix kernel replaced the
+Fraction grids, and the series digests before the integer PBW product
+replaced the Fraction one; the commands run in-process.
 """
 
 import hashlib
@@ -24,11 +25,20 @@ DIGESTS = {
     "verify hopf --j1 3 --j2 3": "226518ed33459fb615e0fb295977ae0cf813c40b37ffe64159c9cbb380c8d72b",
     "verify all": "cbe6335855d09d05a03cb2529aac5a88aa78ed659c334fdf7c40cdb9eef43a10",
     "verify sl2 --j-max 6": "0961fbcae10bc8ada5bab0d5922bee2e4bcd2f2c289e23d832e567ad587c3753",
+    # the series workload of bench/workloads.py
+    "verify qe3 --order 6": "6a703ca4c016b5439a91105a288cb7f2717823e4a0044c6e2c563ee6c9819d37",
+    "verify qe3 --order 8": "aa3d1018b2f16ed6cfd52abfc117be67f4309edb1c0aa145f86a1495bcb9eb88",
+    "verify qe3 --order 10": "acb3f72bfe6b2f65618298f02f3382f1e838d3d19a161eba4b0fb903d0949cce",
+    "verify e3 --order 14": "ac73c67c8e06db25728f2e8441addce2ca167490f816d6d5df4334d3932bd08a",
+    "verify e2 --order 14": "7a47d8d868ba02193431a4a4ebe9e5e3997e65e7c0156bef17d21eec53b6c0e3",
     # larger and degenerate shapes
     "verify so4 --j1 2 --j2 2": "98ec62a3949da198c537bd64f414a95646e69f80b58c2fdfa0f6314848915d77",
     "verify sl2 --j-max 8": "d96a0726018bcf3670fa3cbc7e797c7d88f31a65fa82087ad15a95dc36d8c215",
     "verify hopf --j1 0 --j2 0": "c117ae4d5977350971ffd6606436b7ba9c4c19f42f3aba1dadea7a4ddf77116d",
     "verify so4 --j1 0 --j2 0": "01257e22f8dc42b3466f467e944899e2ce3010f12ace2c6807b1e1276ee17c4e",
+    "verify qe3 --order 14": "c7b816c19f6a8b4bea3668b792bd98cc15212225f5ef08df4cbc7eca67891e2a",
+    "verify e3 --order 20": "073ae8c389b950bdf421012819b97a8b2ea395545c33607a44d27ed397626d0c",
+    "verify e2 --order 20": "39573c171f72fedd742c8db01659e1c7318aae81a6ec01adddd389864a33546b",
     # matrices printed as JSON and as LaTeX
     "irrep --j 7 --basis diagonal": "e2d4c7353a46f84284592593cee5873686e04362bc54b714b27a0f352b17b3b1",
     "irrep --j 5/2 --basis diagonal --format latex":

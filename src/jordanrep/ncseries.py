@@ -2,14 +2,14 @@
 
 Elements of an enveloping algebra are held in Poincare-Birkhoff-Witt normal
 form: a map from (exponent vector over a fixed, ordered generator list,
-power of the deformation parameter) to a rational coefficient, with every
-power above a known truncation order left unknown.  Products are reduced to
-normal form by swapping adjacent out-of-order generator pairs with the
-presentation's commutation rules; each swap either lowers the inversion
-count or strictly shortens the word, so rewriting terminates.  The structure
-constants are integers, so a product runs on the int numerators of its
-operands over their common denominators, and two monomials whose inverted
-letter pairs all commute multiply by adding exponents, with no rewriting.
+power of the deformation parameter) to an int numerator over one common
+denominator, with every power above a known truncation order left unknown.
+The structure constants are integers, so all arithmetic runs on ints.  A
+product pairs the monomials of its operands; two monomials whose inverted
+letter pairs all commute multiply by adding exponents, and every other
+monomial pair is built, through one cache, from shorter pairs: the right
+factor goes over one letter at a time, and a single letter passes the
+highest letter of the left factor by the commutation rule.
 
 The presentations used here are the *classical* Euclidean algebras: the
 deformed generators are defined as nonlinear series in the classical ones,
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import IllFormedComposition, InputError, ZeroOmega
 from .exact import stream_coefficients
@@ -162,81 +163,94 @@ def e3_presentation() -> AlgebraPresentation:
 # -- normal ordering -----------------------------------------------------------
 
 
-def _word_of(mono: tuple[int, ...]) -> tuple[int, ...]:
-    word = []
-    for idx, e in enumerate(mono):
-        word.extend([idx] * e)
-    return tuple(word)
+def _without(mono: tuple[int, ...], idx: int) -> tuple[int, ...]:
+    """The monomial with one factor of generator ``idx`` taken out."""
+    return mono[:idx] + (mono[idx] - 1,) + mono[idx + 1:]
 
 
-def _exponent_of(word: tuple[int, ...], size: int) -> tuple[int, ...]:
-    e = [0] * size
-    for idx in word:
-        e[idx] += 1
-    return tuple(e)
-
-
-def normal_order_word(
-    word: tuple[int, ...], p: AlgebraPresentation
-) -> dict[tuple[int, ...], int]:
-    """Reduce a generator word to normal form; returns exponent -> int
-    coefficient.
-
-    Each step swaps the leftmost adjacent inversion.  The rewriting is
-    confluent, so every swap order gives the same normal form."""
-    result: dict[tuple[int, ...], int] = {}
-    stack: list[tuple[tuple[int, ...], int]] = [(tuple(word), 1)]
-    while stack:
-        w, coeff = stack.pop()
-        i = next((i for i in range(len(w) - 1) if w[i] > w[i + 1]), None)
-        if i is None:
-            mono = _exponent_of(w, p.size)
-            acc = result.get(mono, 0) + coeff
-            if acc == 0:
-                result.pop(mono, None)
-            else:
-                result[mono] = acc
-            continue
-        swapped = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        stack.append((swapped, coeff))
-        for mono, c in p.bracket(w[i], w[i + 1]).items():
-            stack.append((w[:i] + _word_of(mono) + w[i + 2:], coeff * c))
-    return result
+def _times(left: dict, mb: tuple[int, ...], p: AlgebraPresentation) -> dict:
+    """The combination left = {monomial: c} times the monomial mb, each
+    product from the pair cache; cancelled terms are kept as zeros."""
+    out: dict[tuple[int, ...], int] = {}
+    for mono, c in left.items():
+        for m, e in _normal_order_cached(mono, mb, p).items():
+            out[m] = out.get(m, 0) + c * e
+    return out
 
 
 @lru_cache(maxsize=200_000)
 def _normal_order_cached(ma: tuple[int, ...], mb: tuple[int, ...], p: AlgebraPresentation):
-    """Normal form of the product of two normal-ordered monomials.  When no
-    inverted letter pair (a in ma, b in mb, a > b) has a bracket, the letters
-    slide past each other and the product is the sum of the exponents."""
-    if not any(ma[a] and mb[b] for a, b in p.rules):
-        return {tuple(x + y for x, y in zip(ma, mb)): 1}
-    return normal_order_word(_word_of(ma) + _word_of(mb), p)
+    """Normal form of the product of two normal-ordered monomials, as
+    exponent -> int coefficient.
+
+    When no inverted letter pair (a in ma, b in mb, a > b) has a bracket,
+    the letters slide past each other and the product is the sum of the
+    exponents.  Otherwise it is built from shorter cached pairs: the lowest
+    letter y of mb goes first, ma.mb = (ma.y).mb', and a single letter y
+    passes the highest letter x of ma by ma'.x.y = (ma'.y).x + ma'.[x, y].
+    Every pair asked for is shorter than (ma, mb), or as long with a
+    shorter right factor, or the full-length term of ma'.y times x, whose
+    letters slide; so the recursion ends."""
+    for a, b in p.rules:
+        if ma[a] and mb[b]:
+            break
+    else:  # no inverted pair has a bracket
+        return {tuple(map(add, ma, mb)): 1}
+    if sum(mb) > 1:
+        y = next(i for i, e in enumerate(mb) if e)
+        out = _times(_normal_order_cached(ma, p.generator_exponent(y), p), _without(mb, y), p)
+    else:
+        y, x = mb.index(1), max(i for i, e in enumerate(ma) if e)
+        rest = _without(ma, x)
+        out = _times(_normal_order_cached(rest, mb, p), p.generator_exponent(x), p)
+        for z, c in p.bracket(x, y).items():
+            for m, e in _normal_order_cached(rest, z, p).items():
+                out[m] = out.get(m, 0) + c * e
+    return {m: c for m, c in out.items() if c}
 
 
 # -- elements --------------------------------------------------------------------
 
 
-def _numerators(terms) -> tuple[int, list]:
-    """The lcm d of the coefficients' denominators and [(key, c * d), ...]."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()]
+def _element(p: AlgebraPresentation, order: int, terms: dict, den: int) -> "NCElement":
+    """An element from terms already in canonical form over den."""
+    el = NCElement.__new__(NCElement)
+    el.presentation, el.order, el.terms, el.den = p, order, terms, den
+    return el
+
+
+def _reduced(p: AlgebraPresentation, order: int, terms: dict, den: int) -> "NCElement":
+    """terms / den (den > 0) with the zero numerators dropped, brought to
+    canonical form by their common factor."""
+    terms = {key: n for key, n in terms.items() if n}
+    g = den
+    for n in terms.values():
+        g = math.gcd(g, n)
+        if g == 1:
+            return _element(p, order, terms, den)
+    return _element(p, order, {key: n // g for key, n in terms.items()}, den // g)
 
 
 class NCElement:
     """Normal-ordered polynomial in the generators with series coefficients.
 
     ``terms`` maps (monomial, power of the deformation parameter) to a
-    nonzero Fraction.  Powers above ``order`` are unknown, not zero: they are
-    never stored, and arithmetic between elements of different orders keeps
-    the smaller one."""
+    nonzero int numerator over the one positive denominator ``den``, in
+    canonical form: no factor is common to ``den`` and every numerator, and
+    the zero element has den 1.  Powers above ``order`` are unknown, not
+    zero: they are never stored, and arithmetic between elements of
+    different orders keeps the smaller one."""
 
-    __slots__ = ("presentation", "order", "terms")
+    __slots__ = ("presentation", "order", "terms", "den")
 
     def __init__(self, presentation, order, terms):
-        self.presentation = presentation
-        self.order = order
-        self.terms = {key: c for key, c in terms.items() if c != 0 and key[1] <= order}
+        """``terms`` maps (monomial, power) to exact rationals, brought to
+        int numerators over the lcm of their denominators, which is already
+        canonical; zeros and powers above ``order`` are dropped."""
+        values = {key: as_fraction(c) for key, c in terms.items() if c != 0 and key[1] <= order}
+        den = math.lcm(*(c.denominator for c in values.values()))
+        self.presentation, self.order, self.den = presentation, order, den
+        self.terms = {key: c.numerator * (den // c.denominator) for key, c in values.items()}
 
     # -- constructors ----------------------------------------------------------
 
@@ -246,12 +260,12 @@ class NCElement:
 
     @staticmethod
     def one(p: AlgebraPresentation, order: int) -> "NCElement":
-        return NCElement(p, order, {((0,) * p.size, 0): Fraction(1)})
+        return NCElement(p, order, {((0,) * p.size, 0): 1})
 
     @staticmethod
     def generator(p: AlgebraPresentation, name: str, order: int) -> "NCElement":
         mono = p.generator_exponent(p.names.index(name))
-        return NCElement(p, order, {(mono, 0): Fraction(1)})
+        return NCElement(p, order, {(mono, 0): 1})
 
     # -- ring operations ----------------------------------------------------------
 
@@ -259,10 +273,13 @@ class NCElement:
         if self.presentation is not other.presentation:
             raise ValueError("elements live over different presentations")
         order = min(self.order, other.order)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + sign * c
-        return NCElement(self.presentation, order, out)
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = {key: n * fa for key, n in self.terms.items() if key[1] <= order}
+        for key, n in other.terms.items():
+            if key[1] <= order:
+                out[key] = out.get(key, 0) + n * fb
+        return _reduced(self.presentation, order, out, den)
 
     def __add__(self, other):
         return self._merge(other, +1)
@@ -271,9 +288,8 @@ class NCElement:
         return self._merge(other, -1)
 
     def __neg__(self):
-        return NCElement(
-            self.presentation, self.order, {key: -c for key, c in self.terms.items()}
-        )
+        return _element(self.presentation, self.order,
+                        {key: -n for key, n in self.terms.items()}, self.den)
 
     def __mul__(self, other):
         if not isinstance(other, NCElement):
@@ -282,42 +298,43 @@ class NCElement:
             raise ValueError("elements live over different presentations")
         p = self.presentation
         order = min(self.order, other.order)
-        da, left = _numerators(self.terms)
-        db, right = _numerators(other.terms)
+        # by power, so that each row of pairs stops at the truncation order
+        right = sorted(other.terms.items(), key=lambda item: item[0][1])
         out: dict[tuple[tuple[int, ...], int], int] = {}
-        for (ma, i), a in left:
+        for (ma, i), a in self.terms.items():
             for (mb, j), b in right:
                 k = i + j
                 if k > order:
-                    continue
+                    break
                 ab = a * b
                 for mono, c in _normal_order_cached(ma, mb, p).items():
                     out[(mono, k)] = out.get((mono, k), 0) + c * ab
-        den = da * db
-        return NCElement(p, order, {key: Fraction(n, den) for key, n in out.items() if n})
+        return _reduced(p, order, out, self.den * other.den)
 
     def scale(self, q) -> "NCElement":
         q = as_fraction(q)
-        return NCElement(
-            self.presentation, self.order, {key: c * q for key, c in self.terms.items()}
-        )
+        return _reduced(self.presentation, self.order,
+                        {key: n * q.numerator for key, n in self.terms.items()},
+                        self.den * q.denominator)
 
     def mul_t(self, k: int = 1) -> "NCElement":
         """Multiply by the k-th power of the deformation parameter."""
-        return NCElement(
+        return _element(
             self.presentation,
             self.order + k,
-            {(m, j + k): c for (m, j), c in self.terms.items()},
+            {(m, j + k): n for (m, j), n in self.terms.items()},
+            self.den,
         )
 
     def div_t(self, k: int = 1) -> "NCElement":
         """Exact division; every term must carry at least the k-th power."""
         if any(j < k for (_, j) in self.terms):
             raise ValueError(f"element is not divisible by t^{k}")
-        return NCElement(
+        return _element(
             self.presentation,
             self.order - k,
-            {(m, j - k): c for (m, j), c in self.terms.items()},
+            {(m, j - k): n for (m, j), n in self.terms.items()},
+            self.den,
         )
 
     # -- queries ---------------------------------------------------------------------
@@ -336,14 +353,16 @@ class NCElement:
         if not self.terms:
             return None
         mono, k = min(self.terms, key=lambda key: (key[1], key[0]))
-        return self.presentation.monomial_str(mono), k, self.terms[(mono, k)]
+        return (self.presentation.monomial_str(mono), k,
+                Fraction(self.terms[(mono, k)], self.den))
 
     def __str__(self):
         if not self.terms:
             return "0"
         p = self.presentation
         return " + ".join(
-            f"{c}*t^{k}*{p.monomial_str(m)}" for (m, k), c in sorted(self.terms.items())
+            f"{Fraction(n, self.den)}*t^{k}*{p.monomial_str(m)}"
+            for (m, k), n in sorted(self.terms.items())
         )
 
     __repr__ = __str__

@@ -18,7 +18,7 @@ from math import comb
 from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
 from jordanrep.exact.series import STREAMS
-from jordanrep.ncseries import NCElement, normal_order_word
+from jordanrep.ncseries import NCElement
 
 
 # -- small builders and queries ---------------------------------------------------
@@ -96,9 +96,15 @@ def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
     return all(dh == degree for (_, dh), _ in p.items())
 
 
+def coefficients(el: NCElement) -> dict:
+    """(monomial, power) -> rational coefficient: each int numerator over
+    the element's one denominator."""
+    return {key: Fraction(n, el.den) for key, n in el.terms.items()}
+
+
 def order_part(el: NCElement, k: int) -> dict:
     """Monomial -> rational coefficient at a single series order."""
-    return {m: c for (m, j), c in el.terms.items() if j == k}
+    return {m: c for (m, j), c in coefficients(el).items() if j == k}
 
 
 # -- closed forms for the h^2 and h^4 elements --------------------------------
@@ -226,8 +232,8 @@ def normal_order_scheduled(word, p, pick) -> dict:
 def normal_order(word, p, order: int) -> NCElement:
     """Normal-order a generator word (indices or names) into an element."""
     idx_word = tuple(w if isinstance(w, int) else p.names.index(w) for w in word)
-    terms = {(mono, 0): Fraction(c) for mono, c in normal_order_word(idx_word, p).items()}
-    return NCElement(p, order, terms)
+    form = normal_order_scheduled(idx_word, p, lambda pos: pos[0])
+    return NCElement(p, order, {(mono, 0): c for mono, c in form.items()})
 
 
 def word_of(mono) -> tuple:
@@ -243,7 +249,7 @@ def product_by_monomial(x: NCElement, y: NCElement) -> NCElement:
 
     def series(el):
         out: dict = {}
-        for (m, k), c in el.terms.items():
+        for (m, k), c in coefficients(el).items():
             out.setdefault(m, {})[k] = c
         return out
 

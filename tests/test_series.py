@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from jordanrep.exact import stream_coefficients
 from jordanrep.ncseries import NCElement, e2_presentation, series_function_apply
 
-from oracles import order_part
+from oracles import coefficients, order_part
 
 P = e2_presentation()
 
@@ -37,7 +37,8 @@ def test_ln1p_expansion():
     assert stream_coefficients("ln1p", 5) == [F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4)]
     x = NCElement.generator(P, "P+", 3).mul_t(1)
     ln = series_function_apply("ln1p", x)
-    assert ln.order == 4 and ln.terms == {((0, k, 0), k): F((-1) ** (k + 1), k) for k in range(1, 5)}
+    assert ln.order == 4
+    assert coefficients(ln) == {((0, k, 0), k): F((-1) ** (k + 1), k) for k in range(1, 5)}
 
 
 series_args = st.lists(
@@ -65,7 +66,7 @@ def test_compose_exp_of_t():
     exp = series_function_apply("exp", x)
     coeffs = stream_coefficients("exp", 6)
     assert exp.order == 5
-    assert exp.terms == {((0, k, 0), k): coeffs[k] for k in range(6)}
+    assert coefficients(exp) == {((0, k, 0), k): coeffs[k] for k in range(6)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,7 +89,7 @@ def test_mixed_orders_truncate_to_smaller():
     assert (a + b).order == 2 and (b - a).order == 2
     product = a * b
     assert product.order == 2
-    assert product.terms == {((0, 2, 0), 2): 1}
+    assert coefficients(product) == {((0, 2, 0), 2): 1}
 
 
 def test_mul_t_and_div_t_track_known_order():
@@ -96,16 +97,16 @@ def test_mul_t_and_div_t_track_known_order():
     assert a.order == 2
     up = a.mul_t(2)
     assert up.order == 4
-    assert up.terms == {((0, 1, 0), 2): 1, ((1, 0, 0), 3): 1}
+    assert coefficients(up) == {((0, 1, 0), 2): 1, ((1, 0, 0), 3): 1}
     down = up.div_t(2)
-    assert down.order == 2 and down.terms == a.terms
+    assert down.order == 2 and coefficients(down) == coefficients(a)
     with pytest.raises(ValueError):
         a.div_t(1)
 
 
 def test_terms_above_the_order_are_dropped():
     el = NCElement(P, 2, {((0, 1, 0), 2): F(1), ((0, 1, 0), 3): F(5), ((0, 2, 0), 1): F(0)})
-    assert el.terms == {((0, 1, 0), 2): 1}
+    assert coefficients(el) == {((0, 1, 0), 2): 1}
 
 
 def test_first_nonzero_takes_lowest_order_then_least_monomial():

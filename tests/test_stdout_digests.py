@@ -7,7 +7,10 @@ degenerate verify runs and of three irrep printouts is pinned by SHA-256, so
 a change to the exact kernel that moves one byte of output shows.  The
 matrix digests were recorded before the integer matrix kernel replaced the
 Fraction grids, and the series digests before the integer PBW product
-replaced the Fraction one; the commands run in-process.
+replaced the Fraction one; the two largest series pins (qe3 at order 18,
+e3 at order 40) before elements held int numerators over one denominator
+and pair normal forms were built from shorter pairs.  The commands run
+in-process.
 """
 
 import hashlib
@@ -39,6 +42,8 @@ DIGESTS = {
     "verify qe3 --order 14": "c7b816c19f6a8b4bea3668b792bd98cc15212225f5ef08df4cbc7eca67891e2a",
     "verify e3 --order 20": "073ae8c389b950bdf421012819b97a8b2ea395545c33607a44d27ed397626d0c",
     "verify e2 --order 20": "39573c171f72fedd742c8db01659e1c7318aae81a6ec01adddd389864a33546b",
+    "verify qe3 --order 18": "8924eddfdc74a7d9bb5f2f1078fc59e1d92d57108ddb3651ea148e33c5d59f19",
+    "verify e3 --order 40": "996eb3a88be4fa81ffe969594b0a62463c80a09493d2bbee5dc7e0b4cdfc0512",
     # matrices printed as JSON and as LaTeX
     "irrep --j 7 --basis diagonal": "e2d4c7353a46f84284592593cee5873686e04362bc54b714b27a0f352b17b3b1",
     "irrep --j 5/2 --basis diagonal --format latex":

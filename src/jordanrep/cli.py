@@ -308,7 +308,8 @@ def cmd_verify(args) -> int:
             try:
                 with open(args.from_json) as fh:
                     rep = Irrep.from_obj(json.load(fh))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError, DimensionMismatch) as exc:
+            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
+                    DimensionMismatch) as exc:
                 raise InputError(
                     f"{args.from_json} is not a representation: "
                     f"{type(exc).__name__} {exc}"

@@ -1,7 +1,8 @@
-"""Exact scalar, polynomial and matrix arithmetic, and Taylor coefficients."""
+"""Exact scalar, polynomial and matrix arithmetic, and the Taylor series
+of the elementary functions, summed on nilpotent matrices and PBW series."""
 
 from .poly import BiPoly, H, LAM, ONE, ZERO, as_fraction
-from .series import STREAMS, stream_coefficients
+from .series import power_sum, taylor
 from .matrices import (
     PolyMatrix,
     TensorSum,
@@ -17,8 +18,8 @@ __all__ = [
     "ONE",
     "ZERO",
     "as_fraction",
-    "STREAMS",
-    "stream_coefficients",
+    "power_sum",
+    "taylor",
     "PolyMatrix",
     "TensorSum",
     "anticommutator",

@@ -26,7 +26,7 @@ from math import gcd, lcm
 
 from ..errors import DimensionMismatch, NotNilpotent
 from .poly import BiPoly, ZERO, as_fraction
-from .series import STREAMS
+from .series import power_sum, taylor
 
 
 def _degree(weights, weight: int, r: int, c: int) -> int:
@@ -242,29 +242,20 @@ def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     """f(h^{w/2} m) for a nilpotent matrix m of weight w, as a finite sum.
 
-    ``f`` is the named elementary function, with the exact Taylor
-    coefficients of :data:`~jordanrep.exact.series.STREAMS`, and h^{w/2} m
-    has weight 0, so the usual exp(hX) is ``nilpotent_apply("exp", X)``.  The
-    sum terminates because a nilpotent d-by-d matrix satisfies ``m^d = 0``;
-    if it does not, :class:`NotNilpotent` is raised.
+    ``f`` is the named elementary function of
+    :func:`~jordanrep.exact.series.taylor`, and h^{w/2} m has weight 0, so
+    the usual exp(hX) is ``nilpotent_apply("exp", X)``.  The
+    :func:`~jordanrep.exact.series.power_sum` ends because a nilpotent
+    d-by-d matrix satisfies ``m^d = 0``; if it does not,
+    :class:`NotNilpotent` is raised.
     """
     if m.weight < 0 or m.weight % 2:
         raise DimensionMismatch(f"h^(w/2) m needs an even weight w >= 0, got {m.weight}")
     m = _graded(m.nums, m.den, m.weights, 0)  # h^{w/2} m has the same values at h = 1
-    d = m.rows
-    stream = STREAMS[kind]()
-    acc = PolyMatrix.identity(m.weights).scale(next(stream))
-    power = PolyMatrix.identity(m.weights)
-    for k in range(1, d + 1):
-        power = power * m
-        if power.is_zero:
-            return acc
-        if k == d:
-            raise NotNilpotent(f"matrix power {d} is nonzero")
-        coeff = next(stream)
-        if coeff:
-            acc = acc + power.scale(coeff)
-    return acc
+    total = power_sum(taylor(kind, m.rows + 1), m, PolyMatrix.identity(m.weights))
+    if total is None:
+        raise NotNilpotent(f"matrix power {m.rows} is nonzero")
+    return total
 
 
 def _axpy(acc: dict, c: int, items) -> dict:

@@ -46,7 +46,7 @@ class BiPoly:
                     continue
                 if dl < 0 or dh < 0:
                     raise ValueError("exponents must be nonnegative")
-                key = (int(dl), int(dh))
+                key = (dl, dh)
                 c0 = canon.get(key)
                 if c0 is None:
                     canon[key] = c
@@ -144,6 +144,10 @@ class BiPoly:
 
     @staticmethod
     def from_obj(obj) -> "BiPoly":
+        """From the JSON encoding, whose exponents must be ints (not bools)."""
+        for t in obj:
+            if type(t["l"]) is not int or type(t["h"]) is not int:
+                raise ValueError(f"exponents must be integers, got l={t['l']!r} h={t['h']!r}")
         return BiPoly({(t["l"], t["h"]): Fraction(t["c"]) for t in obj})
 
     def __str__(self):

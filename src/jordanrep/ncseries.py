@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import add
 
 from .errors import IllFormedComposition, InputError, ZeroOmega
-from .exact import stream_coefficients
+from .exact import power_sum, taylor
 from .exact.poly import as_fraction
 from .report import VerificationReport
 
@@ -255,10 +255,6 @@ class NCElement:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def zero(p: AlgebraPresentation, order: int) -> "NCElement":
-        return NCElement(p, order, {})
-
-    @staticmethod
     def one(p: AlgebraPresentation, order: int) -> "NCElement":
         return NCElement(p, order, {((0,) * p.size, 0): 1})
 
@@ -376,24 +372,14 @@ def series_function_apply(kind: str, x: NCElement) -> NCElement:
     """sum_k f_k x^k for a named elementary function, fully normal-ordered.
 
     The argument must have strictly positive valuation in the deformation
-    parameter so the sum terminates at the truncation order.  The `1p`
-    function tags take the deviation from 1 (ln(1+x), sqrt(1+x), 1/(1+x))."""
+    parameter, so that x^(order + 1) is zero and the power sum ends.  The
+    `1p` function tags take the deviation from 1 (ln(1+x), sqrt(1+x),
+    1/(1+x))."""
     if not x.valuation_positive():
         raise IllFormedComposition(
             f"{kind} needs an argument of positive order in the deformation parameter"
         )
-    n = x.order
-    coeffs = stream_coefficients(kind, n + 1)
-    p = x.presentation
-    acc = NCElement.one(p, n).scale(coeffs[0]) if coeffs[0] else NCElement.zero(p, n)
-    power = NCElement.one(p, n)
-    for k in range(1, n + 1):
-        power = power * x
-        if power.is_zero:
-            break
-        if coeffs[k]:
-            acc = acc + power.scale(coeffs[k])
-    return acc
+    return power_sum(taylor(kind, x.order + 2), x, NCElement.one(x.presentation, x.order))
 
 
 # -- verification suites ------------------------------------------------------------
@@ -405,6 +391,18 @@ def series_function_apply(kind: str, x: NCElement) -> NCElement:
 _SLACK = 4
 
 
+def _series_suite(name: str, order: int, p: AlgebraPresentation, w: int):
+    """A suite's empty report, with 1 and the generators of ``p`` in PBW
+    order at the internal truncation ``w``."""
+    if order < 2:
+        raise ValueError("order must be at least 2")
+    report = VerificationReport(
+        f"{name} order={order}",
+        meta={"pbw_order": " < ".join(p.names), "truncation_order": order},
+    )
+    return report, NCElement.one(p, w), [NCElement.generator(p, g, w) for g in p.names]
+
+
 def suite_e2(order: int) -> VerificationReport:
     """Deformed planar Euclidean algebra via the nonlinear map on e(2).
 
@@ -413,18 +411,9 @@ def suite_e2(order: int) -> VerificationReport:
     P+ P- = (eta/h) sinh(h chi), with sinh/cosh of h chi computed both by
     direct series composition and through the closed rational forms
     h P+ (1 - h^2 P+^2/4)^{-1} and (1 + h^2 P+^2/4)(1 - h^2 P+^2/4)^{-1}."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
     w = order + _SLACK
     p = e2_presentation()
-    report = VerificationReport(
-        f"e2 order={order}",
-        meta={"pbw_order": " < ".join(p.names), "truncation_order": order},
-    )
-    one = NCElement.one(p, w)
-    J = NCElement.generator(p, "J", w)
-    pp = NCElement.generator(p, "P+", w)
-    pm = NCElement.generator(p, "P-", w)
+    report, one, (J, pp, pm) = _series_suite("e2", order, p, w)
 
     chi = series_function_apply("arctanh", pp.mul_t(1).scale(Fraction(1, 2))).div_t(1).scale(2)
     quarter_sq = (pp * pp).scale(Fraction(1, 4)).mul_t(2)   # (h P+/2)^2
@@ -469,17 +458,27 @@ def suite_e2(order: int) -> VerificationReport:
     return report
 
 
-def _e3_deformed(p, w):
-    """The inverse-map generators over the classical presentation."""
-    pi_p = NCElement.generator(p, "Pi+", w)
-    pi_0 = NCElement.generator(p, "Pi0", w)
-    pi_m = NCElement.generator(p, "Pi-", w)
+def _e3_deformed(pi_p, pi_0, pi_m):
+    """The inverse-map generators P+, P0, P- over the classical presentation."""
     y = pi_p.mul_t(1)                                   # omega Pi+
     p_plus = series_function_apply("ln1p", y).div_t(1)
     inv = series_function_apply("inv1p", y)             # (1 + omega Pi+)^{-1}
     p_minus = pi_m + (pi_0 * pi_0 * inv).scale(Fraction(1, 4)).mul_t(1)
     p_zero = pi_0 * inv
-    return pi_p, pi_0, pi_m, p_plus, p_zero, p_minus
+    return p_plus, p_zero, p_minus
+
+
+def _e3_shared_checks(jp, j0, jm, p_plus, p_zero, p_minus) -> list:
+    """The brackets that both deformations of e(3) keep: the classical
+    rotation triple, and deformed translations that commute."""
+    return [
+        ("[J0,J+] = 2J+", commutator_nc(j0, jp) - jp.scale(2)),
+        ("[J0,J-] = -2J-", commutator_nc(j0, jm) + jm.scale(2)),
+        ("[J+,J-] = J0", commutator_nc(jp, jm) - j0),
+        ("[P0,P+] = 0", commutator_nc(p_zero, p_plus)),
+        ("[P0,P-] = 0", commutator_nc(p_zero, p_minus)),
+        ("[P+,P-] = 0", commutator_nc(p_plus, p_minus)),
+    ]
 
 
 def suite_e3(order: int) -> VerificationReport:
@@ -492,31 +491,16 @@ def suite_e3(order: int) -> VerificationReport:
     on classical e(3): verifies all deformed brackets, the forward-map
     round trip, agreement of both closed forms of each Casimir, and that
     the Casimirs commute with all six deformed generators."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
     w = order + _SLACK
     p = e3_presentation()
-    report = VerificationReport(
-        f"e3 order={order}",
-        meta={"pbw_order": " < ".join(p.names), "truncation_order": order},
-    )
-    one = NCElement.one(p, w)
-    jp = NCElement.generator(p, "J+", w)
-    j0 = NCElement.generator(p, "J0", w)
-    jm = NCElement.generator(p, "J-", w)
-    pi_p, pi_0, pi_m, p_plus, p_zero, p_minus = _e3_deformed(p, w)
+    report, one, (jp, j0, jm, pi_p, pi_0, pi_m) = _series_suite("e3", order, p, w)
+    p_plus, p_zero, p_minus = _e3_deformed(pi_p, pi_0, pi_m)
 
     e_minus = series_function_apply("exp", -(p_plus.mul_t(1)))   # e^{-w P+}
     e_plus = series_function_apply("exp", p_plus.mul_t(1))       # e^{+w P+}
     ladder_rhs = (one - e_minus).div_t(1).scale(2)               # (2/w)(1 - e^{-w P+})
 
-    checks = [
-        ("[J0,J+] = 2J+", commutator_nc(j0, jp) - jp.scale(2)),
-        ("[J0,J-] = -2J-", commutator_nc(j0, jm) + jm.scale(2)),
-        ("[J+,J-] = J0", commutator_nc(jp, jm) - j0),
-        ("[P0,P+] = 0", commutator_nc(p_zero, p_plus)),
-        ("[P0,P-] = 0", commutator_nc(p_zero, p_minus)),
-        ("[P+,P-] = 0", commutator_nc(p_plus, p_minus)),
+    checks = _e3_shared_checks(jp, j0, jm, p_plus, p_zero, p_minus) + [
         ("[J0,P+] = (2/w)(1-e^{-wP+})", commutator_nc(j0, p_plus) - ladder_rhs),
         ("[P0,J+] = (2/w)(1-e^{-wP+})", commutator_nc(p_zero, jp) - ladder_rhs),
         (
@@ -593,21 +577,9 @@ def suite_qe3(order: int) -> VerificationReport:
     with C1 = Pi+ Pi- + Pi0^2/4 the classical invariant, expanded in PBW
     form.  Verifies the full bracket list and the closed form of C1 in the
     deformed generators."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
     w = order + _SLACK
     p = e3_presentation()
-    report = VerificationReport(
-        f"qe3 order={order}",
-        meta={"pbw_order": " < ".join(p.names), "truncation_order": order},
-    )
-    one = NCElement.one(p, w)
-    jp = NCElement.generator(p, "J+", w)
-    j0 = NCElement.generator(p, "J0", w)
-    jm = NCElement.generator(p, "J-", w)
-    pi_p = NCElement.generator(p, "Pi+", w)
-    pi_0 = NCElement.generator(p, "Pi0", w)
-    pi_m = NCElement.generator(p, "Pi-", w)
+    report, one, (jp, j0, jm, pi_p, pi_0, pi_m) = _series_suite("qe3", order, p, w)
 
     c1 = pi_p * pi_m + (pi_0 * pi_0).scale(Fraction(1, 4))
     root = series_function_apply("sqrt1p", c1.scale(Fraction(1, 4)).mul_t(2))
@@ -626,13 +598,7 @@ def suite_qe3(order: int) -> VerificationReport:
     e_p0 = series_function_apply("exp", p_zero.mul_t(1))    # e^{W P0}
     ladder_rhs = (e_p0 - one).div_t(1)                      # (1/W)(e^{W P0} - 1)
 
-    checks = [
-        ("[J0,J+] = 2J+", commutator_nc(j0, jp) - jp.scale(2)),
-        ("[J0,J-] = -2J-", commutator_nc(j0, jm) + jm.scale(2)),
-        ("[J+,J-] = J0", commutator_nc(jp, jm) - j0),
-        ("[P0,P+] = 0", commutator_nc(p_zero, p_plus)),
-        ("[P0,P-] = 0", commutator_nc(p_zero, p_minus)),
-        ("[P+,P-] = 0", commutator_nc(p_plus, p_minus)),
+    checks = _e3_shared_checks(jp, j0, jm, p_plus, p_zero, p_minus) + [
         ("[J0,P+] = 2P+", commutator_nc(j0, p_plus) - p_plus.scale(2)),
         ("[J0,P-] = -2P-", commutator_nc(j0, p_minus) + p_minus.scale(2)),
         ("[P0,J+] = 2P+", commutator_nc(p_zero, jp) - p_plus.scale(2)),

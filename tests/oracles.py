@@ -17,7 +17,7 @@ from math import comb
 
 from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
-from jordanrep.exact.series import STREAMS
+from jordanrep.exact.series import taylor
 from jordanrep.ncseries import NCElement
 
 
@@ -387,13 +387,12 @@ def grid_negate_h(a) -> list:
 def grid_nilpotent_apply(kind: str, a, h_power: int) -> list:
     """sum_k f_k (h^h_power a)^k, stopping at the first zero power."""
     n = len(a)
-    stream = STREAMS[kind]()
+    coeffs = taylor(kind, n + 1)
     step = grid_scale(a, BiPoly({(0, h_power): 1}))
-    acc = grid_scale(grid_identity(n), term(next(stream), 0, 0))
+    acc = grid_scale(grid_identity(n), term(coeffs[0], 0, 0))
     power = grid_identity(n)
-    for _ in range(n):  # a nilpotent n x n grid has a zero n-th power
+    for coeff in coeffs[1:]:  # a nilpotent n x n grid has a zero n-th power
         power = grid_mul(power, step)
-        coeff = next(stream)
         if all(p == 0 for row in power for p in row):
             return acc
         acc = grid_add(acc, grid_scale(power, term(coeff, 0, 0)))

@@ -212,6 +212,15 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
     relabelled["j"] = "1/2"  # 3x3 matrices labelled as a doublet
     zero_denominator = json.loads((tmp_path / "rep.json").read_text())
     zero_denominator["matrices"]["X"][0][1][0]["c"] = "1/0"
+    huge = []  # infinities, and 1e400, which json also reads as one
+    for literal in ("Infinity", "-Infinity", "1e400"):
+        for field in ("j", "c", "h"):
+            payload = json.loads((tmp_path / "rep.json").read_text())
+            if field == "j":
+                payload["j"] = "@"
+            else:
+                payload["matrices"]["X"][0][1][0][field] = "@"
+            huge.append((f"{field}{literal}.json", json.dumps(payload).replace('"@"', literal)))
     for name, payload in (
         ("missing.json", {"j": "1/2"}),
         ("wrong.json", [1, 2]),
@@ -220,6 +229,7 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         ("basis.json", {**relabelled, "j": "1", "basis": "bogus"}),
         ("zero_denominator.json", zero_denominator),
         ("not_json.json", "{not json"),
+        *huge,
     ):
         rep_file = tmp_path / name
         rep_file.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -249,6 +259,25 @@ def test_off_grade_from_json_entry_exits_two(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "off its grade" in captured.err
+
+
+def test_non_integer_exponent_from_json_exits_two(tmp_path, capsys):
+    """An exponent that is a float or a bool is refused, not truncated to
+    the int that the entry's grade asks for."""
+    assert main(["irrep", "--j", "1/2", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    for field, value in (("h", 0.5), ("l", 0.9), ("h", False), ("l", False), ("h", True)):
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        payload["matrices"]["X"][0][1][0][field] = value
+        rep_file = tmp_path / "exponent.json"
+        rep_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", "--from-json", str(rep_file)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "exponents must be integers" in captured.err
 
 
 def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):

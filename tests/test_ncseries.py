@@ -223,7 +223,7 @@ def test_series_function_arctanh_map():
 
 def test_series_function_sqrt_of_one():
     p = e2_presentation()
-    zero = NCElement.zero(p, 5)
+    zero = NCElement(p, 5, {})
     result = series_function_apply("sqrt1p", zero)
     assert (result - NCElement.one(p, 5)).is_zero
 
@@ -270,7 +270,8 @@ def test_deformed_generators_reduce_classically():
     from jordanrep.ncseries import _e3_deformed
 
     p = e3_presentation()
-    pi_p, pi_0, pi_m, p_plus, p_zero, p_minus = _e3_deformed(p, 6)
+    pi_p, pi_0, pi_m = (NCElement.generator(p, g, 6) for g in ("Pi+", "Pi0", "Pi-"))
+    p_plus, p_zero, p_minus = _e3_deformed(pi_p, pi_0, pi_m)
     for deformed, classical in ((p_plus, pi_p), (p_zero, pi_0), (p_minus, pi_m)):
         assert order_part(deformed, 0) == order_part(classical, 0)
 

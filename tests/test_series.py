@@ -1,6 +1,7 @@
-"""Truncated series in the deformation parameter, through the production path:
-elements of U(e(2)) built from P+ alone commute, so series_function_apply on
-them obeys the scalar identities of the elementary functions."""
+"""Taylor coefficients, and truncated series in the deformation parameter
+through the production path: elements of U(e(2)) built from P+ alone
+commute, so series_function_apply on them obeys the scalar identities of the
+elementary functions."""
 
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanrep.exact import stream_coefficients
+from jordanrep.exact import taylor
 from jordanrep.ncseries import NCElement, e2_presentation, series_function_apply
 
 from oracles import coefficients, order_part
@@ -33,8 +34,34 @@ def assert_equal(a, b):
     assert a.order == b.order and (a - b).is_zero, a - b
 
 
+def cauchy(a, b):
+    """The first len(a) coefficients of the product of two power series."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def test_taylor_coefficients_satisfy_the_function_identities():
+    """The closed forms against identities of the functions, on plain
+    coefficient lists as long as the longest series the CLI sums."""
+    n = 61
+    t = {kind: taylor(kind, n) for kind in
+         ("exp", "sinh", "cosh", "ln1p", "arctanh", "inv1p", "sqrt1p")}
+    one, one_plus_x = [1] + [0] * (n - 1), [1, 1] + [0] * (n - 2)
+    exp_minus = [c * (-1) ** k for k, c in enumerate(t["exp"])]
+    assert t["sqrt1p"][0] == 1 and cauchy(t["sqrt1p"], t["sqrt1p"]) == one_plus_x
+    assert cauchy(t["inv1p"], one_plus_x) == one
+    assert t["exp"][0] == 1 and all(k * t["exp"][k] == t["exp"][k - 1] for k in range(1, n))
+    assert cauchy(t["exp"], exp_minus) == one
+    assert [c + s for c, s in zip(t["cosh"], t["sinh"])] == t["exp"]
+    assert [c - s for c, s in zip(t["cosh"], t["sinh"])] == exp_minus
+    assert t["ln1p"][0] == t["arctanh"][0] == 0
+    assert all(k * t["ln1p"][k] == t["inv1p"][k - 1] for k in range(1, n))
+    assert all(k * t["arctanh"][k] == (k % 2) for k in range(1, n))
+    with pytest.raises(KeyError):
+        taylor("tan", 3)
+
+
 def test_ln1p_expansion():
-    assert stream_coefficients("ln1p", 5) == [F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4)]
+    assert taylor("ln1p", 5) == [F(0), F(1), F(-1, 2), F(1, 3), F(-1, 4)]
     x = NCElement.generator(P, "P+", 3).mul_t(1)
     ln = series_function_apply("ln1p", x)
     assert ln.order == 4
@@ -64,7 +91,7 @@ def test_sinh_over_t_coefficients():
 def test_compose_exp_of_t():
     x = NCElement.generator(P, "P+", 4).mul_t(1)
     exp = series_function_apply("exp", x)
-    coeffs = stream_coefficients("exp", 6)
+    coeffs = taylor("exp", 6)
     assert exp.order == 5
     assert coefficients(exp) == {((0, k, 0), k): coeffs[k] for k in range(6)}
 
@@ -112,7 +139,7 @@ def test_terms_above_the_order_are_dropped():
 def test_first_nonzero_takes_lowest_order_then_least_monomial():
     el = NCElement(P, 4, {((0, 0, 1), 3): F(2), ((1, 0, 0), 1): F(-1), ((0, 2, 0), 1): F(5)})
     assert el.first_nonzero() == ("P+^2", 1, 5)
-    assert NCElement.zero(P, 4).first_nonzero() is None
+    assert NCElement(P, 4, {}).first_nonzero() is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -52,9 +52,9 @@ SCHEMA = "jordan-rep/1"
 MAX_GRID_POINTS = 100_000
 
 #: Largest truncation order of the series suites: `verify qe3` at this
-#: order takes about 52 s and peaks at about 150 MB on a 2-vCPU host
-#: (order 30: 4.4 s; order 60: 71 s).
-MAX_ORDER = 56
+#: order takes 48-57 s and peaks at about 141 MB on a 2-vCPU host (order 56:
+#: 3.4 s; 110: 94 s); exponents reach order + 6, far below 2^15 (guard bit).
+MAX_ORDER = 100
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`.
 #: The slowest shape is the most lopsided, whose one large irrep carries the

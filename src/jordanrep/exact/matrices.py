@@ -252,10 +252,10 @@ def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     if m.weight < 0 or m.weight % 2:
         raise DimensionMismatch(f"h^(w/2) m needs an even weight w >= 0, got {m.weight}")
     m = _graded(m.nums, m.den, m.weights, 0)  # h^{w/2} m has the same values at h = 1
-    total = power_sum(taylor(kind, m.rows + 1), m, PolyMatrix.identity(m.weights))
+    total = power_sum([taylor(kind, m.rows + 1)], m, PolyMatrix.identity(m.weights))
     if total is None:
         raise NotNilpotent(f"matrix power {m.rows} is nonzero")
-    return total
+    return total[0]
 
 
 def _axpy(acc: dict, c: int, items) -> dict:

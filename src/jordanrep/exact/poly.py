@@ -144,10 +144,13 @@ class BiPoly:
 
     @staticmethod
     def from_obj(obj) -> "BiPoly":
-        """From the JSON encoding, whose exponents must be ints (not bools)."""
+        """From the JSON encoding, whose exponents must be ints (not bools)
+        and whose coefficients must be "p/q" strings."""
         for t in obj:
             if type(t["l"]) is not int or type(t["h"]) is not int:
                 raise ValueError(f"exponents must be integers, got l={t['l']!r} h={t['h']!r}")
+            if type(t["c"]) is not str:
+                raise ValueError(f'coefficients must be "p/q" strings, got c={t["c"]!r}')
         return BiPoly({(t["l"], t["h"]): Fraction(t["c"]) for t in obj})
 
     def __str__(self):

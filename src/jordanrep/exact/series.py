@@ -2,9 +2,10 @@
 
 :func:`taylor` gives the coefficients of exp, sinh, cosh, ln(1+x), arctanh,
 sqrt(1+x) and 1/(1+x) from their closed forms, and :func:`power_sum` sums
-them on an argument whose powers vanish from some point on: a nilpotent
-matrix in :mod:`jordanrep.exact.matrices`, a PBW element of positive order
-in the deformation parameter in :mod:`jordanrep.ncseries`.
+several of them over the powers of one argument whose powers vanish from
+some point on: a nilpotent matrix in :mod:`jordanrep.exact.matrices`, a
+PBW element of positive order in the deformation parameter in
+:mod:`jordanrep.ncseries`.
 """
 
 from __future__ import annotations
@@ -31,17 +32,19 @@ def taylor(kind: str, count: int) -> list[Fraction]:
     return [coefficient(k) for k in range(count)]
 
 
-def power_sum(coeffs, x, one):
-    """sum_k coeffs[k] x^k, summed up to the first power of x that is zero.
+def power_sum(series, x, one):
+    """[sum_k c[k] x^k for each coefficient list c of ``series``], all
+    summed over one sequence of powers of x, up to the first that is zero.
 
     ``x`` and ``one`` may be of any type with ``*``, ``+``, ``scale`` and
-    ``is_zero``.  None when none of x, x^2, ..., x^(len(coeffs) - 1) is
-    zero: the sum has not ended."""
-    acc, power = one.scale(coeffs[0]), one
-    for c in coeffs[1:]:
+    ``is_zero``; the lists are equally long.  None when none of x, x^2, ...,
+    x^(len - 1) is zero: the sums have not ended."""
+    sums, power = [one.scale(c[0]) for c in series], one
+    for k in range(1, len(series[0])):
         power = power * x
         if power.is_zero:
-            return acc
-        if c:
-            acc = acc + power.scale(c)
+            return sums
+        for i, c in enumerate(series):
+            if c[k]:
+                sums[i] = sums[i] + power.scale(c[k])
     return None

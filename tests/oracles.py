@@ -18,7 +18,7 @@ from math import comb
 from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
 from jordanrep.exact.series import taylor
-from jordanrep.ncseries import NCElement
+from jordanrep.ncseries import FIELD_BITS, NCElement
 
 
 # -- small builders and queries ---------------------------------------------------
@@ -96,10 +96,16 @@ def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
     return all(dh == degree for (_, dh), _ in p.items())
 
 
+def unpack(p, key: int) -> tuple:
+    """(exponent tuple, power) of a packed key, read through the field
+    offsets and the power shift of the presentation."""
+    return tuple(key >> s & (1 << FIELD_BITS) - 1 for s in p.offsets), key >> p.shift
+
+
 def coefficients(el: NCElement) -> dict:
     """(monomial, power) -> rational coefficient: each int numerator over
     the element's one denominator."""
-    return {key: Fraction(n, el.den) for key, n in el.terms.items()}
+    return {unpack(el.presentation, key): Fraction(n, el.den) for key, n in el.terms.items()}
 
 
 def order_part(el: NCElement, k: int) -> dict:
@@ -224,8 +230,7 @@ def normal_order_scheduled(word, p, pick) -> dict:
         i = pick(positions)
         stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2:], coeff))
         for mono, c in p.bracket(w[i], w[i + 1]).items():
-            word_of = tuple(idx for idx, e in enumerate(mono) for _ in range(e))
-            stack.append((w[:i] + word_of + w[i + 2:], coeff * c))
+            stack.append((w[:i] + word_of(unpack(p, mono)[0]) + w[i + 2:], coeff * c))
     return result
 
 

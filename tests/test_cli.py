@@ -280,6 +280,25 @@ def test_non_integer_exponent_from_json_exits_two(tmp_path, capsys):
         assert "exponents must be integers" in captured.err
 
 
+def test_non_string_coefficient_from_json_exits_two(tmp_path, capsys):
+    """A coefficient is encoded as a "p/q" string: a JSON bool or float is
+    refused, not read as 1 or as the binary value of 0.1."""
+    assert main(["irrep", "--j", "1/2", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    for value in (True, 1.0, 0.1):
+        payload = json.loads((tmp_path / "rep.json").read_text())
+        payload["matrices"]["X"][0][1][0]["c"] = value
+        rep_file = tmp_path / "coefficient.json"
+        rep_file.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", "--from-json", str(rep_file)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "coefficients must be" in captured.err
+
+
 def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
     def never(order):
         raise AssertionError(f"suite ran at order {order}")

@@ -10,10 +10,12 @@ Fraction grids, and the series digests before the integer PBW product
 replaced the Fraction one; the two largest series pins (qe3 at order 18,
 e3 at order 40) before elements held int numerators over one denominator
 and pair normal forms were built from shorter pairs; the longest series
-the CLI allows (the dim-27 nilpotent arctanh and sqrt1p of the j = 13
+the CLI then allowed (the dim-27 nilpotent arctanh and sqrt1p of the j = 13
 irrep, and e2 at order 56, whose series run to the 60th power of h) before
 the coefficient streams gave way to closed forms and one shared power
-sum.  The commands run in-process.
+sum; and qe3 at order 30 before PBW keys were packed into ints and the
+series of one argument came to share its powers.  The commands run
+in-process.
 """
 
 import hashlib
@@ -48,6 +50,7 @@ DIGESTS = {
     "verify qe3 --order 18": "8924eddfdc74a7d9bb5f2f1078fc59e1d92d57108ddb3651ea148e33c5d59f19",
     "verify e3 --order 40": "996eb3a88be4fa81ffe969594b0a62463c80a09493d2bbee5dc7e0b4cdfc0512",
     "verify e2 --order 56": "950a08d418cc798adba3d191cad085c6d3e84050ebf14487fb2c49717b0a6e6a",
+    "verify qe3 --order 30": "3fa8f768708cdcce2f465a4e6feee0c84786294d9ed1f6d6da72f852022f329d",
     # matrices printed as JSON and as LaTeX
     "irrep --j 7 --basis diagonal": "e2d4c7353a46f84284592593cee5873686e04362bc54b714b27a0f352b17b3b1",
     "irrep --j 13 --basis diagonal": "894a2861e96085d2133512e5e9a300482b4b8d20de7211a00bbb47aa971ded0c",

@@ -39,6 +39,8 @@ from .exact import (
     anticommutator,
     commutator,
     nilpotent_apply,
+    power_sum,
+    taylor,
 )
 from .report import VerificationReport
 from .verma import ElementTable, build_table
@@ -106,20 +108,8 @@ class Irrep:
 
     @cached_property
     def e(self) -> dict[int, PolyMatrix]:
-        """{+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every exponential, cosh and sinh.
-
-        One pass over the powers (hX)^k/k!, which end because X (of weight 2)
-        is strictly upper triangular: the even ones sum to E = cosh(hX), the
-        odd ones to O = sinh(hX), and e^{±hX} = E ± O."""
-        hx = self.X.mul_h()
-        one = PolyMatrix.identity(hx.weights)
-        parts, power, k = [one, PolyMatrix.zeros(hx.weights, 0)], one, 0
-        while not power.is_zero:
-            k += 1
-            power = (power * hx).scale(Fraction(1, k))
-            parts[k % 2] = parts[k % 2] + power
-        even, odd = parts
-        return {+1: even + odd, -1: even - odd, 0: one}
+        """:func:`exponentials` of X, the source of every exponential, cosh and sinh."""
+        return exponentials(self.X)
 
     def to_obj(self) -> dict:
         return {
@@ -159,6 +149,17 @@ class Irrep:
             name: PolyMatrix.from_polys(grids[name], spin_weights(j), weight)
             for name, weight in GENERATOR_WEIGHTS.items()
         })
+
+
+def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
+    """{+1: e^{hx}, -1: e^{-hx}, 0: 1} for a matrix x of weight 2.
+
+    One power sum over (hx)^k for cosh(hx) and sinh(hx), which ends because
+    x is strictly upper triangular by its grade; e^{±hx} = cosh ± sinh."""
+    hx = x.mul_h()
+    one = PolyMatrix.identity(hx.weights)
+    even, odd = power_sum([taylor("cosh", hx.rows + 1), taylor("sinh", hx.rows + 1)], hx, one)
+    return {+1: even + odd, -1: even - odd, 0: one}
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ power sits above them all, so keys compare as (power, exponent tuple) and
 truncation is one comparison.  The top bit of each generator field is a
 guard bit that stored exponents stay below, so adding two keys never
 carries between fields, and a sum that reaches a guard bit raises
-ValueError.  A product pairs the monomials of its operands.  Each monomial
-has two memoised bit sets over the generators: the letters it holds, and
-the letters that its letters do not commute with from the right.  When the
-second set of the left monomial misses the first set of the right one, the
-letters slide past each other and the keys add.  Every other pair is built,
-through one cache, from shorter pairs.
+ValueError.  A product pairs the monomials of its operands.  The letters
+a key holds are read off it by arithmetic, as a set of guard bits: adding
+``carry`` (all ones below each guard bit) sets the guard bit of exactly the
+nonzero fields, and no carry crosses a field since stored exponents stay
+below it (the field test of Warren, Hacker's Delight, 6-1).  ``blocked``
+maps each such set to the letters that its letters do not commute with from
+the right.  When the blocked set of the left monomial misses the held set
+of the right one, the letters slide past each other and the keys add.
+Every other pair is built, through one cache, from shorter pairs.
 
 The presentations used here are the *classical* Euclidean algebras: the
 deformed generators are defined as nonlinear series in the classical ones,
@@ -56,8 +59,10 @@ class AlgebraPresentation:
     Rules are given as ``{exponent_tuple: int}`` and held packed: the
     structure constants must be integers, so normal ordering runs on ints.
     An absent pair means the generators commute.  The Jacobi identity is
-    checked on all triples at construction.  ``masks`` maps a packed
-    monomial to its two bit sets (see the module docstring)."""
+    checked on all triples at construction.  ``(key + carry) & guard`` is
+    the set of letters a key holds, and ``blocked`` maps each of the
+    2^size letter sets to the letters that its letters do not commute with
+    from the right, both as guard bits (see the module docstring)."""
 
     def __init__(self, names, rules):
         self.names = tuple(names)
@@ -67,6 +72,7 @@ class AlgebraPresentation:
         self.shift = FIELD_BITS * self.size       # the power field
         self.letters = (1 << self.shift) - 1      # the generator fields
         self.guard = sum(_GUARD << s for s in self.offsets)
+        self.carry = sum((_GUARD - 1) << s for s in self.offsets)
         canon: dict[tuple[int, int], dict] = {}
         for (a, b), combo in rules.items():
             if not (0 <= b < a < self.size):
@@ -74,10 +80,15 @@ class AlgebraPresentation:
             combo = {tuple(mono): as_fraction(c) for mono, c in combo.items() if c != 0}
             if any(c.denominator != 1 for c in combo.values()):
                 raise ValueError(f"rule pair {(a, b)} has a non-integer structure constant")
-            if combo:
-                canon[(a, b)] = {self.pack(mono, 0): c.numerator for mono, c in combo.items()}
+            if combo:  # keyed by the pair of packed generators
+                canon[(self.units[a], self.units[b])] = {
+                    self.pack(mono, 0): c.numerator for mono, c in combo.items()}
         self.rules = canon
-        self.masks = _Masks(self.offsets, canon)
+        self.blocked = {0: 0}
+        for u in self.units:
+            row = sum(y << (FIELD_BITS - 1) for x, y in canon if x == u)
+            self.blocked.update({s | u << (FIELD_BITS - 1): t | row
+                                 for s, t in self.blocked.items()})
         self._check_jacobi()
 
     def pack(self, mono, power: int) -> int:
@@ -97,8 +108,8 @@ class AlgebraPresentation:
         if a == b:
             return {}
         if a > b:
-            return dict(self.rules.get((a, b), {}))
-        flipped = self.rules.get((b, a), {})
+            return dict(self.rules.get((self.units[a], self.units[b]), {}))
+        flipped = self.rules.get((self.units[b], self.units[a]), {})
         return {mono: -c for mono, c in flipped.items()}
 
     def _bracket_linear(self, u: dict, v: dict) -> dict:
@@ -137,22 +148,6 @@ class AlgebraPresentation:
             elif e > 1:
                 parts.append(f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-class _Masks(dict):
-    """Packed monomial -> (letters it holds, letters that its letters do not
-    commute with from the right), as bit sets over generator indices,
-    computed on first use."""
-
-    def __init__(self, offsets, rules):
-        super().__init__()
-        self.offsets = offsets
-        self.blocked = [sum(1 << b for x, b in rules if x == a) for a in range(len(offsets))]
-
-    def __missing__(self, mono: int):
-        held = [i for i, s in enumerate(self.offsets) if mono >> s & _FIELD]
-        self[mono] = sum(1 << i for i in held), reduce(or_, (self.blocked[i] for i in held), 0)
-        return self[mono]
 
 
 @lru_cache(maxsize=1)
@@ -214,8 +209,9 @@ def _pair(ma: int, mb: int, p: AlgebraPresentation) -> dict:
     """Normal form of the product of two packed normal-ordered monomials, as
     packed monomial -> int coefficient.  When no inverted letter pair (a in
     ma, b in mb, a > b) has a bracket, the letters slide past each other
-    and the product is the sum of the keys; other pairs come from the cache."""
-    if p.masks[ma][1] & p.masks[mb][0]:
+    and the product is the sum of the keys; other pairs come from the cache.
+    A blocked set holds guard bits only, so mb + carry needs no mask."""
+    if p.blocked[(ma + p.carry) & p.guard] & (mb + p.carry):
         return _normal_order_cached(ma, mb, p)
     _check_guard(ma + mb, p)
     return {ma + mb: 1}
@@ -240,14 +236,14 @@ def _normal_order_cached(ma: int, mb: int, p: AlgebraPresentation):
     shorter than (ma, mb), or as long with a shorter right factor, or the
     full-length term of ma'.y times x, whose letters slide; so the
     recursion ends."""
-    held_b = p.masks[mb][0]
-    y = (held_b & -held_b).bit_length() - 1
-    if mb != p.units[y]:
-        out = _times(_pair(ma, p.units[y], p), mb - p.units[y], p)
+    y = 1 << (((mb + p.carry) & p.guard).bit_length() - FIELD_BITS)  # as a unit key
+    if mb != y:
+        out = _times(_pair(ma, y, p), mb - y, p)
     else:
-        x = p.masks[ma][0].bit_length() - 1
-        rest = ma - p.units[x]
-        out = _times(_pair(rest, mb, p), p.units[x], p)
+        held_a = (ma + p.carry) & p.guard
+        x = (held_a & -held_a) >> (FIELD_BITS - 1)
+        rest = ma - x
+        out = _times(_pair(rest, mb, p), x, p)
         for z, c in p.rules.get((x, y), {}).items():
             for m, e in _pair(rest, z, p).items():
                 out[m] = out.get(m, 0) + c * e
@@ -338,14 +334,16 @@ class NCElement:
             raise ValueError("elements live over different presentations")
         p = self.presentation
         order = min(self.order, other.order)
-        limit, letters, masks = (order + 1) << p.shift, p.letters, p.masks
-        # by key, hence by power, so that each row of pairs stops at the order
-        right = [(kb, b, kb & letters, masks[kb & letters][0])
+        limit, letters, carry, guard, blocked = (
+            (order + 1) << p.shift, p.letters, p.carry, p.guard, p.blocked)
+        # by key, hence by power, so that each row of pairs stops at the order;
+        # the power field does not disturb the letter set of a key
+        right = [(kb, b, kb & letters, (kb + carry) & guard)
                  for kb, b in sorted(other.terms.items())]
         out: defaultdict[int, int] = defaultdict(int)
         for ka, a in self.terms.items():
             ma = ka & letters
-            blocks = masks[ma][1]
+            blocks = blocked[(ka + carry) & guard]
             for kb, b, mb, held in right:
                 k = ka + kb
                 if k >= limit:

@@ -5,15 +5,17 @@ Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
 the h^2 and h^4 matrix elements come from closed forms, the combinatorial
 counts from exhaustive enumeration, normal forms from a reducer with a
-free choice of swap, sums of Kronecker products by assembling the full
+free choice of swap, the letter sets of a packed monomial one letter at a
+time, sums of Kronecker products by assembling the full
 matrix, graded matrix arithmetic by the same operations on grids of
 polynomials in h, and spectra by the characteristic polynomial.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
+from operator import or_
 
 from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
@@ -100,6 +102,15 @@ def unpack(p, key: int) -> tuple:
     """(exponent tuple, power) of a packed key, read through the field
     offsets and the power shift of the presentation."""
     return tuple(key >> s & (1 << FIELD_BITS) - 1 for s in p.offsets), key >> p.shift
+
+
+def letter_sets(p, key: int) -> tuple[int, int]:
+    """(letters the monomial of a packed key holds, letters that its letters
+    do not commute with from the right), as bit sets over generator indices,
+    read one field and one bracket at a time."""
+    held = [i for i, e in enumerate(unpack(p, key)[0]) if e]
+    blocked = [sum(1 << b for b in range(a) if p.bracket(a, b)) for a in range(p.size)]
+    return sum(1 << i for i in held), reduce(or_, (blocked[i] for i in held), 0)
 
 
 def coefficients(el: NCElement) -> dict:

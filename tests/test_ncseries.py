@@ -22,8 +22,8 @@ from jordanrep.ncseries import (
     suite_qe3,
 )
 
-from oracles import (coefficients, normal_order, normal_order_scheduled, order_part,
-                     product_by_monomial, unpack, word_of)
+from oracles import (coefficients, letter_sets, normal_order, normal_order_scheduled,
+                     order_part, product_by_monomial, unpack, word_of)
 
 
 def F(n, d=1):
@@ -99,10 +99,38 @@ def monomial(p, mono) -> NCElement:
     return NCElement(p, 0, {(mono, 0): 1})
 
 
+def held(p, key: int) -> int:
+    """The letters a packed key holds, as the guard bits of its nonzero fields."""
+    return (key + p.carry) & p.guard
+
+
+def as_guard_bits(p, bits: int) -> int:
+    """A bit set over generator indices as the guard bits of their fields."""
+    return sum(1 << (s + FIELD_BITS - 1) for i, s in enumerate(p.offsets) if bits >> i & 1)
+
+
+TOP = (1 << (FIELD_BITS - 1)) - 1  # the largest exponent a field stores
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_letter_sets_match_the_per_letter_oracle(data):
+    """held() and blocked[] of a packed key equal the letter-by-letter sets,
+    with the power field set and with full fields (2^15 - 1) next to empty
+    ones, where a carry out of a field would show."""
+    p = data.draw(st.sampled_from(PRESENTATIONS))
+    exponent = st.one_of(st.just(0), st.just(TOP), st.integers(0, TOP))
+    mono = data.draw(st.tuples(*[exponent] * p.size))
+    key = p.pack(mono, data.draw(st.integers(0, 1 << 20)))
+    oracle_held, oracle_blocked = letter_sets(p, key)
+    assert held(p, key) == as_guard_bits(p, oracle_held)
+    assert p.blocked[held(p, key)] == as_guard_bits(p, oracle_blocked)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_mask_test_takes_the_shortcut_exactly_for_sliding_letters(data):
-    """A monomial pair takes the shortcut (its masks miss each other)
+    """A monomial pair takes the shortcut (its letter sets miss each other)
     exactly when every inverted letter pair (a of ma, b of mb, a > b)
     multiplies, by the scheduled oracle, to its exponent sum; then the pair
     does too, and the element product agrees with the oracle either way.
@@ -112,7 +140,7 @@ def test_mask_test_takes_the_shortcut_exactly_for_sliding_letters(data):
     p = data.draw(st.sampled_from(PRESENTATIONS))
     ma, mb = data.draw(monomials(p)), data.draw(monomials(p))
     first = lambda pos: pos[0]
-    shortcut = not p.masks[p.pack(ma, 0)][1] & p.masks[p.pack(mb, 0)][0]
+    shortcut = not p.blocked[held(p, p.pack(ma, 0))] & held(p, p.pack(mb, 0))
     sliding = all(
         normal_order_scheduled((a, b), p, first) == {tuple(map((a, b).count, range(p.size))): 1}
         for a in set(word_of(ma)) for b in set(word_of(mb)) if a > b

@@ -13,9 +13,11 @@ and pair normal forms were built from shorter pairs; the longest series
 the CLI then allowed (the dim-27 nilpotent arctanh and sqrt1p of the j = 13
 irrep, and e2 at order 56, whose series run to the 60th power of h) before
 the coefficient streams gave way to closed forms and one shared power
-sum; and qe3 at order 30 before PBW keys were packed into ints and the
-series of one argument came to share its powers.  The commands run
-in-process.
+sum; qe3 at order 30 before PBW keys were packed into ints and the
+series of one argument came to share its powers; and e3 at order 56
+before the letter sets of a packed key were read off it by arithmetic in
+place of a per-monomial memo, which held about ten thousand monomials
+after qe3 at order 30.  The commands run in-process.
 """
 
 import hashlib
@@ -51,6 +53,7 @@ DIGESTS = {
     "verify e3 --order 40": "996eb3a88be4fa81ffe969594b0a62463c80a09493d2bbee5dc7e0b4cdfc0512",
     "verify e2 --order 56": "950a08d418cc798adba3d191cad085c6d3e84050ebf14487fb2c49717b0a6e6a",
     "verify qe3 --order 30": "3fa8f768708cdcce2f465a4e6feee0c84786294d9ed1f6d6da72f852022f329d",
+    "verify e3 --order 56": "1332fe1d693ab7dfa0e681daeae0728fe2af2e75d107e2a8d7184de36cc33895",
     # matrices printed as JSON and as LaTeX
     "irrep --j 7 --basis diagonal": "e2d4c7353a46f84284592593cee5873686e04362bc54b714b27a0f352b17b3b1",
     "irrep --j 13 --basis diagonal": "894a2861e96085d2133512e5e9a300482b4b8d20de7211a00bbb47aa971ded0c",

@@ -295,6 +295,8 @@ def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
 
 
 def cmd_verify(args) -> int:
+    if args.order < 2:
+        raise InputError("order must be at least 2")
     if args.order > MAX_ORDER:
         raise InputError(f"--order {args.order} is above the largest order {MAX_ORDER}")
     if args.suite in ("so4", "hopf"):

@@ -9,10 +9,6 @@ class DimensionMismatch(JordanRepError):
     """Matrix operands have incompatible shapes."""
 
 
-class NotNilpotent(JordanRepError):
-    """A matrix passed to a terminating-series evaluation is not nilpotent."""
-
-
 class BadParity(JordanRepError):
     """Composition enumeration asked for an odd total or an odd number of parts."""
 

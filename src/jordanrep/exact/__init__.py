@@ -1,15 +1,9 @@
 """Exact scalar, polynomial and matrix arithmetic, and the Taylor series
-of the elementary functions, summed on nilpotent matrices and PBW series."""
+of the elementary functions with one loop that sums them over powers."""
 
 from .poly import BiPoly, H, LAM, ONE, ZERO, as_fraction
 from .series import power_sum, taylor
-from .matrices import (
-    PolyMatrix,
-    TensorSum,
-    anticommutator,
-    commutator,
-    nilpotent_apply,
-)
+from .matrices import PolyMatrix, TensorSum, anticommutator, commutator
 
 __all__ = [
     "BiPoly",
@@ -24,5 +18,4 @@ __all__ = [
     "TensorSum",
     "anticommutator",
     "commutator",
-    "nilpotent_apply",
 ]

@@ -1,4 +1,4 @@
-"""Graded square matrices over the rationals, and terminating series.
+"""Graded square matrices over the rationals.
 
 With h of weight -2 and X, Y, H of weights +2, -2, 0 the deformed algebra is
 homogeneous.  On a basis of weights wt_i (2j - 2i on a spin-j irrep, pairwise
@@ -15,8 +15,6 @@ constructor, :meth:`~PolyMatrix.from_polys` and :meth:`~PolyMatrix.divide_h`;
 zeros and the identity are graded by construction), and graded operands
 give graded results.
 Mismatched bases or weights and off-grade entries raise DimensionMismatch.
-Analytic functions (exp, sinh, arctanh, sqrt, ...) are evaluated on
-nilpotent matrices only, where the Taylor series terminates.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from ..errors import DimensionMismatch, NotNilpotent
+from ..errors import DimensionMismatch
 from .poly import BiPoly, ZERO, as_fraction
-from .series import power_sum, taylor
 
 
 def _degree(weights, weight: int, r: int, c: int) -> int:
@@ -237,25 +234,6 @@ def commutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 def anticommutator(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return a * b + b * a
-
-
-def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
-    """f(h^{w/2} m) for a nilpotent matrix m of weight w, as a finite sum.
-
-    ``f`` is the named elementary function of
-    :func:`~jordanrep.exact.series.taylor`, and h^{w/2} m has weight 0, so
-    the usual exp(hX) is ``nilpotent_apply("exp", X)``.  The
-    :func:`~jordanrep.exact.series.power_sum` ends because a nilpotent
-    d-by-d matrix satisfies ``m^d = 0``; if it does not,
-    :class:`NotNilpotent` is raised.
-    """
-    if m.weight < 0 or m.weight % 2:
-        raise DimensionMismatch(f"h^(w/2) m needs an even weight w >= 0, got {m.weight}")
-    m = _graded(m.nums, m.den, m.weights, 0)  # h^{w/2} m has the same values at h = 1
-    total = power_sum([taylor(kind, m.rows + 1)], m, PolyMatrix.identity(m.weights))
-    if total is None:
-        raise NotNilpotent(f"matrix power {m.rows} is nonzero")
-    return total[0]
 
 
 def _axpy(acc: dict, c: int, items) -> dict:

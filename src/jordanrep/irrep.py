@@ -15,9 +15,11 @@ spin-j triple (J+, J-, J0),
 
     X = (2/h) arctanh(h J+ / 2),
     Y = sqrt(1 - h^2 J+^2/4) J- sqrt(1 - h^2 J+^2/4),
-    H = J0,
+    H = J0.
 
-whose series terminate by nilpotency.  Both constructions are verified
+J+ has one nonzero superdiagonal s, so J+^k is one band with entry
+(r, r+k) = s_r ... s_{r+k-1}, and each series is a finite sum of bands
+with closed-form Taylor coefficients.  Both constructions are verified
 against the defining relations
 
     [H, X] = (2/h) sinh(h X),   [H, Y] = -{Y, cosh(h X)},   [X, Y] = H,
@@ -30,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 from .errors import DimensionMismatch, SingularLeadingElement
 from .exact import (
@@ -38,7 +42,6 @@ from .exact import (
     PolyMatrix,
     anticommutator,
     commutator,
-    nilpotent_apply,
     power_sum,
     taylor,
 )
@@ -248,12 +251,28 @@ def classical_rep(j) -> ClassicalRep:
     )
 
 
+def _band(s, coeffs, weights, weight: int) -> PolyMatrix:
+    """sum_k coeffs[k] x^k, where x has the superdiagonal s and no other
+    nonzero entry: entry (r, r+k) is coeffs[k] s_r ... s_{r+k-1}."""
+    n = len(weights)
+    grid = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for k, run in enumerate(accumulate(s[r:], mul, initial=1)):  # s_r ... s_{r+k-1}
+            grid[r][r + k] = coeffs[k] * run
+    return PolyMatrix(grid, weights, weight)
+
+
 def map_to_deformed(c: ClassicalRep) -> Irrep:
-    """The invertible nonlinear map applied to a classical triple; all series
-    terminate because the raising matrix is nilpotent."""
-    x = nilpotent_apply("arctanh", c.plus.scale(Fraction(1, 2)))
-    x = x.divide_h().scale(2)
-    root = nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
+    """The invertible nonlinear map applied to a classical triple, with both
+    series summed as bands of the superdiagonal s of J+:
+    X = sum_k 2 arctanh_k / 2^k h^{k-1} J+^k and
+    sqrt(1 - h^2 J+^2 / 4) = sum_m sqrt1p_m (-1/4)^m h^{2m} J+^{2m}."""
+    n, weights = c.plus.rows, c.plus.weights
+    s = [Fraction(c.plus.nums[r][r + 1], c.plus.den) for r in range(n - 1)]
+    x = _band(s, [2 * a / 2**k for k, a in enumerate(taylor("arctanh", n))], weights, 2)
+    sqrt1p = taylor("sqrt1p", (n + 1) // 2)
+    root = _band(s, [0 if k % 2 else sqrt1p[k // 2] * Fraction(-1, 4) ** (k // 2)
+                     for k in range(n)], weights, 0)
     y = root * c.minus * root
     return Irrep(j=c.j, basis="diagonal", X=x, Y=y, H=c.zero)
 

@@ -8,7 +8,8 @@ counts from exhaustive enumeration, normal forms from a reducer with a
 free choice of swap, the letter sets of a packed monomial one letter at a
 time, sums of Kronecker products by assembling the full
 matrix, graded matrix arithmetic by the same operations on grids of
-polynomials in h, and spectra by the characteristic polynomial.
+polynomials in h, functions of nilpotent matrices by their Taylor series
+over matrix powers, and spectra by the characteristic polynomial.
 """
 
 from fractions import Fraction
@@ -17,9 +18,8 @@ from itertools import product
 from math import comb
 from operator import or_
 
-from jordanrep.errors import NotNilpotent
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
-from jordanrep.exact.series import taylor
+from jordanrep.exact.series import power_sum, taylor
 from jordanrep.ncseries import FIELD_BITS, NCElement
 
 
@@ -412,7 +412,23 @@ def grid_nilpotent_apply(kind: str, a, h_power: int) -> list:
         if all(p == 0 for row in power for p in row):
             return acc
         acc = grid_add(acc, grid_scale(power, term(coeff, 0, 0)))
-    raise NotNilpotent("grid power is nonzero")
+    raise AssertionError("grid power is nonzero")
+
+
+# -- the Taylor route --------------------------------------------------------------
+
+
+def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
+    """f(h^{w/2} m) for a nilpotent matrix m of even weight w >= 0, the named
+    function f of ``taylor`` summed over the powers of h^{w/2} m, so the
+    usual exp(hX) is ``nilpotent_apply("exp", X)``.  The reference for the
+    band sums of ``map_to_deformed`` and for every exponential, cosh and sinh."""
+    assert m.weight >= 0 and m.weight % 2 == 0, f"weight {m.weight}"
+    for _ in range(m.weight // 2):
+        m = m.mul_h()
+    total = power_sum([taylor(kind, m.rows + 1)], m, PolyMatrix.identity(m.weights))
+    assert total is not None, f"power {m.rows} of the matrix is nonzero"
+    return total[0]
 
 
 def charpoly(m: PolyMatrix) -> list[BiPoly]:

@@ -6,7 +6,7 @@ import pytest
 
 from jordanrep import cli, irrep
 from jordanrep.cli import main
-from jordanrep.errors import InputError, NotNilpotent
+from jordanrep.errors import InputError, MissingElement
 from jordanrep.exact import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
@@ -300,17 +300,26 @@ def test_non_string_coefficient_from_json_exits_two(tmp_path, capsys):
 
 
 def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
-    def never(order):
-        raise AssertionError(f"suite ran at order {order}")
+    def never(*args):
+        raise AssertionError(f"suite ran at {args}")
 
-    monkeypatch.setattr(cli.ncseries, "suite_qe3", never)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "qe3", "--order", str(cli.MAX_ORDER + 1)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.count("\n") == 1
-    # the largest allowed order reaches the suite
-    with pytest.raises(AssertionError, match=f"order {cli.MAX_ORDER}"):
-        main(["verify", "qe3", "--order", str(cli.MAX_ORDER)])
+    for name in ("suite_e2", "suite_e3", "suite_qe3"):
+        monkeypatch.setattr(cli.ncseries, name, never)
+    for name in ("_sl2_suite", "verify_hopf"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.so4, "build_so4", never)
+    for suite, order in (("qe3", cli.MAX_ORDER + 1), ("qe3", 1), ("all", 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--order", str(order)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if order == 1:
+            assert "order must be at least 2" in err
+    # the smallest and largest allowed orders reach the suite
+    for order in (2, cli.MAX_ORDER):
+        with pytest.raises(AssertionError, match=f"suite ran at \\({order},\\)"):
+            main(["verify", "qe3", "--order", str(order)])
 
 
 def test_tensor_cap_is_checked_before_any_work(monkeypatch, capsys):
@@ -427,8 +436,8 @@ def test_grid_cap_is_checked_before_allocating():
 
 def test_internal_package_errors_propagate(monkeypatch):
     def broken(args):
-        raise NotNilpotent("defect, not an input error")
+        raise MissingElement("defect, not an input error")
 
     monkeypatch.setattr(cli, "cmd_spectrum", broken)
-    with pytest.raises(NotNilpotent):
+    with pytest.raises(MissingElement):
         main(["spectrum", "--omega", "1", "--grid", "0:1:0.5"])

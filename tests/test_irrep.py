@@ -4,7 +4,7 @@ import pytest
 
 from jordanrep import irrep
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import ONE, ZERO, PolyMatrix, commutator, nilpotent_apply
+from jordanrep.exact import ONE, ZERO, PolyMatrix, commutator
 from jordanrep.report import VerificationReport
 from jordanrep.irrep import (
     Irrep,
@@ -18,12 +18,13 @@ from jordanrep.irrep import (
     verify_sl2_relations,
     verma_basis_irrep,
 )
+from jordanrep.so4 import build_so4, verify_so4_relations
 from jordanrep.verma import build_table
 
 import golden
 from oracles import (
-    act, charpoly, constant_value, diagonal, graded, is_homogeneous_h, negate_h, subs_h, term,
-    trace, with_h,
+    act, charpoly, constant_value, diagonal, graded, is_homogeneous_h, negate_h,
+    nilpotent_apply, subs_h, term, trace, with_h,
 )
 
 HALF = Fraction(1, 2)
@@ -144,6 +145,43 @@ def test_map_to_deformed_j_one_two_term_series():
     expected = with_h(sandwich[0, 1] * Fraction(-1, 8), 2)
     assert r.Y[0, 1] == expected
     assert expected == term(Fraction(-1, 2), 0, 2)
+
+
+@pytest.mark.parametrize("j", [0, HALF, 1, Fraction(7, 2), 10, 40])
+def test_band_sums_match_the_taylor_route(monkeypatch, j):
+    """X and the square root, summed as bands of J+, against their Taylor
+    series over matrix powers."""
+    bands = {}
+
+    def spy(s, coeffs, weights, weight):
+        bands[weight] = honest(s, coeffs, weights, weight)
+        return bands[weight]
+
+    honest = irrep._band
+    monkeypatch.setattr(irrep, "_band", spy)
+    c = classical_rep(j)
+    r = map_to_deformed(c)
+    assert r.X == bands[2] == nilpotent_apply("arctanh", c.plus.scale(HALF)).divide_h().scale(2)
+    root = nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
+    assert bands[0] == root
+    assert r.Y == root * c.minus * root
+
+
+@pytest.mark.parametrize("kind, index", [("arctanh", 3), ("sqrt1p", 1)])
+def test_a_wrong_series_coefficient_fails_the_relations(monkeypatch, kind, index):
+    """One Taylor coefficient of the map off by 1 breaks the sl(2) relations
+    of the map-route irrep and the so(4) relations built on it."""
+    honest = irrep.taylor
+
+    def wrong(name, count):
+        coeffs = honest(name, count)
+        if name == kind and index < count:
+            coeffs[index] += 1
+        return coeffs
+
+    monkeypatch.setattr(irrep, "taylor", wrong)
+    assert not verify_sl2_relations(map_to_deformed(classical_rep(2))).passed
+    assert not verify_so4_relations(build_so4(Fraction(3, 2), 1)).passed
 
 
 @pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), Fraction(7, 2), 3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanrep.errors import DimensionMismatch, NotNilpotent
+from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import (
     ONE,
     ZERO,
@@ -13,8 +13,8 @@ from jordanrep.exact import (
     TensorSum,
     commutator,
     matrices,
-    nilpotent_apply,
 )
+from jordanrep.irrep import classical_rep, map_to_deformed
 from oracles import (
     assemble,
     charpoly,
@@ -28,6 +28,7 @@ from oracles import (
     grid_nilpotent_apply,
     ladder,
     negate_h,
+    nilpotent_apply,
     term,
     trace,
 )
@@ -50,30 +51,22 @@ J_PLUS_8 = graded(
 
 
 def test_arctanh_map_on_two_dim_is_identity_map():
-    j = graded([[0, 1], [0, 0]], 2)
-    x = nilpotent_apply("arctanh", j.scale(Fraction(1, 2))).divide_h().scale(2)
-    assert x == j  # j^2 = 0 kills all higher terms
+    c = classical_rep(Fraction(1, 2))
+    assert c.plus == graded([[0, 1], [0, 0]], 2)
+    assert map_to_deformed(c).X == c.plus  # j^2 = 0 kills all higher terms
 
 
 def test_arctanh_map_on_eight_dim_golden_entry():
-    x = nilpotent_apply("arctanh", J_PLUS_8.scale(Fraction(1, 2)))
-    x = x.divide_h().scale(2)
+    c = classical_rep(Fraction(7, 2))
+    assert c.plus == J_PLUS_8
+    x = map_to_deformed(c).X
     assert x[0, 3] == term(105, 0, 2)
     assert x[0, 5] == term(3780, 0, 4)
 
 
 def test_sqrt_conjugation_golden_entry():
-    j_minus = graded([[1 if i == k + 1 else 0 for k in range(8)] for i in range(8)], -2)
-    root = nilpotent_apply("sqrt1p", (J_PLUS_8 * J_PLUS_8).scale(Fraction(-1, 4)))
-    y = root * j_minus * root
+    y = map_to_deformed(classical_rep(Fraction(7, 2))).Y
     assert y[0, 1] == term(Fraction(-21, 2), 0, 2)
-
-
-def test_not_nilpotent():
-    with pytest.raises(NotNilpotent):
-        nilpotent_apply("exp", PolyMatrix.identity(ladder(2)))
-    with pytest.raises(NotNilpotent):
-        nilpotent_apply("exp", PolyMatrix([[0, 1], [1, 0]], (0, 0), 0))
 
 
 def test_dimension_mismatch_is_an_error():
@@ -96,8 +89,6 @@ def test_off_grade_entries_are_refused():
         graded([[0, ONE + term(1, 0, 1)], [0, 0]], 2)
     with pytest.raises(DimensionMismatch):  # lam is not a power of h
         graded([[0, term(1, 1, 0)], [0, 0]], 2)
-    with pytest.raises(DimensionMismatch):  # odd weight on an even ladder
-        nilpotent_apply("exp", PolyMatrix.zeros(ladder(2), 1))
     assert graded([[0, term(3, 0, 1)], [0, 0]], 0)[0, 1] == term(3, 0, 1)
 
 

@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,11 +6,10 @@ import pytest
 from jordanrep import irrep, so4
 from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import PolyMatrix, TensorSum, commutator, nilpotent_apply
-from jordanrep.exact import matrices as exact_matrices
+from jordanrep.exact import PolyMatrix, TensorSum, commutator
 from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
 from jordanrep.so4 import build_so4, copy_legs, verify_so4_coalgebra, verify_so4_relations
-from oracles import assemble, subs_h
+from oracles import assemble, nilpotent_apply, subs_h
 
 HALF = Fraction(1, 2)
 PAIRS = [(HALF, HALF), (Fraction(1), HALF), (Fraction(1), Fraction(1))]
@@ -198,20 +196,25 @@ def test_exponentials_factor_over_the_copies(j1, j2):
 ])
 def test_series_run_on_single_copies_only(monkeypatch, capsys, argv, largest):
     """Every series is evaluated on one factor's matrices, none on the
-    tensor space of dimension (2j1+1)(2j2+1)."""
-    honest = exact_matrices.nilpotent_apply
-    rows = []
+    tensor space of dimension (2j1+1)(2j2+1): the e^{±hX} power sum and the
+    band sums of the map."""
+    rows = {"power_sum": [], "_band": []}
+    honest_power_sum, honest_band = irrep.power_sum, irrep._band
 
-    def spy(kind, m):
-        rows.append(m.rows)
-        return honest(kind, m)
+    def power_sum(series, x, one):
+        rows["power_sum"].append(x.rows)
+        return honest_power_sum(series, x, one)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("jordanrep") and getattr(module, "nilpotent_apply", None) is honest:
-            monkeypatch.setattr(module, "nilpotent_apply", spy)
+    def band(s, coeffs, weights, weight):
+        rows["_band"].append(len(weights))
+        return honest_band(s, coeffs, weights, weight)
+
+    monkeypatch.setattr(irrep, "power_sum", power_sum)
+    monkeypatch.setattr(irrep, "_band", band)
     assert main(argv) == 0
     capsys.readouterr()
-    assert rows and max(rows) <= largest
+    for seen in rows.values():
+        assert seen and max(seen) <= largest
 
 
 def _corrupt(rep):

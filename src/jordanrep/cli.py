@@ -13,7 +13,8 @@ non-finite spectrum parameter, an empty, unbounded or oversized --grid, a
 scan that overflows floats, malformed --from-json input (including an entry
 that is not c*h^d with the power d that its position and generator fix), an
 unwritable --output, a truncation order below 2 or above MAX_ORDER, a
-tensor dimension (2j1+1)(2j2+1) above MAX_TENSOR_DIM, a symbolic element
+tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
+MAX_TENSOR_DIM (checked as soon as "j" is read), a symbolic element
 table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
 MAX_SPIN, or a selection that runs no checks.
 Any other package error is a defect and propagates.
@@ -36,6 +37,7 @@ from .irrep import (
     Irrep,
     casimir,
     classical_rep,
+    ensure_half_integer,
     map_to_deformed,
     singular_vector,
     verify_hopf,
@@ -56,12 +58,14 @@ MAX_GRID_POINTS = 100_000
 #: 3.4 s; 110: 94 s); exponents reach order + 6, far below 2^15 (guard bit).
 MAX_ORDER = 100
 
-#: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`.
-#: The slowest shape is the most lopsided, whose one large irrep carries the
-#: longest integers: `verify so4 --j1 0 --j2 107` takes 49-54 s on a 2-vCPU
-#: host ((0, 40) / (0, 80) / (0, 100): 1.6 / 16 / 36 s, about dim^4.6), and
-#: `verify hopf --j1 0 --j2 107` 37 s.  Wider shapes of the same dimension
-#: are cheaper: (1, 35) takes 6.4 s and (7, 7) 4.6 s.
+#: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`,
+#: and largest dimension 2j+1 of a `verify sl2 --from-json` irrep.  The
+#: slowest shape is the most lopsided, whose one large irrep carries the
+#: longest integers: `verify so4 --j1 0 --j2 107` takes 26 s and peaks at
+#: 157 MB on a 2-vCPU host ((0, 40) / (0, 80) / (0, 100): 0.5 / 6.5 / 18 s,
+#: about dim^4), and `verify hopf --j1 0 --j2 107` 18 s.  Wider shapes are
+#: cheaper: (1, 35) takes 2.9 s and (7, 6), of dimension 195, 1.1 s.  The
+#: j = 107 irrep from JSON verifies in 15 s.
 MAX_TENSOR_DIM = 215
 
 #: Largest --max-level of the symbolic `elements` table, built in about a
@@ -309,7 +313,12 @@ def cmd_verify(args) -> int:
         if args.from_json:
             try:
                 with open(args.from_json) as fh:
-                    rep = Irrep.from_obj(json.load(fh))
+                    obj = json.load(fh)
+                j = ensure_half_integer(obj["j"])
+                if 2 * j + 1 > MAX_TENSOR_DIM:
+                    raise InputError(f"{args.from_json} has j = {j}, which needs {2 * j + 1} "
+                                     f"rows, above the largest {MAX_TENSOR_DIM}")
+                rep = Irrep.from_obj(obj)
             except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
                     DimensionMismatch) as exc:
                 raise InputError(

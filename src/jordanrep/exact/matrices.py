@@ -10,7 +10,10 @@ values are a grid of Python ints over one positive common denominator, in
 canonical form (no factor common to the denominator and every numerator,
 denominator 1 for the zero matrix), so all arithmetic is on ints and
 equality stays structural; a ``Fraction`` is rebuilt per entry only for
-output and failure reports.  The grade is checked where a matrix enters (the
+output and failure reports.  Matrices are immutable, so each one fills, on
+first use, a cache of the nonzero columns of every row, which products,
+Kronecker products and the Kronecker-sum elimination walk in place of
+scanning zeros.  The grade is checked where a matrix enters (the
 constructor, :meth:`~PolyMatrix.from_polys` and :meth:`~PolyMatrix.divide_h`;
 zeros and the identity are graded by construction), and graded operands
 give graded results.
@@ -47,16 +50,18 @@ def _term(weights, weight: int, r: int, c: int, value) -> BiPoly:
     return BiPoly({(0, _degree(weights, weight, r, c)): value}) if value else ZERO
 
 
-def _graded(nums, den: int, weights, weight: int) -> "PolyMatrix":
+def _graded(nums, den: int, weights, weight: int, cols=None) -> "PolyMatrix":
     """A matrix already in canonical form whose grade follows from graded
-    operands: no check."""
+    operands: no check.  ``cols``, when known, are its nonzero columns."""
     m = PolyMatrix.__new__(PolyMatrix)
     m.nums, m.den, m.weights, m.weight, m.rows = nums, den, weights, weight, len(weights)
+    m._cols = cols
     return m
 
 
-def _reduced(nums, den: int, weights, weight: int) -> "PolyMatrix":
-    """nums / den (den > 0) brought to canonical form by their common factor."""
+def _reduced(nums, den: int, weights, weight: int, cols=None) -> "PolyMatrix":
+    """nums / den (den > 0) brought to canonical form by their common factor;
+    dividing by it moves no zero, so known ``cols`` still hold."""
     g = den
     for row in nums:
         if g == 1:
@@ -64,14 +69,14 @@ def _reduced(nums, den: int, weights, weight: int) -> "PolyMatrix":
         g = gcd(g, *row)
     if g != 1:
         nums, den = [[a // g for a in row] for row in nums], den // g
-    return _graded(nums, den, weights, weight)
+    return _graded(nums, den, weights, weight, cols)
 
 
 class PolyMatrix:
     """Immutable square matrix: values at h = 1 as int numerators ``nums``
     over one common denominator ``den``, basis weights, one weight."""
 
-    __slots__ = ("nums", "den", "weights", "weight", "rows")
+    __slots__ = ("nums", "den", "weights", "weight", "rows", "_cols")
 
     def __init__(self, values, weights, weight: int):
         """From a grid of ints and rationals, in one pass over their
@@ -85,6 +90,7 @@ class PolyMatrix:
         _check_grade(nums, weights, weight)
         self.nums, self.den, self.weights, self.weight, self.rows = (
             nums, den, weights, weight, len(weights))
+        self._cols = None
 
     # -- constructors --------------------------------------------------------
 
@@ -118,6 +124,14 @@ class PolyMatrix:
         i, j = key
         return _term(self.weights, self.weight, i, j, Fraction(self.nums[i][j], self.den))
 
+    def columns(self) -> list:
+        """Per row, the ascending columns of its nonzero numerators; filled
+        once, as the matrix never changes."""
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = [[k for k, a in enumerate(row) if a] for row in self.nums]
+        return cols
+
     def _require_same_grading(self, other: "PolyMatrix"):
         if self.weights != other.weights or self.weight != other.weight:
             raise DimensionMismatch(
@@ -144,21 +158,22 @@ class PolyMatrix:
 
     def __neg__(self) -> "PolyMatrix":
         return _graded([[-a for a in row] for row in self.nums], self.den,
-                       self.weights, self.weight)
+                       self.weights, self.weight, self._cols)
 
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.weights != other.weights:
             raise DimensionMismatch(f"{self.weights} times {other.weights}")
-        # skip zero entries on both sides: the representation matrices are sparse
-        b_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other.nums]
+        # walk nonzero entries only on both sides: the representation
+        # matrices are sparse
+        b_nums, b_cols = other.nums, other.columns()
         n = self.rows
         out = []
-        for row in self.nums:
+        for row, cols in zip(self.nums, self.columns()):
             acc_row = [0] * n
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in b_rows[k]:
-                        acc_row[j] += a * b
+            for k in cols:
+                a, b_row = row[k], b_nums[k]
+                for j in b_cols[k]:
+                    acc_row[j] += a * b_row[j]
             out.append(acc_row)
         return _reduced(out, self.den * other.den, self.weights, self.weight + other.weight)
 
@@ -172,12 +187,12 @@ class PolyMatrix:
 
     def mul_h(self) -> "PolyMatrix":
         """Times h: one more power of h in every entry, weight - 2."""
-        return _graded(self.nums, self.den, self.weights, self.weight - 2)
+        return _graded(self.nums, self.den, self.weights, self.weight - 2, self._cols)
 
     def divide_h(self) -> "PolyMatrix":
         """Exact division by h, weight + 2; an entry without h is refused."""
         _check_grade(self.nums, self.weights, self.weight + 2)
-        return _graded(self.nums, self.den, self.weights, self.weight + 2)
+        return _graded(self.nums, self.den, self.weights, self.weight + 2, self._cols)
 
     # -- structure ----------------------------------------------------------------
 
@@ -186,13 +201,24 @@ class PolyMatrix:
         return not any(any(row) for row in self.nums)
 
     def kron(self, other: "PolyMatrix") -> "PolyMatrix":
-        """Tensor (Kronecker) product, row-major block convention."""
-        out = []
-        for ra in self.nums:
-            for rb in other.nums:
-                out.append([a * b for a in ra for b in rb])
+        """Tensor (Kronecker) product, row-major block convention.  Entry
+        (p*m + i, q*m + k), B being m x m, is A[p,q] B[i,k]: nonzero exactly
+        where both factors are, so the product's columns are known."""
+        m, size = other.rows, self.rows * other.rows
+        b_nums, b_cols = other.nums, other.columns()
+        out, out_cols = [], []
+        for ra, ca in zip(self.nums, self.columns()):
+            for rb, cb in zip(b_nums, b_cols):
+                row, row_cols = [0] * size, []
+                for q in ca:
+                    a, base = ra[q], q * m
+                    for k in cb:
+                        row[base + k] = a * rb[k]
+                        row_cols.append(base + k)
+                out.append(row)
+                out_cols.append(row_cols)
         weights = tuple(a + b for a in self.weights for b in other.weights)
-        return _reduced(out, self.den * other.den, weights, self.weight + other.weight)
+        return _reduced(out, self.den * other.den, weights, self.weight + other.weight, out_cols)
 
     def first_difference(self, other: "PolyMatrix"):
         """(row, col, self_entry, other_entry) of the first mismatch, or None."""
@@ -247,18 +273,29 @@ def _axpy(acc: dict, c: int, items) -> dict:
     return acc
 
 
-def _first_nonzero(pairs, r: int):
+def _flat(m: PolyMatrix) -> dict:
+    """The nonzero numerators of m keyed by row * m.rows + col."""
+    n, nums = m.rows, m.nums
+    return {i * n + k: nums[i][k] for i, cols in enumerate(m.columns()) for k in cols}
+
+
+def _first_nonzero(pairs, n: int, r: int):
     """(row, col) of the first nonzero entry, in row-major order, of
-    sum E (x) F over pairs of sparse int legs whose right legs are r x r;
-    None for an empty list.  Entry (p*r + i, q*r + k) is sum E[p,q] F[i,k]."""
-    for row in sorted({p * r + i for e, f in pairs for p, _ in e for i, _ in f}):
+    sum E (x) F over pairs of sparse int legs, E n x n and F r x r, each
+    keyed by row * size + col; None for an empty list.  Entry
+    (p*r + i, q*r + k) is sum E[p,q] F[i,k]."""
+    rows = set()
+    for e, f in pairs:
+        f_rows = {key // r for key in f}
+        rows.update(p * r + i for p in {key // n for key in e} for i in f_rows)
+    for row in sorted(rows):
         p, i = divmod(row, r)
         acc: dict = {}
         for e, f in pairs:
-            f_row = [(k, y) for (ii, k), y in f.items() if ii == i]
-            for (pp, q), x in e.items():
-                if pp == p:
-                    _axpy(acc, x, [(q * r + k, y) for k, y in f_row])
+            f_row = [(key - i * r, y) for key, y in f.items() if key // r == i]
+            for key, x in e.items():
+                if key // n == p:
+                    _axpy(acc, x, [((key - p * n) * r + k, y) for k, y in f_row])
         if acc:
             return row, min(acc)
     return None
@@ -331,14 +368,13 @@ class TensorSum:
         if grading != other_grading:
             raise DimensionMismatch(f"tensor gradings {grading} vs {other_grading}")
         left, right, weight = grading
-        r = len(right)
+        n, r = len(left), len(right)
         signed = [(1, a, b) for a, b in self.pairs] + [(-1, a, b) for a, b in other.pairs]
         scale = lcm(*(a.den * b.den for _, a, b in signed))
         basis = []  # [pivot key, pivot, E_m, F_m, denominator of F_m], sparse int legs
         for sign, a, b in signed:
             # the pending term v (x) (num/den) B, with a and b's int numerators v and B
-            v = {(i, k): x for i, row in enumerate(a.nums) for k, x in enumerate(row) if x}
-            b_items = [((i, k), y) for i, row in enumerate(b.nums) for k, y in enumerate(row) if y]
+            v, b_items = _flat(a), _flat(b).items()
             num, den = sign * (scale // (a.den * b.den)), 1
             for item in basis:
                 if not v:
@@ -367,7 +403,7 @@ class TensorSum:
         live = [(e, f, f_den) for _, _, e, f, f_den in basis if f]
         common = lcm(*(f_den for _, _, f_den in live))
         found = _first_nonzero([(e, {k: y * (common // f_den) for k, y in f.items()})
-                                for e, f, f_den in live], r)
+                                for e, f, f_den in live], n, r)
         if found is None:
             return None
         row, col = found

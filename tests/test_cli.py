@@ -411,6 +411,38 @@ def test_huge_j_from_json_is_refused_before_any_basis_weight(tmp_path, monkeypat
     assert "needs 2000000000001" in captured.err
 
 
+def test_from_json_above_the_tensor_cap_is_refused_before_any_grid(tmp_path, monkeypatch,
+                                                                    capsys):
+    """2j + 1 above MAX_TENSOR_DIM exits 2 with one error line as soon as "j"
+    is read, before a grid entry is parsed; at the cap the file goes on to
+    the grid-size check."""
+    def never(obj):
+        raise AssertionError("BiPoly.from_obj ran")
+
+    monkeypatch.setattr(irrep.BiPoly, "from_obj", never)
+    over = Fraction(cli.MAX_TENSOR_DIM, 2)  # 2j + 1 = MAX_TENSOR_DIM + 1
+    payload = {"j": str(over), "basis": "diagonal",
+               "matrices": {name: [[[]]] for name in ("X", "Y", "H")}}
+    rep_file = tmp_path / "over.json"
+    rep_file.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"above the largest {cli.MAX_TENSOR_DIM}" in captured.err
+
+    monkeypatch.undo()
+    payload["j"] = str(over - Fraction(1, 2))
+    rep_file.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not a representation" in err and f"needs {cli.MAX_TENSOR_DIM}" in err
+
+
 def test_elements_json_puts_back_each_power_of_h(capsys):
     """The table keeps h-coefficients; every JSON entry carries h^{n-m} (H)
     or h^{n-m-1} (X), symbolic or at a rational lam."""

@@ -304,7 +304,7 @@ def test_tensor_sum_mismatch_on_one_reduced_leg(monkeypatch):
     scanned = []
     scan = matrices._first_nonzero
     monkeypatch.setattr(matrices, "_first_nonzero",
-                        lambda pairs, r: scanned.append(len(pairs)) or scan(pairs, r))
+                        lambda pairs, n, r: scanned.append(len(pairs)) or scan(pairs, n, r))
 
     def flat(rows):
         return PolyMatrix(rows, (0, 0), 0)
@@ -377,12 +377,15 @@ mixed_values = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 10), Fraction(-1, 2)
 
 def assert_canonical(m: PolyMatrix):
     """Int numerators over a positive denominator with no common factor;
-    the zero matrix has denominator 1."""
+    the zero matrix has denominator 1.  The cached nonzero columns are
+    those of the numerators, whether copied from an operand, built by
+    kron or filled on first use."""
     assert type(m.den) is int and m.den > 0
     assert all(type(x) is int for row in m.nums for x in row)
     assert gcd(m.den, *(x for row in m.nums for x in row)) == 1
     if m.is_zero:
         assert m.den == 1
+    assert m.columns() == [[k for k, x in enumerate(row) if x] for row in m.nums]
 
 
 @st.composite
@@ -399,8 +402,15 @@ def mixed_triples(draw):
 @given(mixed_triples(), st.sampled_from([3, Fraction(-7, 6), Fraction(10, 3), 0]))
 def test_results_are_canonical_and_exact(operands, q):
     a, b, c = operands
-    results = [a, b, a + c, a - c, a - a, -a, a * b, b * a, a.kron(b), a.scale(q),
-               a.mul_h(), a.mul_h().divide_h(), (a * b).scale(q) + (a * b)]
+    for m in operands:  # fill the operands' caches before anything derives from them
+        m.columns()
+    one = PolyMatrix([[Fraction(-3, 4)]], (0,), 0)  # 1 x 1
+    zero = a - a
+    results = [a, b, a + c, a - c, zero, a.scale(0), -a, -zero, a * b, b * a, a * zero,
+               a.kron(b), a.kron(zero), zero.kron(b), (-a).kron(b.scale(q)),
+               a.kron(b).kron(c), one, one.kron(one), one.kron(a), a.kron(one), one * one,
+               one.scale(0), a.scale(q), a.mul_h(), a.mul_h().divide_h(), (-a).mul_h(),
+               (a * b).scale(q) + (a * b), a.kron(b) * c.kron(b)]
     results += [nilpotent_apply(kind, m) for m in (a, b) if m.weight > 0
                 for kind in ("exp", "arctanh")]
     for m in results:

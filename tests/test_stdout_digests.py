@@ -17,7 +17,11 @@ sum; qe3 at order 30 before PBW keys were packed into ints and the
 series of one argument came to share its powers; and e3 at order 56
 before the letter sets of a packed key were read off it by arithmetic in
 place of a per-monomial memo, which held about ten thousand monomials
-after qe3 at order 30.  The commands run in-process.
+after qe3 at order 30.  so4 at (0, 12), whose 1 x 1 left legs leave empty
+rows in the Kronecker-sum elimination, and hopf at (7, 6), whose products
+run at dimension 195, were pinned before products, Kronecker products and
+that elimination came to walk each matrix's cached nonzero columns.  The
+commands run in-process.
 """
 
 import hashlib
@@ -46,6 +50,8 @@ DIGESTS = {
     "verify sl2 --j-max 8": "d96a0726018bcf3670fa3cbc7e797c7d88f31a65fa82087ad15a95dc36d8c215",
     "verify hopf --j1 0 --j2 0": "c117ae4d5977350971ffd6606436b7ba9c4c19f42f3aba1dadea7a4ddf77116d",
     "verify so4 --j1 0 --j2 0": "01257e22f8dc42b3466f467e944899e2ce3010f12ace2c6807b1e1276ee17c4e",
+    "verify so4 --j1 0 --j2 12": "6c93981e14e7f86e9eda8593312c250dce47178a727f770ffbd2d59dd050ea8d",
+    "verify hopf --j1 7 --j2 6": "826d887e2c72e66f4d17275ab9af2ba491f5ddc3baa4b364c602f24e6f93a3d4",
     "verify qe3 --order 14": "c7b816c19f6a8b4bea3668b792bd98cc15212225f5ef08df4cbc7eca67891e2a",
     "verify e3 --order 20": "073ae8c389b950bdf421012819b97a8b2ea395545c33607a44d27ed397626d0c",
     "verify e2 --order 20": "39573c171f72fedd742c8db01659e1c7318aae81a6ec01adddd389864a33546b",

@@ -140,21 +140,26 @@ class PolyMatrix:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _merge(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
+        """self + sign * other, with no negated copy of ``other``."""
         self._require_same_grading(other)
-        da, db = self.den, other.den
-        if da == db:
-            nums = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.nums, other.nums)]
-        else:
+        da, db, pairs = self.den, other.den, zip(self.nums, other.nums)
+        if da != db:
             g = gcd(da, db)
-            fa, fb = db // g, da // g  # lcm(da, db) = da fa = db fb
-            nums = [[a * fa + b * fb for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.nums, other.nums)]
+            fa, fb = db // g, sign * (da // g)  # lcm(da, db) = da fa = db |fb|
+            nums = [[a * fa + b * fb for a, b in zip(ra, rb)] for ra, rb in pairs]
             da *= fa
+        elif sign > 0:
+            nums = [[a + b for a, b in zip(ra, rb)] for ra, rb in pairs]
+        else:
+            nums = [[a - b for a, b in zip(ra, rb)] for ra, rb in pairs]
         return _reduced(nums, da, self.weights, self.weight)
 
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._merge(other, +1)
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + -other
+        return self._merge(other, -1)
 
     def __neg__(self) -> "PolyMatrix":
         return _graded([[-a for a in row] for row in self.nums], self.den,

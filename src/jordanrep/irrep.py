@@ -29,7 +29,7 @@ the Casimir, and the Hopf structure maps, all as exact matrix identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -66,16 +66,12 @@ def spin_weights(j: Fraction) -> tuple[int, ...]:
     return tuple(range(two_j, -two_j - 1, -2))
 
 
-@dataclass(frozen=True)
-class SingularVector:
+class SingularVector(namedtuple("SingularVector", "j coeffs")):
     """Coefficients C_1..C_[j] of the singular vector at weight lam = 2j.
 
     C_p multiplies w_{2j-2p+1} and is c_p h^{2p}; ``coeffs`` holds the
     rationals c_p.  For j < 1 the list is empty and the singular vector is
     w_{2j+1} itself."""
-
-    j: Fraction
-    coeffs: tuple[Fraction, ...]
 
     @property
     def lam(self) -> int:
@@ -90,20 +86,14 @@ class SingularVector:
         return vec
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(namedtuple("Irrep", "j basis X Y H")):
     """A (2j+1)-dimensional triple of polynomial matrices.
 
     basis "verma" indexes w_0..w_{2j} by the power of the lowering
     generator; basis "diagonal" orders weights descending so H comes out
     diagonal (2j, 2j-2, ..., -2j).  Both bases have the basis weights
-    2j - 2i, so X, Y and H are graded matrices of weights 2, -2 and 0."""
-
-    j: Fraction
-    basis: str
-    X: PolyMatrix
-    Y: PolyMatrix
-    H: PolyMatrix
+    2j - 2i, so X, Y and H are graded matrices of weights 2, -2 and 0.
+    With no ``__slots__`` an instance keeps a ``__dict__`` for :attr:`e`."""
 
     @property
     def dim(self) -> int:
@@ -165,14 +155,8 @@ def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
     return {+1: even + odd, -1: even - odd, 0: one}
 
 
-@dataclass(frozen=True)
-class ClassicalRep:
+class ClassicalRep(namedtuple("ClassicalRep", "j plus minus zero")):
     """Spin-j matrices of the undeformed triple, weights descending."""
-
-    j: Fraction
-    plus: PolyMatrix
-    minus: PolyMatrix
-    zero: PolyMatrix
 
 
 # -- singular vectors ---------------------------------------------------------

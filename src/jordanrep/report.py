@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class CheckEntry:
-    relation_label: str
-    status: str  # "pass" | "fail"
-    detail: str | None = None
-    residual_sample: str | None = None
+class CheckEntry(namedtuple("CheckEntry", "relation_label status detail residual_sample")):
+    """One relation's outcome: status is "pass" or "fail"; detail and
+    residual_sample are strings or None."""
 
     def to_obj(self) -> dict:
         obj = {"relation_label": self.relation_label, "status": self.status}
@@ -21,14 +18,16 @@ class CheckEntry:
         return obj
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    entries: list[CheckEntry] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
+    """A suite's entries in the order checked, with optional JSON ``meta``."""
+
+    def __init__(self, suite: str, meta: dict | None = None):
+        self.suite = suite
+        self.entries: list[CheckEntry] = []
+        self.meta = meta
 
     def add_pass(self, label: str, detail: str | None = None):
-        self.entries.append(CheckEntry(label, "pass", detail))
+        self.entries.append(CheckEntry(label, "pass", detail, None))
 
     def add_fail(self, label: str, detail: str, residual_sample: str | None = None):
         self.entries.append(CheckEntry(label, "fail", detail, residual_sample))

@@ -24,7 +24,7 @@ suite covers (1/2,1/2), (1,1/2) and (1,1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
@@ -56,21 +56,11 @@ def copy_legs(one: Irrep, two: Irrep) -> tuple[dict, dict]:
     return c1, c2
 
 
-@dataclass(frozen=True)
-class So4Rep:
+class So4Rep(namedtuple("So4Rep", "j1 j2 J_plus J_minus J_zero K_plus K_minus K_zero "
+                                   "factors copies")):
     """Six composite generators on a (2j1+1)(2j2+1)-dimensional space, the
-    two irreps they came from and those irreps' legs on the space."""
-
-    j1: Fraction
-    j2: Fraction
-    J_plus: PolyMatrix
-    J_minus: PolyMatrix
-    J_zero: PolyMatrix
-    K_plus: PolyMatrix
-    K_minus: PolyMatrix
-    K_zero: PolyMatrix
-    factors: tuple[Irrep, Irrep]
-    copies: tuple[dict, dict] = field(compare=False, repr=False)
+    two irreps they came from and those irreps' legs on the space (the pair
+    of dicts from :func:`copy_legs`)."""
 
     def exp(self, s1: int, s2: int) -> PolyMatrix:
         """e^{h(s1 X1 + s2 X2)} for s1, s2 in {-1, 0, 1}."""
@@ -82,8 +72,7 @@ class So4Rep:
         return cosh_sinh(self.exp(+1, +1), self.exp(-1, -1))
 
     def generators(self) -> dict[str, PolyMatrix]:
-        return dict(zip(GENERATOR_NAMES, (self.J_plus, self.J_minus, self.J_zero,
-                                          self.K_plus, self.K_minus, self.K_zero)))
+        return dict(zip(GENERATOR_NAMES, self[2:8]))
 
     def legs(self) -> dict[str, PolyMatrix]:
         """The leg names of COPRODUCT_DIRECT on this representation."""

@@ -67,9 +67,10 @@ def package_modules():
 
 def package_functions() -> tuple[dict, dict]:
     """Code object -> the names it is bound to, for every function and
-    method compiled from the package's source (so not the methods that
-    dataclasses generate), nested functions included; and code object ->
-    {parameter: default} for those that are module or class attributes."""
+    method compiled from the package's source (so not those a record class
+    inherits from its namedtuple base), nested functions included; and code
+    object -> {parameter: default} for those that are module or class
+    attributes."""
     found: dict = {}
     defaults: dict = {}
 

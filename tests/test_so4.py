@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -71,7 +70,7 @@ def test_relations(j1, j2):
 
 def test_relations_negative_control():
     r = build_so4(HALF, HALF)
-    corrupted = replace(r, K_minus=-r.K_minus)
+    corrupted = r._replace(K_minus=-r.K_minus)
     report = verify_so4_relations(corrupted)
     assert not report.passed
     bad = {e.relation_label for e in report.failures()}
@@ -232,7 +231,7 @@ def test_a_corrupted_group_like_is_caught(monkeypatch):
     for copy, expected in ((0, coproducts), (1, antipodes)):
         r = build_so4(HALF, 1)
         _corrupt(r.factors[copy])
-        r = replace(r, copies=copy_legs(*r.factors))  # the legs read the corrupted pair
+        r = r._replace(copies=copy_legs(*r.factors))  # the legs read the corrupted pair
         assert len(verify_so4_relations(r).failures()) == 10
         assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == expected
 

@@ -54,8 +54,8 @@ SCHEMA = "jordan-rep/1"
 MAX_GRID_POINTS = 100_000
 
 #: Largest truncation order of the series suites: `verify qe3` at this
-#: order takes 48-57 s and peaks at about 141 MB on a 2-vCPU host (order 56:
-#: 3.4 s; 110: 94 s); exponents reach order + 6, far below 2^15 (guard bit).
+#: order takes 22 s and peaks at 111 MB on a 2-vCPU host (order 56: 1.6 s,
+#: 36 MB); exponents reach order + 6, far below 2^15 (guard bit).
 MAX_ORDER = 100
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`,
@@ -68,17 +68,18 @@ MAX_ORDER = 100
 #: j = 107 irrep from JSON verifies in 15 s.
 MAX_TENSOR_DIM = 215
 
-#: Largest --max-level of the symbolic `elements` table, built in about a
-#: minute on a 2-vCPU host (L = 19 / 21 / 23: 8 / 28 / 80 s, about 2.8x per
-#: two levels).
+#: Largest --max-level of the symbolic `elements` table, built in about
+#: half a minute on a 2-vCPU host (L = 19 / 21 / 23: 3.0 / 9.8 / 32 s, about
+#: 3.3x per two levels).
 MAX_LEVEL = 23
 
 #: Largest spin of `irrep`, `singvec` (as --lambda = 2j) and `verify sl2
 #: --j-max`.  A Verma irrep builds its element table over Q at lam = 2j to
-#: level 2j + 1 (L = 23 / 25 / 27: 1.8 / 5.3 / 17 s on a 2-vCPU host, about
-#: 3.2x per two levels), and `verify sl2 --j-max 13`, which builds one for
-#: every spin, takes about 50 s.  `elements --lambda` builds the same tables,
-#: so its --max-level is capped at 2 MAX_SPIN + 1 (27: 25 s at lam = 5/3).
+#: level 2j + 1 (`irrep --j 11 / 12 / 13`, to L = 23 / 25 / 27: 0.9 / 2.6 /
+#: 7.1 s on a 2-vCPU host, about 2.8x per two levels), and `verify sl2
+#: --j-max 13`, which builds one for every spin, takes 18 s.  `elements
+#: --lambda` builds the same tables, so its --max-level is capped at
+#: 2 MAX_SPIN + 1 (27: 9.3 s at lam = 5/3).
 MAX_SPIN = 13
 
 
@@ -375,17 +376,7 @@ def cmd_spectrum(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["input_pi_plus", "class", "re_p_plus", "im_p_plus", "p_minus", "p_zero"])
-    for row in scan["rows"]:
-        writer.writerow(
-            [
-                row["input"],
-                row["class"],
-                "" if row["re_p_plus"] is None else row["re_p_plus"],
-                "" if row["im_p_plus"] is None else row["im_p_plus"],
-                "" if row["p_minus"] is None else row["p_minus"],
-                "" if row["p_zero"] is None else row["p_zero"],
-            ]
-        )
+    writer.writerows(row.values() for row in scan["rows"])   # None as an empty field
     _emit(buf.getvalue(), args.output)
     return 0
 

@@ -153,26 +153,25 @@ class BiPoly:
                 raise ValueError(f'coefficients must be "p/q" strings, got c={t["c"]!r}')
         return BiPoly({(t["l"], t["h"]): Fraction(t["c"]) for t in obj})
 
-    def __str__(self):
+    def write(self, number, symbols, power: str, join: str) -> str:
+        """A signed sum of terms, highest degrees first.  A term is its
+        coefficient's absolute value as ``number`` writes it, left out when
+        it is 1 before a symbol, then each of the two ``symbols`` of nonzero
+        degree (a degree above 1 put in by the format string ``power``), all
+        joined by ``join``; a leading minus is glued to its term."""
         if not self._terms:
             return "0"
-        parts = []
-        for (dl, dh) in sorted(self._terms, reverse=True):
-            c = self._terms[(dl, dh)]
-            sym = []
-            if dl:
-                sym.append("lam" if dl == 1 else f"lam^{dl}")
-            if dh:
-                sym.append("h" if dh == 1 else f"h^{dh}")
-            if not sym:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(sym)
-            else:
-                body = str(abs(c)) + "*" + "*".join(sym)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        text = ""
+        for (dl, dh), c in sorted(self._terms.items(), reverse=True):
+            factors = [sym if d == 1 else power.format(sym, d)
+                       for sym, d in zip(symbols, (dl, dh)) if d]
+            if abs(c) != 1 or not factors:
+                factors.insert(0, number(abs(c)))
+            text += (" - " if c < 0 else " + ") + join.join(factors)
+        return ("-" if text.startswith(" -") else "") + text[3:]
+
+    def __str__(self):
+        return self.write(str, ("lam", "h"), "{}^{}", "*")
 
     def __repr__(self):
         return f"BiPoly({self})"

@@ -8,41 +8,15 @@ from .exact import BiPoly, PolyMatrix
 
 
 def fraction_latex(q: Fraction) -> str:
-    sign = "-" if q < 0 else ""
-    q = abs(q)
+    """A nonnegative rational as an integer or a \\frac."""
     if q.denominator == 1:
-        return f"{sign}{q.numerator}"
-    return f"{sign}\\frac{{{q.numerator}}}{{{q.denominator}}}"
-
-
-def _power(symbol: str, degree: int) -> str:
-    if degree == 0:
-        return ""
-    if degree == 1:
-        return symbol
-    return f"{symbol}^{{{degree}}}"
+        return str(q.numerator)
+    return f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
 
 
 def bipoly_latex(p: BiPoly) -> str:
     """Signed sum of rational * lambda^a * h^b terms, highest degrees first."""
-    items = sorted(p.items(), key=lambda kv: kv[0], reverse=True)
-    if not items:
-        return "0"
-    chunks = []
-    for (dl, dh), coeff in items:
-        symbols = " ".join(s for s in (_power("\\lambda", dl), _power("h", dh)) if s)
-        if not symbols:
-            body = fraction_latex(abs(coeff))
-        elif abs(coeff) == 1:
-            body = symbols
-        else:
-            body = f"{fraction_latex(abs(coeff))} {symbols}"
-        chunks.append(("-" if coeff < 0 else "+", body))
-    first_sign, first_body = chunks[0]
-    text = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        text += f" {sign} {body}"
-    return text
+    return p.write(fraction_latex, ("\\lambda", "h"), "{}^{{{}}}", " ")
 
 
 def matrix_latex(m: PolyMatrix) -> str:

@@ -463,8 +463,8 @@ def suite_e2(order: int) -> VerificationReport:
     report, one, (J, pp, pm) = _series_suite("e2", order, p, w)
 
     chi = series_function_apply(pp.mul_t(1).scale(Fraction(1, 2)), "arctanh")[0].div_t(1).scale(2)
-    quarter_sq = (pp * pp).scale(Fraction(1, 4)).mul_t(2)   # (h P+/2)^2
-    eta = pm - (pp * pp * pm).scale(Fraction(1, 4)).mul_t(2)
+    quarter_sq = (pp * pp).scale(Fraction(1, 4)).mul_t(2)   # u = (h P+/2)^2
+    eta = (one - quarter_sq) * pm
     zeta = J.scale(2)
 
     root, inv = series_function_apply(-quarter_sq, "sqrt1p", "inv1p")
@@ -504,13 +504,21 @@ def suite_e2(order: int) -> VerificationReport:
 
 
 def _e3_deformed(pi_p, pi_0, pi_m):
-    """The inverse-map generators P+, P0, P- over the classical presentation."""
-    y = pi_p.mul_t(1)                                   # omega Pi+
-    ln, inv = series_function_apply(y, "ln1p", "inv1p")    # inv = (1 + omega Pi+)^{-1}
-    p_plus = ln.div_t(1)
+    """The inverse-map generators P+, P0, P- over the classical presentation,
+    and e^{-w P+}, which is (1 + w Pi+)^{-1} exactly since w P+ = ln(1 + w Pi+)."""
+    ln, inv = series_function_apply(pi_p.mul_t(1), "ln1p", "inv1p")
     p_minus = pi_m + (pi_0 * pi_0 * inv).scale(Fraction(1, 4)).mul_t(1)
-    p_zero = pi_0 * inv
-    return p_plus, p_zero, p_minus
+    return ln.div_t(1), pi_0 * inv, p_minus, inv
+
+
+def _c1(plus, zero, minus):
+    """The Casimir C1 = T+ T- + T0^2/4 of a translation triple T."""
+    return plus * minus + (zero * zero).scale(Fraction(1, 4))
+
+
+def _c2(jp, j0, jm, plus, zero, minus):
+    """The Casimir C2 = J+ T- + J- T+ + J0 T0/2 of a translation triple T."""
+    return jp * minus + jm * plus + (j0 * zero).scale(Fraction(1, 2))
 
 
 def _e3_shared_checks(jp, j0, jm, p_plus, p_zero, p_minus) -> list:
@@ -533,15 +541,17 @@ def suite_e3(order: int) -> VerificationReport:
         P- = Pi- + (w/4) Pi0^2 (1 + w Pi+)^{-1},
         P0 = Pi0 (1 + w Pi+)^{-1},
 
-    on classical e(3): verifies all deformed brackets, the forward-map
-    round trip, agreement of both closed forms of each Casimir, and that
-    the Casimirs commute with all six deformed generators."""
+    on classical e(3), and its forward map
+
+        Pi+ = (e^{w P+} - 1)/w,  Pi0 = P0 e^{w P+},  Pi- = P- - (w/4) P0^2 e^{w P+}:
+
+    verifies all deformed brackets, the forward-map round trip, agreement of
+    each Casimir on the classical generators and on the forward images, and
+    that the Casimirs commute with all six deformed generators."""
     w = order + _SLACK
     p = e3_presentation()
     report, one, (jp, j0, jm, pi_p, pi_0, pi_m) = _series_suite("e3", order, p, w)
-    p_plus, p_zero, p_minus = _e3_deformed(pi_p, pi_0, pi_m)
-
-    e_minus, e_plus = series_function_apply(p_plus.mul_t(1), ("exp", -1), "exp")  # e^{-+w P+}
+    p_plus, p_zero, p_minus, e_minus = _e3_deformed(pi_p, pi_0, pi_m)   # e_minus = e^{-w P+}
     ladder_rhs = (one - e_minus).div_t(1).scale(2)               # (2/w)(1 - e^{-w P+})
 
     checks = _e3_shared_checks(jp, j0, jm, p_plus, p_zero, p_minus) + [
@@ -574,33 +584,17 @@ def suite_e3(order: int) -> VerificationReport:
     for label, residual in checks:
         report.check_series_zero(label, residual, order)
 
-    # forward map round trip
-    report.check_series_zero(
-        "round trip: (e^{wP+}-1)/w = Pi+", (e_plus - one).div_t(1) - pi_p, order
-    )
-    report.check_series_zero(
-        "round trip: P- - (w/4)P0^2 e^{wP+} = Pi-",
-        p_minus - (p_zero * p_zero * e_plus).scale(Fraction(1, 4)).mul_t(1) - pi_m,
-        order,
-    )
-    report.check_series_zero(
-        "round trip: P0 e^{wP+} = Pi0", p_zero * e_plus - pi_0, order
-    )
+    e_plus = series_function_apply(p_plus.mul_t(1), "exp")[0]
+    zero_image = p_zero * e_plus
+    image = ((e_plus - one).div_t(1), zero_image,
+             p_minus - (p_zero * zero_image).scale(Fraction(1, 4)).mul_t(1))
+    labels = ("(e^{wP+}-1)/w = Pi+", "P0 e^{wP+} = Pi0", "P- - (w/4)P0^2 e^{wP+} = Pi-")
+    for label, back, pi in zip(labels, image, (pi_p, pi_0, pi_m)):
+        report.check_series_zero(f"round trip: {label}", back - pi, order)
 
-    # Casimirs, both closed forms
-    c1 = pi_p * pi_m + (pi_0 * pi_0).scale(Fraction(1, 4))
-    c1_deformed = (e_plus - one).div_t(1) * (
-        p_minus - (p_zero * p_zero * e_plus).scale(Fraction(1, 4)).mul_t(1)
-    ) + (p_zero * p_zero * e_plus * e_plus).scale(Fraction(1, 4))
-    report.check_series_zero("C1: both closed forms agree", c1 - c1_deformed, order)
-
-    c2 = jp * pi_m + jm * pi_p + (j0 * pi_0).scale(Fraction(1, 2))
-    c2_deformed = (
-        jp * (p_minus - (p_zero * p_zero * e_plus).scale(Fraction(1, 4)).mul_t(1))
-        + jm * (e_plus - one).div_t(1)
-        + (j0 * p_zero * e_plus).scale(Fraction(1, 2))
-    )
-    report.check_series_zero("C2: both closed forms agree", c2 - c2_deformed, order)
+    c1, c2 = _c1(pi_p, pi_0, pi_m), _c2(jp, j0, jm, pi_p, pi_0, pi_m)
+    report.check_series_zero("C1: both closed forms agree", c1 - _c1(*image), order)
+    report.check_series_zero("C2: both closed forms agree", c2 - _c2(jp, j0, jm, *image), order)
 
     deformed_gens = [
         ("J+", jp), ("J0", j0), ("J-", jm),
@@ -625,7 +619,7 @@ def suite_qe3(order: int) -> VerificationReport:
     p = e3_presentation()
     report, one, (jp, j0, jm, pi_p, pi_0, pi_m) = _series_suite("qe3", order, p, w)
 
-    c1 = pi_p * pi_m + (pi_0 * pi_0).scale(Fraction(1, 4))
+    c1 = _c1(pi_p, pi_0, pi_m)
     root = series_function_apply(c1.scale(Fraction(1, 4)).mul_t(2), "sqrt1p")[0]
     a_dev = c1.scale(Fraction(1, 2)).mul_t(2) - (root * pi_0).scale(Fraction(1, 2)).mul_t(1)
     ln, a_inv = series_function_apply(a_dev, "ln1p", "inv1p")
@@ -686,6 +680,9 @@ def suite_qe3(order: int) -> VerificationReport:
 # 1 + omega*pi_plus reaches zero and the leading eigenvalue picks up an
 # imaginary part pi/omega beyond it.
 
+#: The fields of a scan row, in the column order of the CSV output.
+_SPECTRUM_KEYS = ("input", "class", "re_p_plus", "im_p_plus", "p_minus", "p_zero")
+
 
 def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero: float = 1.0) -> dict:
     """Classify classical momentum eigenvalues under the inverse map.
@@ -701,56 +698,21 @@ def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero
     except OverflowError:
         tail = math.inf
     rows = []
-    nearest = None
-    singular_hit = False
-    for value in pi_plus_grid:
-        value = float(value)
+    for value in map(float, pi_plus_grid):
         u = 1.0 + omega * value
-        if nearest is None or abs(u) < abs(nearest[1]):
-            nearest = (value, u)
         if u == 0.0:
-            singular_hit = True
-            rows.append(
-                {
-                    "input": value,
-                    "class": "singular",
-                    "re_p_plus": None,
-                    "im_p_plus": None,
-                    "p_minus": None,
-                    "p_zero": None,
-                }
-            )
-            continue
-        p_minus = pi_minus + tail / u
-        p_zero = pi_zero / u
-        if u > 0.0:
-            rows.append(
-                {
-                    "input": value,
-                    "class": "regular",
-                    "re_p_plus": math.log(u) / omega,
-                    "im_p_plus": 0.0,
-                    "p_minus": p_minus,
-                    "p_zero": p_zero,
-                }
-            )
+            cells = ("singular", None, None, None, None)
         else:
-            rows.append(
-                {
-                    "input": value,
-                    "class": "complex",
-                    "re_p_plus": math.log(-u) / omega,
-                    "im_p_plus": math.pi / omega,
-                    "p_minus": p_minus,
-                    "p_zero": p_zero,
-                }
-            )
+            cells = ("regular" if u > 0.0 else "complex", math.log(abs(u)) / omega,
+                     0.0 if u > 0.0 else math.pi / omega, pi_minus + tail / u, pi_zero / u)
+        rows.append(dict(zip(_SPECTRUM_KEYS, (value, *cells))))
     if not all(
         math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)
     ):
         raise InputError(
             f"the scan at omega={omega}, pi0={pi_zero}, pim={pi_minus} overflows floats"
         )
+    singular_hit = any(row["class"] == "singular" for row in rows)
     out = {
         "omega": omega,
         "pi_minus": float(pi_minus),
@@ -758,6 +720,7 @@ def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero
         "rows": rows,
         "singular_hit": singular_hit,
     }
-    if not singular_hit and nearest is not None:
-        out["nearest_approach"] = {"input": nearest[0], "one_plus_omega_pi_plus": nearest[1]}
+    if rows and not singular_hit:
+        nearest = min((row["input"] for row in rows), key=lambda v: abs(1.0 + omega * v))
+        out["nearest_approach"] = {"input": nearest, "one_plus_omega_pi_plus": 1.0 + omega * nearest}
     return out

@@ -14,7 +14,8 @@ deformation parameter.  Elements at h-degree 0 are
 and the higher orders follow from two recursions: the degree-2n part of H is
 a combinatorial sum of ordered products of lower-degree X elements (one
 product per composition of 2n into an even number of positive odd integers),
-and the same-degree X elements are partial sums of H elements:
+and the same-degree X elements are partial sums of H elements, at degree 0
+too, since (m+1)(lam - m) = sum_{k<=m} (lam - 2k):
 
     H_{m+2n}^m = - sum_{k=1}^{n} h^{2k}/(2k)! *
                    sum'_{compositions} ( 2 sum_{l<m} Z_l + Z_m ),
@@ -36,6 +37,7 @@ degree-2 and degree-4 elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
 
 from .errors import BadParity, MissingElement
@@ -158,23 +160,14 @@ def h_column(two_n: int, count: int, table: ElementTable) -> list:
     return out
 
 
-def x_element(m: int, two_n: int, table: ElementTable):
-    """X_{m+2n+1}^m as the partial sum of same-degree H elements."""
-    if two_n == 0:
-        return (m + 1) * (table.lam - m)
-    acc = table.zero
-    for k in range(m + 1):
-        acc = acc + table.H(k + two_n, k)
-    return acc
-
-
 def build_table(max_level: int, lam=LAM) -> ElementTable:
     """Fill all H_n^m, X_n^m with n <= max_level, in increasing h-degree, over
     the ring of lam: the symbol LAM or an exact Fraction."""
     table = ElementTable(max_level, lam)
     for two_n in range(0, max_level + 1, 2):
-        for m, value in enumerate(h_column(two_n, max_level - two_n + 1, table)):
+        column = h_column(two_n, max_level - two_n + 1, table)
+        for m, value in enumerate(column):
             table._H[(m + two_n, m)] = value
-        for m in range(0, max_level - two_n):
-            table._X[(m + two_n + 1, m)] = x_element(m, two_n, table)
+        for m, value in enumerate(accumulate(column[:-1])):   # X as partial sums of H
+            table._X[(m + two_n + 1, m)] = value
     return table

@@ -74,6 +74,7 @@ def test_verify_from_json_good_and_corrupted(tmp_path, capsys):
         if e["status"] == "fail"
     ]
     assert failing and "mismatch at" in failing[0]["detail"]
+    assert failing[0]["residual_sample"] == "lhs=-108*h^2 rhs=-24*h^2"
 
 
 def test_verify_e3_exit_zero(capsys):

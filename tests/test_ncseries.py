@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanrep import ncseries
 from jordanrep.errors import IllFormedComposition, ZeroOmega
 from jordanrep.ncseries import (
     FIELD_BITS,
     AlgebraPresentation,
     NCElement,
+    _e3_deformed,
     _normal_order_cached,
     _pair,
     e2_presentation,
@@ -343,14 +345,65 @@ def test_truncation_monotonicity(order):
 
 
 def test_deformed_generators_reduce_classically():
-    # order-0 parts of the e3 inverse-map generators are the classical ones
-    from jordanrep.ncseries import _e3_deformed
-
+    # order-0 parts of the e3 inverse-map generators are the classical ones,
+    # and that of e^{-w P+} is 1
     p = e3_presentation()
     pi_p, pi_0, pi_m = (NCElement.generator(p, g, 6) for g in ("Pi+", "Pi0", "Pi-"))
-    p_plus, p_zero, p_minus = _e3_deformed(pi_p, pi_0, pi_m)
-    for deformed, classical in ((p_plus, pi_p), (p_zero, pi_0), (p_minus, pi_m)):
+    p_plus, p_zero, p_minus, e_minus = _e3_deformed(pi_p, pi_0, pi_m)
+    for deformed, classical in ((p_plus, pi_p), (p_zero, pi_0), (p_minus, pi_m),
+                                (e_minus, NCElement.one(p, 6))):
         assert order_part(deformed, 0) == order_part(classical, 0)
+
+
+@pytest.mark.parametrize("order", [2, 6, 20])
+def test_e3_inverse_sum_is_the_exponential_of_minus_w_p_plus(order):
+    """The inv1p sum that _e3_deformed returns as e^{-w P+} is the exp series
+    of -w P+ exactly, since w P+ = ln(1 + w Pi+)."""
+    p = e3_presentation()
+    pi_p, pi_0, pi_m = (NCElement.generator(p, g, order) for g in ("Pi+", "Pi0", "Pi-"))
+    p_plus, _p_zero, _p_minus, e_minus = _e3_deformed(pi_p, pi_0, pi_m)
+    (exp,) = series_function_apply(p_plus.mul_t(1), ("exp", -1))
+    assert (e_minus.order, e_minus.terms, e_minus.den) == (exp.order, exp.terms, exp.den)
+
+
+def wrong_taylor(monkeypatch, kind, index=2):
+    """Patch the Taylor coefficients that the series suites sum so that one
+    coefficient of the named series is off by 1."""
+    honest = ncseries.taylor
+
+    def wrong(name, count):
+        coeffs = honest(name, count)
+        if name == kind:
+            coeffs[index] += 1
+        return coeffs
+
+    monkeypatch.setattr(ncseries, "taylor", wrong)
+
+
+@pytest.mark.parametrize("suite, kind", [
+    *((suite_e2, kind) for kind in ("arctanh", "sqrt1p", "inv1p", "sinh", "cosh")),
+    *((suite_e3, kind) for kind in ("ln1p", "inv1p", "exp")),
+    *((suite_qe3, kind) for kind in ("sqrt1p", "ln1p", "inv1p", "exp")),
+])
+def test_a_wrong_series_coefficient_fails_the_suite(monkeypatch, suite, kind):
+    """Every series that a suite sums is checked: one wrong coefficient of
+    it fails the suite."""
+    wrong_taylor(monkeypatch, kind)
+    assert not suite(6).passed
+
+
+def test_a_wrong_exp_coefficient_fails_the_e3_round_trips_and_casimirs(monkeypatch):
+    """e^{w P+} is the one exp series of suite_e3; it feeds the forward map,
+    so the three round trips and both Casimir comparisons fail on it."""
+    wrong_taylor(monkeypatch, "exp")
+    failed = {e.relation_label for e in suite_e3(6).failures()}
+    assert failed >= {
+        "round trip: (e^{wP+}-1)/w = Pi+",
+        "round trip: P0 e^{wP+} = Pi0",
+        "round trip: P- - (w/4)P0^2 e^{wP+} = Pi-",
+        "C1: both closed forms agree",
+        "C2: both closed forms agree",
+    }
 
 
 def test_report_locates_series_failures():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanrep.exact import H, LAM, ONE, ZERO, BiPoly
+from jordanrep.latexout import bipoly_latex
 
 from oracles import constant_value, is_homogeneous_h, subs_lam, term, with_h
 
@@ -62,6 +63,26 @@ def test_constant_value():
     assert constant_value(ZERO) == 0
     with pytest.raises(ValueError):
         constant_value(LAM)
+
+
+# the text of failure reports and of LaTeX output: highest degrees first, unit
+# coefficients dropped, a leading minus glued to its term
+WRITTEN = [
+    (ZERO, "0", "0"),
+    (LAM, "lam", r"\lambda"),
+    (term(Fraction(-1, 2), 0, 0), "-1/2", r"-\frac{1}{2}"),
+    (-LAM * LAM * H + 3, "-lam^2*h + 3", r"-\lambda^{2} h + 3"),
+    (H * H - LAM, "-lam + h^2", r"-\lambda + h^{2}"),
+    (term(Fraction(-7, 2), 2, 3) + H + term(Fraction(1, 3), 1, 0) - 5,
+     "-7/2*lam^2*h^3 + 1/3*lam + h - 5",
+     r"-\frac{7}{2} \lambda^{2} h^{3} + \frac{1}{3} \lambda + h - 5"),
+]
+
+
+@pytest.mark.parametrize("p, text, latex", WRITTEN)
+def test_str_and_latex_of_polynomials(p, text, latex):
+    assert str(p) == text
+    assert bipoly_latex(p) == latex
 
 
 def test_json_round_trip():

@@ -21,7 +21,10 @@ after qe3 at order 30.  so4 at (0, 12), whose 1 x 1 left legs leave empty
 rows in the Kronecker-sum elimination, and hopf at (7, 6), whose products
 run at dimension 195, were pinned before products, Kronecker products and
 that elimination came to walk each matrix's cached nonzero columns.  The
-commands run in-process.
+four spectrum scans were pinned before their rows came from one formula,
+and the LaTeX element table before its X columns became running sums of
+the H columns and the LaTeX and plain-text polynomial writers came to share
+one term formatter.  The commands run in-process.
 """
 
 import hashlib
@@ -67,6 +70,18 @@ DIGESTS = {
         "6d37de2b098ac46a276a9134374fab7b5f723ec4e162756d815add0940476c4b",
     "irrep --j 3 --basis verma --format latex":
         "d24941826b248beb2713dbdc07216dc3af05ba2656a81b7fd5c712019bd8aa4b",
+    "elements --max-level 7 --format latex":
+        "b1e5557edc7bcc2b8af187e172b914fdd72a30e4ab918cc7b3ff758662d32407",
+    # spectrum scans: with a singular hit, with no hit (nearest_approach
+    # printed), and a fine grid through |1 + omega pi+| in [0.71, 1.73]
+    "spectrum --omega 1 --grid -3:3:0.5":
+        "3c05a6e211adf7cf189ce1661cf6c11d5d35660dfbe6211decdbd281091f68db",
+    "spectrum --omega 1 --grid -3:3:0.5 --pi0 2 --pim 0.5 --out json":
+        "c8ad91f7ce4903e3d44be76b4b146ef5be8eb5331d1dd3bee537dfdf25efca16",
+    "spectrum --omega -0.7 --grid -5:5:0.37 --out json":
+        "c5fd7efc8d071aea4f83e1a52672864802458fd56cc397b65d3010f8a80b6e63",
+    "spectrum --omega 1 --grid -1.7:0.3:0.01":
+        "40c4f6f35f0dd431d75c9e6664c908ef6cfc261c4134d1643d67e51dc8dc7d75",
 }
 
 

@@ -9,7 +9,6 @@ from jordanrep.verma import (
     build_table,
     h_column,
     odd_compositions,
-    x_element,
     z_product,
 )
 
@@ -77,8 +76,8 @@ def test_x_element_base_and_golden():
     t = build_table(4)
     for n in range(4):
         assert t.X(n + 1, n) == (n + 1) * (LAM - n)
-    assert subs_lam(x_element(0, 2, t), 7) == -42
-    assert subs_lam(x_element(1, 2, t), 7) == -216
+    assert subs_lam(t.X(3, 0), 7) == -42     # coefficients of h^2
+    assert subs_lam(t.X(4, 1), 7) == -216
 
 
 def test_closed_form_oracle_values():

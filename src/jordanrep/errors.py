@@ -25,11 +25,7 @@ class IllFormedComposition(JordanRepError):
     """A series function was applied to an operator argument of zero valuation."""
 
 
-class ZeroOmega(JordanRepError):
-    """The spectrum scan needs a nonzero deformation parameter."""
-
-
 class InputError(JordanRepError):
     """Command-line input that cannot be verified or scanned: a malformed
-    file, a selection that runs no checks, or a spectrum scan that overflows
-    floats."""
+    file, a selection that runs no checks, or a spectrum scan at a zero
+    deformation parameter or one that overflows floats."""

@@ -1,13 +1,12 @@
 """Exact scalar, polynomial and matrix arithmetic, and the Taylor series
 of the elementary functions with one loop that sums them over powers."""
 
-from .poly import BiPoly, H, LAM, ONE, ZERO, as_fraction
+from .poly import BiPoly, LAM, ONE, ZERO, as_fraction
 from .series import power_sum, taylor
 from .matrices import PolyMatrix, TensorSum, anticommutator, commutator
 
 __all__ = [
     "BiPoly",
-    "H",
     "LAM",
     "ONE",
     "ZERO",

@@ -195,6 +195,5 @@ def _coerce(value):
 
 ZERO = _wrap({})
 ONE = _wrap({(0, 0): Fraction(1)})
-#: The weight symbol and the deformation symbol, ready to use.
+#: The weight symbol, ready to use.
 LAM = _wrap({(1, 0): Fraction(1)})
-H = _wrap({(0, 1): Fraction(1)})

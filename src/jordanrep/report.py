@@ -36,9 +36,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(e.status == "pass" for e in self.entries)
 
-    def failures(self) -> list[CheckEntry]:
-        return [e for e in self.entries if e.status == "fail"]
-
     def check_matrix_identity(self, label: str, lhs, rhs):
         """Record exact equality of two polynomial matrices, locating the
         first bad entry on failure."""

@@ -11,11 +11,11 @@ copies' legs (the names of :data:`~jordanrep.irrep.COPRODUCT`),
     J0 = H1 e^{hX2} + e^{-hX1} H2    K0 = H1 e^{hX2} - e^{-hX1} H2
 
 and the full list of bracket relations and the coalgebra maps are verified
-as exact polynomial-matrix identities.  Each exponential is a Kronecker
-product of per-copy series e^{±hX_i}, finite as X_i is strictly upper
-triangular: X1 and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x)
-e^{s2 hX2}.  cosh and sinh are half the sum and half the difference of
-e^{+h.} and e^{-h.}.
+as exact polynomial-matrix identities.  ``build_so4`` builds every leg
+they read once, in one table.  Each exponential is a Kronecker product of
+per-copy series e^{±hX_i}, finite as X_i is strictly upper triangular: X1
+and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
+and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
 
 Verification runs on concrete representations: passing at several (j1, j2)
 pairs is evidence for the abstract identities, not a proof, and the default
@@ -56,46 +56,37 @@ def copy_legs(one: Irrep, two: Irrep) -> tuple[dict, dict]:
     return c1, c2
 
 
-class So4Rep(namedtuple("So4Rep", "j1 j2 J_plus J_minus J_zero K_plus K_minus K_zero "
-                                   "factors copies")):
-    """Six composite generators on a (2j1+1)(2j2+1)-dimensional space, the
-    two irreps they came from and those irreps' legs on the space (the pair
-    of dicts from :func:`copy_legs`)."""
+class So4Rep(namedtuple("So4Rep", "j1 j2 legs copies")):
+    """A (2j1+1)(2j2+1)-dimensional representation: ``legs`` maps the six
+    composite generators (GENERATOR_NAMES), "1", "cosh" and "sinh" of hJ+
+    and the group-likes e^{±hJ+}, e^{±hK+} to their matrices, each built
+    once; ``copies`` is the pair of per-copy leg dicts from :func:`copy_legs`."""
 
-    def exp(self, s1: int, s2: int) -> PolyMatrix:
-        """e^{h(s1 X1 + s2 X2)} for s1, s2 in {-1, 0, 1}."""
-        one, two = self.factors
-        return one.e[s1].kron(two.e[s2])
 
-    def cosh_sinh(self) -> tuple[PolyMatrix, PolyMatrix]:
-        """cosh(hJ+) and sinh(hJ+)."""
-        return cosh_sinh(self.exp(+1, +1), self.exp(-1, -1))
-
-    def generators(self) -> dict[str, PolyMatrix]:
-        return dict(zip(GENERATOR_NAMES, self[2:8]))
-
-    def legs(self) -> dict[str, PolyMatrix]:
-        """The leg names of COPRODUCT_DIRECT on this representation."""
-        cosh_jp, sinh_jp = self.cosh_sinh()
-        return {**self.generators(), "1": PolyMatrix.identity(self.J_plus.weights),
-                "cosh": cosh_jp, "sinh": sinh_jp, "e^{-hK+}": self.exp(-1, +1)}
+#: e^{h(s1 X1 + s2 X2)} as (s1, s2), the exponents of the factors' group-likes.
+_GROUP_LIKES = {"e^{hJ+}": (+1, +1), "e^{-hJ+}": (-1, -1),
+                "e^{hK+}": (+1, -1), "e^{-hK+}": (-1, +1)}
 
 
 def build_so4(j1, j2) -> So4Rep:
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
-    factors = map_to_deformed(classical_rep(j1)), map_to_deformed(classical_rep(j2))
-    copies = copy_legs(*factors)
-    return So4Rep(j1, j2, *combine(*copies).values(), factors=factors, copies=copies)
+    one, two = map_to_deformed(classical_rep(j1)), map_to_deformed(classical_rep(j2))
+    copies = copy_legs(one, two)
+    table = combine(*copies)
+    table["1"] = PolyMatrix.identity(table["J+"].weights)
+    for name, (s1, s2) in _GROUP_LIKES.items():
+        table[name] = one.e[s1].kron(two.e[s2])
+    table["cosh"], table["sinh"] = cosh_sinh(table["e^{hJ+}"], table["e^{-hJ+}"])
+    return So4Rep(j1, j2, table, copies)
 
 
 def verify_so4_relations(r: So4Rep) -> VerificationReport:
     """Every bracket of the composite algebra as an exact identity."""
     report = VerificationReport(f"so4 relations j1={r.j1} j2={r.j2}")
-    jp, jm, j0 = r.J_plus, r.J_minus, r.J_zero
-    kp, km, k0 = r.K_plus, r.K_minus, r.K_zero
-
-    e_pjp, e_mjp, e_mkp = r.exp(+1, +1), r.exp(-1, -1), r.exp(-1, +1)  # e^{±hJ+}, e^{-hK+}
-    cosh_jp, sinh_jp = cosh_sinh(e_pjp, e_mjp)
+    g = r.legs
+    jp, jm, j0, kp, km, k0 = (g[name] for name in GENERATOR_NAMES)
+    e_pjp, e_mjp, e_mkp = g["e^{hJ+}"], g["e^{-hJ+}"], g["e^{-hK+}"]
+    cosh_jp, sinh_jp = g["cosh"], g["sinh"]
     two_sinh_over_h = sinh_jp.divide_h().scale(2)
 
     report.check_matrix_identity("[J0,J+] = (2/h) sinh(hJ+)",
@@ -139,7 +130,7 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
                                  PolyMatrix.zeros(jp.weights, 2 * jp.weight))
     jmkm = (
         -((jm + km) * (e_mjp * (j0 - k0) * e_pjp + (j0 - k0))).scale(Fraction(1, 4))
-        - (((j0 + k0) * e_mjp + e_mjp * (j0 + k0)) * (jm - km) * e_pjp).scale(Fraction(1, 4))
+        - (plus_part * (jm - km) * e_pjp).scale(Fraction(1, 4))
     ).mul_h()
     report.check_matrix_identity(
         "[J-,K-] = -(h/4)(J-+K-)(e^{-hJ+}(J0-K0)e^{hJ+}+(J0-K0)) - (h/4)((J0+K0),e^{-hJ+})(J--K-)e^{hJ+}",
@@ -191,16 +182,16 @@ def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
                      for c in r.copies))
 
 
-def _antipodes_direct(r: So4Rep) -> dict[str, PolyMatrix]:
-    cosh_jp, sinh_jp = r.cosh_sinh()
-    e_pkp = r.exp(+1, -1)
+def _antipodes_direct(g: dict) -> dict[str, PolyMatrix]:
+    """The antipodes in the composite generators, on the legs of So4Rep.legs."""
+    e_pkp, cosh_jp, sinh_jp = g["e^{hK+}"], g["cosh"], g["sinh"]
     return {
-        "J+": -r.J_plus,
-        "J-": -(e_pkp * (r.J_minus * cosh_jp - r.K_minus * sinh_jp)),
-        "J0": -(e_pkp * (r.J_zero * cosh_jp - r.K_zero * sinh_jp)),
-        "K+": -r.K_plus,
-        "K-": -(e_pkp * (r.K_minus * cosh_jp - r.J_minus * sinh_jp)),
-        "K0": -(e_pkp * (r.K_zero * cosh_jp - r.J_zero * sinh_jp)),
+        "J+": -g["J+"],
+        "J-": -(e_pkp * (g["J-"] * cosh_jp - g["K-"] * sinh_jp)),
+        "J0": -(e_pkp * (g["J0"] * cosh_jp - g["K0"] * sinh_jp)),
+        "K+": -g["K+"],
+        "K-": -(e_pkp * (g["K-"] * cosh_jp - g["J-"] * sinh_jp)),
+        "K0": -(e_pkp * (g["K0"] * cosh_jp - g["J0"] * sinh_jp)),
     }
 
 
@@ -214,8 +205,7 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     per-copy antipodes, and counit compatibility."""
     report = VerificationReport(f"so4 coalgebra j1={r.j1} j2={r.j2}")
 
-    r_legs = r.legs()
-    direct = _coproducts_direct(r_legs)
+    direct = _coproducts_direct(r.legs)
     per_copy = _coproducts_per_copy(r)
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
@@ -224,7 +214,7 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
             per_copy[name],
         )
 
-    s_direct = _antipodes_direct(r)
+    s_direct = _antipodes_direct(r.legs)
     s_per_copy = _antipodes_per_copy(r)
     for name in GENERATOR_NAMES:
         report.check_matrix_identity(
@@ -237,10 +227,10 @@ def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     # (0, 0), whose legs are each leg's counit, a 1x1 matrix of the leg's
     # weight; route (a)'s table with those legs on the left must reproduce
     # the generator.  The check tests the table, not the representation.
-    eps = build_so4(0, 0).legs()
-    for name, g in r.generators().items():
+    eps = build_so4(0, 0).legs
+    for name in GENERATOR_NAMES:
         report.check_matrix_identity(
             f"counit (eps x id) on {name}",
-            contract(COPRODUCT_DIRECT[name], eps, r_legs, PolyMatrix.kron), g
+            contract(COPRODUCT_DIRECT[name], eps, r.legs, PolyMatrix.kron), r.legs[name]
         )
     return report

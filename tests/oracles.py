@@ -124,6 +124,11 @@ def order_part(el: NCElement, k: int) -> dict:
     return {m: c for (m, j), c in coefficients(el).items() if j == k}
 
 
+def failures(report) -> list:
+    """The failed entries of a verification report, in the order checked."""
+    return [e for e in report.entries if e.status == "fail"]
+
+
 # -- closed forms for the h^2 and h^4 elements --------------------------------
 #
 # rho2/sigma2 give H_{n+2}^n = h^2 rho2(n) and X_{n+3}^n = h^2 sigma2(n);

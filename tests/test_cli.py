@@ -204,6 +204,14 @@ def test_refused_inputs_exit_two_without_traceback(argv, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_zero_omega_is_refused_with_its_own_error_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--omega", "0", "--grid", "0:1:0.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: the spectrum scan needs a nonzero deformation parameter\n")
+
+
 def test_malformed_from_json_exits_two(tmp_path, capsys):
     assert main(["irrep", "--j", "1/2", "--output", str(tmp_path / "rep.json")]) == 0
     ragged = json.loads((tmp_path / "rep.json").read_text())

@@ -23,7 +23,7 @@ from jordanrep.verma import build_table
 
 import golden
 from oracles import (
-    act, charpoly, constant_value, diagonal, graded, is_homogeneous_h, negate_h,
+    act, charpoly, constant_value, diagonal, failures, graded, is_homogeneous_h, negate_h,
     nilpotent_apply, subs_h, term, trace, with_h,
 )
 
@@ -197,7 +197,7 @@ def test_relations_negative_control():
     corrupted = Irrep(j=r.j, basis=r.basis, X=PolyMatrix(rows, r.X.weights, 2), Y=r.Y, H=r.H)
     report = verify_sl2_relations(corrupted)
     assert not report.passed
-    failing = report.failures()
+    failing = failures(report)
     assert failing
     assert "mismatch at" in failing[0].detail
 
@@ -353,7 +353,7 @@ def test_hopf_antipode_negative_controls(monkeypatch, wrong, generator):
 
     monkeypatch.setattr(irrep, "antipodes", mutated)
     report = verify_hopf(HALF, 1)
-    assert [e.relation_label for e in report.failures()] == [
+    assert [e.relation_label for e in failures(report)] == [
         f"antipode m(S x id)D({generator}) = 0 [j=1/2]",
         f"antipode m(S x id)D({generator}) = 0 [j=1]",
     ]
@@ -367,7 +367,7 @@ def test_hopf_rejects_the_opposite_coproduct(monkeypatch):
     identity, now read from the same table, tells it from D."""
     for g in ("Y", "H"):
         monkeypatch.setitem(irrep.COPRODUCT, g, [("e+", g), (g, "e-")])
-    assert [e.relation_label for e in verify_hopf(HALF, 1).failures()] == ANTIPODE_Y_H
+    assert [e.relation_label for e in failures(verify_hopf(HALF, 1))] == ANTIPODE_Y_H
 
 
 def test_hopf_rejects_a_wrong_antipode_of_e_minus(monkeypatch):
@@ -377,7 +377,7 @@ def test_hopf_rejects_a_wrong_antipode_of_e_minus(monkeypatch):
         return {**honest(legs), "e-": legs["e-"]}  # S(e^{-hX}) = e^{-hX}
 
     monkeypatch.setattr(irrep, "antipodes", mutated)
-    assert [e.relation_label for e in verify_hopf(HALF, 1).failures()] == ANTIPODE_Y_H
+    assert [e.relation_label for e in failures(verify_hopf(HALF, 1))] == ANTIPODE_Y_H
 
 
 @pytest.mark.parametrize("basis", ["verma", "diagonal"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanrep import ncseries
-from jordanrep.errors import IllFormedComposition, ZeroOmega
+from jordanrep.errors import IllFormedComposition, InputError
 from jordanrep.ncseries import (
     FIELD_BITS,
     AlgebraPresentation,
@@ -24,8 +24,8 @@ from jordanrep.ncseries import (
     suite_qe3,
 )
 
-from oracles import (coefficients, letter_sets, normal_order, normal_order_scheduled,
-                     order_part, product_by_monomial, unpack, word_of)
+from oracles import (coefficients, failures, letter_sets, normal_order,
+                     normal_order_scheduled, order_part, product_by_monomial, unpack, word_of)
 
 
 def F(n, d=1):
@@ -315,14 +315,14 @@ def test_series_function_rejects_nonzero_valuation():
 
 def test_suite_e2_passes():
     report = suite_e2(8)
-    assert report.passed, [e.relation_label for e in report.failures()]
+    assert report.passed, [e.relation_label for e in failures(report)]
     chi_eta = next(e for e in report.entries if e.relation_label == "[chi,eta] = 0")
     assert chi_eta.status == "pass"
 
 
 def test_suite_e3_passes():
     report = suite_e3(8)
-    assert report.passed, [e.relation_label for e in report.failures()]
+    assert report.passed, [e.relation_label for e in failures(report)]
     labels = {e.relation_label for e in report.entries}
     assert "[P+,P-] = 0" in labels
     assert "[J0,P-] = -2P- + (w/2)P0^2" in labels
@@ -331,7 +331,7 @@ def test_suite_e3_passes():
 
 def test_suite_qe3_passes():
     report = suite_qe3(6)
-    assert report.passed, [e.relation_label for e in report.failures()]
+    assert report.passed, [e.relation_label for e in failures(report)]
     labels = {e.relation_label for e in report.entries}
     assert "[P0,P+] = 0" in labels
     assert any(label.startswith("C1 = P+ P-") for label in labels)
@@ -362,8 +362,31 @@ def test_e3_inverse_sum_is_the_exponential_of_minus_w_p_plus(order):
     p = e3_presentation()
     pi_p, pi_0, pi_m = (NCElement.generator(p, g, order) for g in ("Pi+", "Pi0", "Pi-"))
     p_plus, _p_zero, _p_minus, e_minus = _e3_deformed(pi_p, pi_0, pi_m)
-    (exp,) = series_function_apply(p_plus.mul_t(1), ("exp", -1))
+    (exp,) = series_function_apply(p_plus.mul_t(1).scale(-1), "exp")
     assert (e_minus.order, e_minus.terms, e_minus.den) == (exp.order, exp.terms, exp.den)
+
+
+@pytest.mark.parametrize("order", [2, 6, 20])
+def test_qe3_exponentials_are_the_inverse_sum_and_its_square(monkeypatch, order):
+    """suite_qe3 takes e^{(W/2) P0} as its inv1p sum a_inv = (1 + a_dev)^{-1}
+    and e^{W P0} as a_inv^2; both are the exp series of those arguments
+    exactly, and 1 + a_dev that of -(W/2) P0, since -(W/2) P0 = ln(1 + a_dev)."""
+    calls = []
+    honest = ncseries.series_function_apply
+
+    def spy(x, *kinds):
+        calls.append((x, kinds, honest(x, *kinds)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ncseries, "series_function_apply", spy)
+    assert suite_qe3(order).passed
+    ((a_dev, (ln, a_inv)),) = [(x, out) for x, kinds, out in calls if kinds == ("ln1p", "inv1p")]
+    half = (-ln.div_t(1).scale(2)).mul_t(1).scale(F(1, 2))   # (W/2) P0
+    one = NCElement.one(a_dev.presentation, a_dev.order)
+    for value, argument in ((a_inv, half), (a_inv * a_inv, half.scale(2)),
+                            (one + a_dev, half.scale(-1))):
+        (exp,) = honest(argument, "exp")
+        assert (value.order, value.terms, value.den) == (exp.order, exp.terms, exp.den)
 
 
 def wrong_taylor(monkeypatch, kind, index=2):
@@ -396,7 +419,7 @@ def test_a_wrong_exp_coefficient_fails_the_e3_round_trips_and_casimirs(monkeypat
     """e^{w P+} is the one exp series of suite_e3; it feeds the forward map,
     so the three round trips and both Casimir comparisons fail on it."""
     wrong_taylor(monkeypatch, "exp")
-    failed = {e.relation_label for e in suite_e3(6).failures()}
+    failed = {e.relation_label for e in failures(suite_e3(6))}
     assert failed >= {
         "round trip: (e^{wP+}-1)/w = Pi+",
         "round trip: P0 e^{wP+} = Pi0",
@@ -404,6 +427,14 @@ def test_a_wrong_exp_coefficient_fails_the_e3_round_trips_and_casimirs(monkeypat
         "C1: both closed forms agree",
         "C2: both closed forms agree",
     }
+
+
+def test_a_wrong_exp_coefficient_fails_the_qe3_map_consistency_only(monkeypatch):
+    """exp o ln over 1 + a_dev is the one exp series of suite_qe3: a wrong
+    exp coefficient fails that check, and only that one."""
+    wrong_taylor(monkeypatch, "exp")
+    assert [e.relation_label for e in failures(suite_qe3(6))] == [
+        "map consistency: e^{-(W/2)P0} reproduces its defining series"]
 
 
 def test_report_locates_series_failures():
@@ -439,5 +470,5 @@ def test_momentum_spectrum_nearest_approach_diagnostic():
 
 
 def test_momentum_spectrum_rejects_zero_omega():
-    with pytest.raises(ZeroOmega):
+    with pytest.raises(InputError):
         momentum_spectrum(0.0, [1.0])

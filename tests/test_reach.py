@@ -28,7 +28,6 @@ ALLOWED = {
     "__hash__",
     "jordanrep.cli.console_entry",
     "jordanrep.report.VerificationReport.add_fail",
-    "jordanrep.report.VerificationReport.failures",
     "jordanrep.ncseries.AlgebraPresentation.monomial_str",
     # a failure report prints the two mismatching entries as polynomials
     "jordanrep.exact.poly.BiPoly.__str__",

@@ -152,13 +152,14 @@ def test_hyperbolic_identity(x):
 
 
 @settings(max_examples=30, deadline=None)
-@given(series_args)
-def test_series_over_shared_powers_match_single_series(x):
-    """Several series summed over one sequence of powers of x, scaled
-    arguments included, equal each series summed on its own argument."""
-    shared = series_function_apply(x, ("exp", -1), "ln1p", ("exp", F(2, 3)), "inv1p")
-    single = [series_function_apply(-x, "exp")[0], series_function_apply(x, "ln1p")[0],
-              series_function_apply(x.scale(F(2, 3)), "exp")[0],
-              series_function_apply(x, "inv1p")[0]]
+@given(series_args, st.sampled_from([F(1), F(-1), F(2, 3), F(2)]))
+def test_series_over_shared_powers_match_single_series(x, s):
+    """Several series summed over one sequence of powers of a scaled argument
+    s x equal each series summed on its own, and e^{s x} e^{x} = e^{(s+1) x}."""
+    y = x.scale(s)
+    shared = series_function_apply(y, "exp", "ln1p", "inv1p")
+    single = [series_function_apply(y, kind)[0] for kind in ("exp", "ln1p", "inv1p")]
     for a, b in zip(shared, single, strict=True):
         assert_equal(a, b)
+    assert_equal(shared[0] * series_function_apply(x, "exp")[0],
+                 series_function_apply(x.scale(s + 1), "exp")[0])

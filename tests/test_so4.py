@@ -8,7 +8,7 @@ from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator
 from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
 from jordanrep.so4 import build_so4, copy_legs, verify_so4_coalgebra, verify_so4_relations
-from oracles import assemble, nilpotent_apply, subs_h
+from oracles import assemble, failures, nilpotent_apply, subs_h
 
 HALF = Fraction(1, 2)
 PAIRS = [(HALF, HALF), (Fraction(1), HALF), (Fraction(1), Fraction(1))]
@@ -37,58 +37,57 @@ def exact_rank(m: PolyMatrix, h_value=Fraction(1)) -> int:
 
 
 def test_j_plus_rank_on_four_dim_space():
-    r = build_so4(HALF, HALF)
-    assert r.J_plus.rows == 4
-    assert exact_rank(r.J_plus) == 2
+    jp = build_so4(HALF, HALF).legs["J+"]
+    assert jp.rows == 4
+    assert exact_rank(jp) == 2
 
 
 def test_classical_limits():
     r = build_so4(HALF, HALF)
     c1, c2 = r.copies
-    assert r.copies == copy_legs(*r.factors)
-    assert subs_h(r.J_zero, 0) == subs_h(c1["H"] + c2["H"], 0)
-    assert subs_h(r.K_zero, 0) == subs_h(c1["H"] - c2["H"], 0)
-    assert subs_h(r.J_plus, 0) == subs_h(c1["X"] + c2["X"], 0)
-    assert subs_h(r.J_minus, 0) == subs_h(c1["Y"] + c2["Y"], 0)
+    assert r.copies == copy_legs(*(map_to_deformed(classical_rep(HALF)) for _ in range(2)))
+    g = r.legs
+    assert subs_h(g["J0"], 0) == subs_h(c1["H"] + c2["H"], 0)
+    assert subs_h(g["K0"], 0) == subs_h(c1["H"] - c2["H"], 0)
+    assert subs_h(g["J+"], 0) == subs_h(c1["X"] + c2["X"], 0)
+    assert subs_h(g["J-"], 0) == subs_h(c1["Y"] + c2["Y"], 0)
 
 
 def test_plus_generators_commute_and_are_nilpotent():
     for j1, j2 in PAIRS:
-        r = build_so4(j1, j2)
-        assert commutator(r.J_plus, r.K_plus).is_zero
+        g = build_so4(j1, j2).legs
+        assert commutator(g["J+"], g["K+"]).is_zero
         # terminating exponentials exist for both
-        nilpotent_apply("exp", r.J_plus)
-        nilpotent_apply("exp", r.K_plus)
+        nilpotent_apply("exp", g["J+"])
+        nilpotent_apply("exp", g["K+"])
 
 
 @pytest.mark.parametrize("j1,j2", PAIRS)
 def test_relations(j1, j2):
     report = verify_so4_relations(build_so4(j1, j2))
-    assert report.passed, [e.relation_label for e in report.failures()]
+    assert report.passed, [e.relation_label for e in failures(report)]
     assert len(report.entries) == 15
 
 
 def test_relations_negative_control():
     r = build_so4(HALF, HALF)
-    corrupted = r._replace(K_minus=-r.K_minus)
+    corrupted = r._replace(legs={**r.legs, "K-": -r.legs["K-"]})
     report = verify_so4_relations(corrupted)
     assert not report.passed
-    bad = {e.relation_label for e in report.failures()}
+    bad = {e.relation_label for e in failures(report)}
     assert any("[J+,K-]" in label for label in bad)
-    sample = next(e for e in report.failures() if "[J+,K-]" in e.relation_label)
+    sample = next(e for e in failures(report) if "[J+,K-]" in e.relation_label)
     assert "mismatch at" in sample.detail
 
 
 def test_j_triple_satisfies_deformed_sl2():
     for j1, j2 in PAIRS:
-        r = build_so4(j1, j2)
-        assert commutator(r.J_zero, r.J_plus) == (
-            nilpotent_apply("sinh", r.J_plus).divide_h().scale(2))
-        cosh_jp = nilpotent_apply("cosh", r.J_plus)
-        assert commutator(r.J_zero, r.J_minus) == -(
-            r.J_minus * cosh_jp + cosh_jp * r.J_minus
-        )
-        assert commutator(r.J_plus, r.J_minus) == r.J_zero
+        g = build_so4(j1, j2).legs
+        jp, jm, j0 = g["J+"], g["J-"], g["J0"]
+        assert commutator(j0, jp) == nilpotent_apply("sinh", jp).divide_h().scale(2)
+        cosh_jp = nilpotent_apply("cosh", jp)
+        assert commutator(j0, jm) == -(jm * cosh_jp + cosh_jp * jm)
+        assert commutator(jp, jm) == j0
 
 
 def test_per_copy_casimirs_central():
@@ -98,13 +97,12 @@ def test_per_copy_casimirs_central():
         sc1, c1 = casimir(rep1)
         sc2, c2 = casimir(rep2)
         assert sc1 and sc2
-        r = build_so4(j1, j2)
+        legs = build_so4(j1, j2).legs
         # copy 2 carries -h, but its Casimir value has no h to flip
-        big1 = PolyMatrix.identity(r.J_plus.weights).scale(c1)
-        big2 = PolyMatrix.identity(r.J_plus.weights).scale(c2)
-        for g in r.generators().values():
-            assert commutator(big1, g).is_zero
-            assert commutator(big2, g).is_zero
+        big1, big2 = legs["1"].scale(c1), legs["1"].scale(c2)
+        for name in so4.GENERATOR_NAMES:
+            assert commutator(big1, legs[name]).is_zero
+            assert commutator(big2, legs[name]).is_zero
 
 
 # the benchmark's tensor points (3/2, 1) and (3/2, 3/2) as well
@@ -113,7 +111,7 @@ def test_per_copy_casimirs_central():
 def test_coalgebra_two_routes(j1, j2):
     r = build_so4(j1, j2)
     report = verify_so4_coalgebra(r)
-    assert report.passed, [e.relation_label for e in report.failures()]
+    assert report.passed, [e.relation_label for e in failures(report)]
     labels = [e.relation_label for e in report.entries]
     assert sum("coproduct" in label for label in labels) == 6
     assert sum("antipode" in label for label in labels) == 6
@@ -134,13 +132,13 @@ def test_coalgebra_negative_control_matches_assembled_oracle(monkeypatch):
     monkeypatch.setitem(so4.COPRODUCT_DIRECT, "J0",
                         so4.COPRODUCT_DIRECT["J0"] + [("J0", "K0")])
     report = verify_so4_coalgebra(r)
-    assert [e.relation_label for e in report.failures()] == [
+    assert [e.relation_label for e in failures(report)] == [
         "coproduct of J0: direct = per-copy"
     ]
     per_copy = so4._coproducts_per_copy(r)["J0"]
-    i, j, lhs, rhs = assemble(so4._coproducts_direct(r.legs())["J0"]).first_difference(
+    i, j, lhs, rhs = assemble(so4._coproducts_direct(r.legs)["J0"]).first_difference(
         assemble(per_copy))
-    entry = report.failures()[0]
+    entry = failures(report)[0]
     assert entry.detail == f"first mismatch at ({i},{j})"
     assert entry.residual_sample == f"lhs={lhs} rhs={rhs}"
 
@@ -153,7 +151,7 @@ def test_coalgebra_refuses_an_off_grade_pair(monkeypatch):
 
     def with_off_grade_pair(rep):
         sums = honest(rep)
-        sums["J0"] = sums["J0"] + TensorSum([(rep.J_plus, rep.K_zero)])
+        sums["J0"] = sums["J0"] + TensorSum([(rep.legs["J+"], rep.legs["K0"])])
         return sums
 
     monkeypatch.setattr(so4, "_coproducts_per_copy", with_off_grade_pair)
@@ -167,7 +165,7 @@ def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):
     monkeypatch.setitem(so4.COPRODUCT_DIRECT, "J-",
                         [("J-", "cosh"), ("e^{-hK+}", "K-"), ("K-", "sinh")])
     report = verify_so4_coalgebra(r)
-    assert [e.relation_label for e in report.failures()] == [
+    assert [e.relation_label for e in failures(report)] == [
         "coproduct of J-: direct = per-copy",
         "counit (eps x id) on J-",
     ]
@@ -175,16 +173,17 @@ def test_counit_check_rejects_a_wrong_right_leg(monkeypatch):
 
 @pytest.mark.parametrize("j1,j2", [(0, Fraction(3, 2)), (HALF, 1), (Fraction(3, 2), 1)])
 def test_exponentials_factor_over_the_copies(j1, j2):
-    """Kronecker products of the per-copy group-likes against the series
-    on the full tensor space, which stays the reference."""
-    r = build_so4(j1, j2)
-    x1, x2 = (c["X"] for c in r.copies)
-    for s1 in (-1, 0, 1):
-        for s2 in (-1, 0, 1):
-            assert r.exp(s1, s2) == nilpotent_apply("exp", x1.scale(s1) + x2.scale(s2))
-    assert r.cosh_sinh() == (nilpotent_apply("cosh", r.J_plus),
-                             nilpotent_apply("sinh", r.J_plus))
-    for rep in r.factors:
+    """Every exponential leg, a Kronecker product of the per-copy group-likes,
+    against the series on the full tensor space, which stays the reference."""
+    g = build_so4(j1, j2).legs
+    jp, kp = g["J+"], g["K+"]
+    assert g["1"] == PolyMatrix.identity(jp.weights)
+    for name, kind, m in (("e^{hJ+}", "exp", jp), ("e^{-hJ+}", "exp", -jp),
+                          ("e^{hK+}", "exp", kp), ("e^{-hK+}", "exp", -kp),
+                          ("cosh", "cosh", jp), ("sinh", "sinh", jp)):
+        assert g[name] == nilpotent_apply(kind, m), name
+    for j in (j1, j2):
+        rep = map_to_deformed(classical_rep(j))
         assert cosh_sinh(rep.e[+1], rep.e[-1]) == (nilpotent_apply("cosh", rep.X),
                                                    nilpotent_apply("sinh", rep.X))
 
@@ -224,21 +223,21 @@ def _corrupt(rep):
 
 def test_a_corrupted_group_like_is_caught(monkeypatch):
     """The checks read their exponentials from the shared group-likes; a wrong
-    one fails the relations and one of the two coalgebra comparisons, so the
-    shared factors do not make either route agree by construction."""
-    coproducts = [f"coproduct of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
+    one in either factor fails the relations and the antipode comparison.
+    Both coproduct routes are built from the same wrong group-likes, and
+    they still agree."""
     antipodes = [f"antipode of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
-    for copy, expected in ((0, coproducts), (1, antipodes)):
-        r = build_so4(HALF, 1)
-        _corrupt(r.factors[copy])
-        r = r._replace(copies=copy_legs(*r.factors))  # the legs read the corrupted pair
-        assert len(verify_so4_relations(r).failures()) == 10
-        assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == expected
-
     honest = irrep.map_to_deformed
+    for j in (HALF, 1):   # copy 1, then copy 2
+        monkeypatch.setattr(so4, "map_to_deformed",
+                            lambda c, j=j: _corrupt(honest(c)) if c.j == j else honest(c))
+        r = build_so4(HALF, 1)
+        assert len(failures(verify_so4_relations(r))) == 10
+        assert [e.relation_label for e in failures(verify_so4_coalgebra(r))] == antipodes
+
     monkeypatch.setattr(irrep, "map_to_deformed",
                         lambda c: _corrupt(honest(c)) if c.j == 1 else honest(c))
-    assert [e.relation_label for e in irrep.verify_hopf(HALF, 1).failures()] == [
+    assert [e.relation_label for e in failures(irrep.verify_hopf(HALF, 1))] == [
         "coproduct [H,X] = (2/h) sinh(hX)",
         "coproduct [H,Y] = -{Y, cosh(hX)}",
         "antipode m(S x id)D(Y) = 0 [j=1]",
@@ -256,7 +255,7 @@ def test_per_copy_route_rejects_the_opposite_coproduct(monkeypatch):
         monkeypatch.setitem(irrep.COPRODUCT, g, [("e+", g), (g, "e-")])
     r = build_so4(1, HALF)
     assert verify_so4_relations(r).passed
-    assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == [
+    assert [e.relation_label for e in failures(verify_so4_coalgebra(r))] == [
         f"coproduct of {g}: direct = per-copy" for g in LOWERING]
 
 
@@ -270,5 +269,5 @@ def test_per_copy_antipodes_reject_a_wrong_antipode_of_e_minus(monkeypatch):
         monkeypatch.setattr(module, "antipodes", mutated)
     r = build_so4(1, HALF)
     assert verify_so4_relations(r).passed
-    assert [e.relation_label for e in verify_so4_coalgebra(r).failures()] == [
+    assert [e.relation_label for e in failures(verify_so4_coalgebra(r))] == [
         f"antipode of {g}: direct = per-copy" for g in LOWERING]

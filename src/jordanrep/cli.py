@@ -54,9 +54,8 @@ SCHEMA = "jordan-rep/1"
 MAX_GRID_POINTS = 100_000
 
 #: Largest truncation order of the series suites: `verify qe3` at this
-#: order takes 47 s and peaks at 111 MB on a 2-vCPU Xeon host (order 56:
-#: 4.2 s, 37 MB; that host ran `verify so4 --j1 0 --j2 107` in 50 s);
-#: exponents reach order + 6, far below 2^15 (guard bit).
+#: order takes about 22 s and peaks at 111 MB on a 2-vCPU host (order 56:
+#: 1.6 s, 36 MB); exponents reach order + 6, far below 2^15 (guard bit).
 MAX_ORDER = 100
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`,

@@ -626,11 +626,12 @@ def suite_qe3(order: int) -> VerificationReport:
     p_minus = root * pi_m * a_inv
 
     # -(W/2) P0 = ln(1 + a_dev), so e^{-(W/2) P0} = 1 + a_dev, e^{(W/2) P0} =
-    # a_inv and e^{W P0} = a_inv^2 exactly; the one exp series checks exp o ln
+    # a_inv and e^{W P0} = a_inv^2 exactly; the one exp series, over
+    # -(W/2) P0, checks exp o ln
     e_half_m, e_half_p, e_p0 = one + a_dev, a_inv, a_inv * a_inv
     report.check_series_zero(
         "map consistency: e^{-(W/2)P0} reproduces its defining series",
-        series_function_apply(ln, "exp")[0] - e_half_m,
+        series_function_apply(p_zero.mul_t(1).scale(Fraction(-1, 2)), "exp")[0] - e_half_m,
         order,
     )
 

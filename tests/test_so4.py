@@ -7,7 +7,7 @@ from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator
 from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
-from jordanrep.so4 import build_so4, copy_legs, verify_so4_coalgebra, verify_so4_relations
+from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
 from oracles import assemble, failures, nilpotent_apply, subs_h
 
 HALF = Fraction(1, 2)
@@ -45,7 +45,6 @@ def test_j_plus_rank_on_four_dim_space():
 def test_classical_limits():
     r = build_so4(HALF, HALF)
     c1, c2 = r.copies
-    assert r.copies == copy_legs(*(map_to_deformed(classical_rep(HALF)) for _ in range(2)))
     g = r.legs
     assert subs_h(g["J0"], 0) == subs_h(c1["H"] + c2["H"], 0)
     assert subs_h(g["K0"], 0) == subs_h(c1["H"] - c2["H"], 0)
@@ -223,17 +222,25 @@ def _corrupt(rep):
 
 def test_a_corrupted_group_like_is_caught(monkeypatch):
     """The checks read their exponentials from the shared group-likes; a wrong
-    one in either factor fails the relations and the antipode comparison.
-    Both coproduct routes are built from the same wrong group-likes, and
-    they still agree."""
+    one in either factor fails the relations and one of the two coalgebra
+    comparisons.  With honest generators and the wrong exponential legs the
+    coproducts fail for copy 1 and the antipodes for copy 2; with the whole
+    table built from the wrong group-likes both coproduct routes read them
+    and agree, and the antipodes fail for either copy."""
+    coproducts = [f"coproduct of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
     antipodes = [f"antipode of {g}: direct = per-copy" for g in ("J-", "J0", "K-", "K0")]
+    exponentials = (*so4._GROUP_LIKES, "cosh", "sinh")
+    r = build_so4(HALF, 1)
     honest = irrep.map_to_deformed
-    for j in (HALF, 1):   # copy 1, then copy 2
+    for j, expected in ((HALF, coproducts), (1, antipodes)):   # copy 1, then copy 2
         monkeypatch.setattr(so4, "map_to_deformed",
                             lambda c, j=j: _corrupt(honest(c)) if c.j == j else honest(c))
-        r = build_so4(HALF, 1)
-        assert len(failures(verify_so4_relations(r))) == 10
-        assert [e.relation_label for e in failures(verify_so4_coalgebra(r))] == antipodes
+        wrong = build_so4(HALF, 1)
+        mixed = r._replace(legs={**r.legs, **{n: wrong.legs[n] for n in exponentials}},
+                           copies=wrong.copies)
+        for rep, coalgebra in ((mixed, expected), (wrong, antipodes)):
+            assert len(failures(verify_so4_relations(rep))) == 10
+            assert [e.relation_label for e in failures(verify_so4_coalgebra(rep))] == coalgebra
 
     monkeypatch.setattr(irrep, "map_to_deformed",
                         lambda c: _corrupt(honest(c)) if c.j == 1 else honest(c))

@@ -147,33 +147,36 @@ def grid_points(start: float, stop: float, step: float) -> list[float]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: "--out" must not stand for
+    # "--output", nor "--max-lev" for "--max-level"
     parser = argparse.ArgumentParser(
-        prog="jordanrep",
+        prog="jordanrep", allow_abbrev=False,
         description="Exact representations of the Jordanian-deformed algebras, "
         "with identity verification in exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_el = sub.add_parser("elements", help="dump the matrix-element table")
+    p_el = sub.add_parser("elements", allow_abbrev=False, help="dump the matrix-element table")
     p_el.add_argument("--max-level", type=nonneg_int, required=True, metavar="L")
     p_el.add_argument("--lambda", dest="lam", type=rational, default=None,
                       help="specialize the weight symbol at an exact rational")
     p_el.add_argument("--format", choices=("json", "latex"), default="json")
     p_el.add_argument("--output", default=None, help="write here instead of stdout")
 
-    p_ir = sub.add_parser("irrep", help="construct an irreducible representation")
+    p_ir = sub.add_parser("irrep", allow_abbrev=False,
+                          help="construct an irreducible representation")
     p_ir.add_argument("--j", type=half_integer, required=True,
                       help='half-integer spin, as "n" or "odd/2"')
     p_ir.add_argument("--basis", choices=("verma", "diagonal"), default="verma")
     p_ir.add_argument("--format", choices=("json", "latex"), default="json")
     p_ir.add_argument("--output", default=None)
 
-    p_sv = sub.add_parser("singvec", help="singular-vector coefficients")
+    p_sv = sub.add_parser("singvec", allow_abbrev=False, help="singular-vector coefficients")
     p_sv.add_argument("--lambda", dest="lam", type=nonneg_int, required=True,
                       help="nonnegative integer weight (= 2j)")
     p_sv.add_argument("--output", default=None)
 
-    p_v = sub.add_parser("verify", help="run exact verification suites")
+    p_v = sub.add_parser("verify", allow_abbrev=False, help="run exact verification suites")
     p_v.add_argument("suite", choices=("sl2", "hopf", "so4", "e2", "e3", "qe3", "all"))
     p_v.add_argument("--j-max", type=half_integer, default=Fraction(3),
                      help="largest spin for the sl2 suite")
@@ -186,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "from a JSON file instead of a built one")
     p_v.add_argument("--output", default=None)
 
-    p_sp = sub.add_parser("spectrum", help="inverse-map singularity scan")
+    p_sp = sub.add_parser("spectrum", allow_abbrev=False, help="inverse-map singularity scan")
     p_sp.add_argument("--omega", type=float, required=True)
     p_sp.add_argument("--grid", type=grid_spec, required=True, metavar="a:b:step")
     p_sp.add_argument("--pi0", type=float, default=1.0)

@@ -46,16 +46,7 @@ class BiPoly:
                     continue
                 if dl < 0 or dh < 0:
                     raise ValueError("exponents must be nonnegative")
-                key = (dl, dh)
-                c0 = canon.get(key)
-                if c0 is None:
-                    canon[key] = c
-                else:
-                    c0 = c0 + c
-                    if c0 == 0:
-                        del canon[key]
-                    else:
-                        canon[key] = c0
+                canon[(dl, dh)] = c
         self._terms = canon
 
     # -- mapping access ----------------------------------------------------
@@ -144,14 +135,18 @@ class BiPoly:
 
     @staticmethod
     def from_obj(obj) -> "BiPoly":
-        """From the JSON encoding, whose exponents must be ints (not bools)
-        and whose coefficients must be "p/q" strings."""
+        """From the JSON encoding, whose exponents must be ints (not bools),
+        each (l, h) at most once, and whose coefficients must be "p/q"
+        strings."""
         for t in obj:
             if type(t["l"]) is not int or type(t["h"]) is not int:
                 raise ValueError(f"exponents must be integers, got l={t['l']!r} h={t['h']!r}")
             if type(t["c"]) is not str:
                 raise ValueError(f'coefficients must be "p/q" strings, got c={t["c"]!r}')
-        return BiPoly({(t["l"], t["h"]): Fraction(t["c"]) for t in obj})
+        terms = {(t["l"], t["h"]): Fraction(t["c"]) for t in obj}
+        if len(terms) != len(obj):
+            raise ValueError("a polynomial lists a repeated term (l, h)")
+        return BiPoly(terms)
 
     def write(self, number, symbols, power: str, join: str) -> str:
         """A signed sum of terms, highest degrees first.  A term is its

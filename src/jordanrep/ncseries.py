@@ -38,6 +38,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from operator import or_
 
 from .errors import IllFormedComposition, InputError
@@ -54,15 +55,17 @@ _GUARD = 1 << (FIELD_BITS - 1)
 
 
 class AlgebraPresentation:
-    """Ordered generators plus commutators [g_a, g_b] for a > b.
+    """Ordered generators plus their Lie brackets [g_a, g_b] for a > b.
 
-    Rules are given as ``{exponent_tuple: int}`` and held packed: the
-    structure constants must be integers, so normal ordering runs on ints.
-    An absent pair means the generators commute.  The Jacobi identity is
-    checked on all triples at construction.  ``(key + carry) & guard`` is
-    the set of letters a key holds, and ``blocked`` maps each of the
-    2^size letter sets to the letters that its letters do not commute with
-    from the right, both as guard bits (see the module docstring)."""
+    ``rules`` maps ``(a, b)`` to ``{c: k}`` over generator indices, meaning
+    [g_a, g_b] = sum k g_c, and is held packed, as ``{(units[a], units[b]):
+    {units[c]: k}}``.  The structure constants k must be ints, so normal
+    ordering runs on ints.  An absent pair means the generators commute.
+    The Jacobi identity is checked on all triples at construction.  ``(key
+    + carry) & guard`` is the set of letters a key holds, and ``blocked``
+    maps each of the 2^size letter sets to the letters that its letters do
+    not commute with from the right, both as guard bits (see the module
+    docstring)."""
 
     def __init__(self, names, rules):
         self.names = tuple(names)
@@ -73,70 +76,42 @@ class AlgebraPresentation:
         self.letters = (1 << self.shift) - 1      # the generator fields
         self.guard = sum(_GUARD << s for s in self.offsets)
         self.carry = sum((_GUARD - 1) << s for s in self.offsets)
-        canon: dict[tuple[int, int], dict] = {}
+        self.rules: dict[tuple[int, int], dict[int, int]] = {}
         for (a, b), combo in rules.items():
             if not (0 <= b < a < self.size):
                 raise ValueError(f"rule pair {(a, b)} must satisfy a > b")
-            combo = {tuple(mono): as_fraction(c) for mono, c in combo.items() if c != 0}
-            if any(c.denominator != 1 for c in combo.values()):
+            if not all(0 <= c < self.size for c in combo):
+                raise ValueError(f"rule pair {(a, b)} names a foreign generator")
+            if any(type(k) is not int for k in combo.values()):
                 raise ValueError(f"rule pair {(a, b)} has a non-integer structure constant")
-            if combo:  # keyed by the pair of packed generators
-                canon[(self.units[a], self.units[b])] = {
-                    self.pack(mono, 0): c.numerator for mono, c in combo.items()}
-        self.rules = canon
+            if any(combo.values()):
+                self.rules[(self.units[a], self.units[b])] = {
+                    self.units[c]: k for c, k in combo.items() if k}
         self.blocked = {0: 0}
         for u in self.units:
-            row = sum(y << (FIELD_BITS - 1) for x, y in canon if x == u)
+            row = sum(y << (FIELD_BITS - 1) for x, y in self.rules if x == u)
             self.blocked.update({s | u << (FIELD_BITS - 1): t | row
                                  for s, t in self.blocked.items()})
-        self._check_jacobi()
+        for x, y, z in combinations(self.units, 3):
+            total: dict[int, int] = {}
+            for u, v, w in ((x, y, z), (y, z, x), (z, x, y)):
+                for m, k in self._bracket(self._bracket({u: 1}, {v: 1}), {w: 1}).items():
+                    total[m] = total.get(m, 0) + k
+            if any(total.values()):
+                a, b, c = map(self.units.index, (x, y, z))
+                raise ValueError(f"Jacobi identity fails on generators {a},{b},{c}")
 
-    def pack(self, mono, power: int) -> int:
-        """The key of an exponent tuple at a power of the deformation
-        parameter; ValueError unless every exponent is below the guard bit."""
-        if len(mono) != self.size:
-            raise ValueError("monomial references a foreign generator set")
-        if power < 0 or not all(0 <= e < _GUARD for e in mono):
-            raise ValueError(f"exponents {tuple(mono)} at power {power} do not fit a key")
-        key = power
-        for e in mono:
-            key = key << FIELD_BITS | e
-        return key
-
-    def bracket(self, a: int, b: int) -> dict:
-        """[g_a, g_b] as a linear combination, for any index order."""
-        if a == b:
-            return {}
-        if a > b:
-            return dict(self.rules.get((self.units[a], self.units[b]), {}))
-        flipped = self.rules.get((self.units[b], self.units[a]), {})
-        return {mono: -c for mono, c in flipped.items()}
-
-    def _bracket_linear(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for mu, cu in u.items():
-            a = self.units.index(mu)
-            for mv, cv in v.items():
-                b = self.units.index(mv)
-                for mono, c in self.bracket(a, b).items():
-                    out[mono] = out.get(mono, 0) + cu * cv * c
-        return {m: c for m, c in out.items() if c != 0}
-
-    def _check_jacobi(self):
-        gens = [{unit: 1} for unit in self.units]
-        for a in range(self.size):
-            for b in range(a + 1, self.size):
-                for c in range(b + 1, self.size):
-                    acc: dict = {}
-                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                        inner = self._bracket_linear(gens[x], gens[y])
-                        outer = self._bracket_linear(inner, gens[z])
-                        for mono, q in outer.items():
-                            acc[mono] = acc.get(mono, 0) + q
-                    if any(q != 0 for q in acc.values()):
-                        raise ValueError(
-                            f"Jacobi identity fails on generators {a},{b},{c}"
-                        )
+    def _bracket(self, u: dict, v: dict) -> dict:
+        """[u, v] of two combinations {unit key: int} of generators, read
+        off the rules in either order of each pair."""
+        out: dict[int, int] = {}
+        for x, a in u.items():
+            for y, b in v.items():
+                for z, k in self.rules.get((x, y), {}).items():
+                    out[z] = out.get(z, 0) + a * b * k
+                for z, k in self.rules.get((y, x), {}).items():
+                    out[z] = out.get(z, 0) - a * b * k
+        return out
 
     def monomial_str(self, mono: int) -> str:
         """The generator word of a packed monomial (the power bits are ignored)."""
@@ -154,19 +129,7 @@ class AlgebraPresentation:
 def e2_presentation() -> AlgebraPresentation:
     """Classical planar Euclidean algebra: [J, P+-] = +-P+-, [P+, P-] = 0."""
     J, PP, PM = 0, 1, 2
-
-    def g(i):
-        e = [0, 0, 0]
-        e[i] = 1
-        return tuple(e)
-
-    return AlgebraPresentation(
-        names=("J", "P+", "P-"),
-        rules={
-            (PP, J): {g(PP): -1},
-            (PM, J): {g(PM): 1},
-        },
-    )
+    return AlgebraPresentation(("J", "P+", "P-"), {(PP, J): {PP: -1}, (PM, J): {PM: 1}})
 
 
 @lru_cache(maxsize=1)
@@ -174,24 +137,18 @@ def e3_presentation() -> AlgebraPresentation:
     """Classical three-dimensional Euclidean algebra with commuting
     translations (Pi+, Pi0, Pi-) and the rotation triple (J+, J0, J-)."""
     JP, J0, JM, PP, P0, PM = range(6)
-
-    def g(i):
-        e = [0] * 6
-        e[i] = 1
-        return tuple(e)
-
     return AlgebraPresentation(
         names=("J+", "J0", "J-", "Pi+", "Pi0", "Pi-"),
         rules={
-            (J0, JP): {g(JP): 2},
-            (JM, JP): {g(J0): -1},
-            (JM, J0): {g(JM): 2},
-            (PP, J0): {g(PP): -2},
-            (PP, JM): {g(P0): 1},
-            (P0, JP): {g(PP): 2},
-            (P0, JM): {g(PM): -2},
-            (PM, JP): {g(P0): -1},
-            (PM, J0): {g(PM): 2},
+            (J0, JP): {JP: 2},
+            (JM, JP): {J0: -1},
+            (JM, J0): {JM: 2},
+            (PP, J0): {PP: -2},
+            (PP, JM): {P0: 1},
+            (P0, JP): {PP: 2},
+            (P0, JM): {PM: -2},
+            (PM, JP): {P0: -1},
+            (PM, J0): {PM: 2},
         },
     )
 
@@ -282,25 +239,15 @@ class NCElement:
 
     __slots__ = ("presentation", "order", "terms", "den")
 
-    def __init__(self, presentation, order, terms):
-        """``terms`` maps (monomial tuple, power) to exact rationals, brought
-        to int numerators over the lcm of their denominators, which is
-        already canonical; zeros and powers above ``order`` are dropped."""
-        values = {presentation.pack(mono, k): as_fraction(c)
-                  for (mono, k), c in terms.items() if c != 0 and k <= order}
-        den = math.lcm(*(c.denominator for c in values.values()))
-        self.presentation, self.order, self.den = presentation, order, den
-        self.terms = {key: c.numerator * (den // c.denominator) for key, c in values.items()}
-
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
     def one(p: AlgebraPresentation, order: int) -> "NCElement":
-        return NCElement(p, order, {((0,) * p.size, 0): 1})
+        return _element(p, order, {0: 1}, 1)
 
     @staticmethod
     def generator(p: AlgebraPresentation, name: str, order: int) -> "NCElement":
-        return NCElement(p, order, {(tuple(int(g == name) for g in p.names), 0): 1})
+        return _element(p, order, {p.units[p.names.index(name)]: 1}, 1)
 
     # -- ring operations ----------------------------------------------------------
 

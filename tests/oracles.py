@@ -15,12 +15,12 @@ over matrix powers, and spectra by the characteristic polynomial.
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import comb
+from math import comb, lcm
 from operator import or_
 
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
 from jordanrep.exact.series import power_sum, taylor
-from jordanrep.ncseries import FIELD_BITS, NCElement
+from jordanrep.ncseries import FIELD_BITS, NCElement, _element
 
 
 # -- small builders and queries ---------------------------------------------------
@@ -98,6 +98,36 @@ def is_homogeneous_h(p: BiPoly, degree: int) -> bool:
     return all(dh == degree for (_, dh), _ in p.items())
 
 
+def pack(p, mono, power: int) -> int:
+    """The key of an exponent tuple at a power of the deformation
+    parameter; ValueError unless every exponent is below the guard bit."""
+    if len(mono) != p.size:
+        raise ValueError("monomial references a foreign generator set")
+    if power < 0 or not all(0 <= e < 1 << (FIELD_BITS - 1) for e in mono):
+        raise ValueError(f"exponents {tuple(mono)} at power {power} do not fit a key")
+    return sum(e << s for e, s in zip(mono, p.offsets)) + (power << p.shift)
+
+
+def element(p, order: int, terms: dict) -> NCElement:
+    """The element sum c t^k mono of {(exponent tuple, power k): rational c},
+    zeros and powers above ``order`` dropped: int numerators over the lcm of
+    the reduced denominators, which no prime divides together with every
+    numerator, so the form is already canonical."""
+    values = {pack(p, mono, k): Fraction(c) for (mono, k), c in terms.items()
+              if c != 0 and k <= order}
+    den = lcm(*(c.denominator for c in values.values()))
+    return _element(p, order, {key: c.numerator * (den // c.denominator)
+                               for key, c in values.items()}, den)
+
+
+def bracket(p, a: int, b: int) -> dict:
+    """[g_a, g_b] as {generator index: int} for any index order, read off
+    the packed rules of the presentation."""
+    if a < b:
+        return {c: -k for c, k in bracket(p, b, a).items()}
+    return {p.units.index(u): k for u, k in p.rules.get((p.units[a], p.units[b]), {}).items()}
+
+
 def unpack(p, key: int) -> tuple:
     """(exponent tuple, power) of a packed key, read through the field
     offsets and the power shift of the presentation."""
@@ -109,7 +139,7 @@ def letter_sets(p, key: int) -> tuple[int, int]:
     do not commute with from the right), as bit sets over generator indices,
     read one field and one bracket at a time."""
     held = [i for i, e in enumerate(unpack(p, key)[0]) if e]
-    blocked = [sum(1 << b for b in range(a) if p.bracket(a, b)) for a in range(p.size)]
+    blocked = [sum(1 << b for b in range(a) if bracket(p, a, b)) for a in range(p.size)]
     return sum(1 << i for i in held), reduce(or_, (blocked[i] for i in held), 0)
 
 
@@ -245,8 +275,8 @@ def normal_order_scheduled(word, p, pick) -> dict:
             continue
         i = pick(positions)
         stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2:], coeff))
-        for mono, c in p.bracket(w[i], w[i + 1]).items():
-            stack.append((w[:i] + word_of(unpack(p, mono)[0]) + w[i + 2:], coeff * c))
+        for c, k in bracket(p, w[i], w[i + 1]).items():
+            stack.append((w[:i] + (c,) + w[i + 2:], coeff * k))
     return result
 
 
@@ -254,7 +284,7 @@ def normal_order(word, p, order: int) -> NCElement:
     """Normal-order a generator word (indices or names) into an element."""
     idx_word = tuple(w if isinstance(w, int) else p.names.index(w) for w in word)
     form = normal_order_scheduled(idx_word, p, lambda pos: pos[0])
-    return NCElement(p, order, {(mono, 0): c for mono, c in form.items()})
+    return element(p, order, {(mono, 0): c for mono, c in form.items()})
 
 
 def word_of(mono) -> tuple:
@@ -286,7 +316,7 @@ def product_by_monomial(x: NCElement, y: NCElement) -> NCElement:
             for mono, c in form.items():
                 for k, v in pair.items():
                     terms[(mono, k)] = terms.get((mono, k), 0) + c * v
-    return NCElement(p, order, terms)
+    return element(p, order, terms)
 
 
 # -- brute force ---------------------------------------------------------------------

@@ -109,9 +109,12 @@ def test_spectrum_csv(capsys):
     assert table["3.0"] == "regular"
 
 
-def test_spectrum_json(capsys):
+def test_spectrum_json(tmp_path, monkeypatch, capsys):
+    # --out is spectrum's format option, next to --output: it writes no file
+    monkeypatch.chdir(tmp_path)
     code, payload = run_json(capsys, ["spectrum", "--omega", "2", "--grid", "0:1:0.5", "--out", "json"])
     assert code == 0
+    assert list(tmp_path.iterdir()) == []
     assert payload["kind"] == "spectrum"
     assert len(payload["rows"]) == 3
     assert "nearest_approach" in payload
@@ -164,12 +167,19 @@ def test_latex_diagonal_h(capsys):
         ["bogus"],
         [],
         ["elements", "--max-level", "3", "--lambda", "1/0"],
+        # options are spelled out in full: --out is not --output (which
+        # wrote a file named json), nor --max-lev --max-level
+        ["verify", "qe3", "--order", "6", "--out", "json"],
+        ["elements", "--max-lev", "3"],
     ],
 )
-def test_usage_errors_exit_two(argv, capsys):
+def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -247,6 +257,27 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_repeated_term_from_json_exits_two(tmp_path, capsys):
+    """An entry that lists the same (l, h) twice is refused: read as a dict,
+    the second term would silently replace the first, so a file with a
+    wrong term before the right one passed."""
+    assert main(["irrep", "--j", "1", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    entry = payload["matrices"]["X"][0][1]
+    payload["matrices"]["X"][0][1] = [{"c": "5", "l": 0, "h": 0}, *entry]
+    rep_file = tmp_path / "repeated.json"
+    rep_file.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "is not a representation" in captured.err and "repeated term" in captured.err
 
 
 def test_off_grade_from_json_entry_exits_two(tmp_path, capsys):

@@ -24,8 +24,9 @@ from jordanrep.ncseries import (
     suite_qe3,
 )
 
-from oracles import (coefficients, failures, letter_sets, normal_order,
-                     normal_order_scheduled, order_part, product_by_monomial, unpack, word_of)
+from oracles import (coefficients, element, failures, letter_sets, normal_order,
+                     normal_order_scheduled, order_part, pack, product_by_monomial, unpack,
+                     word_of)
 
 
 def F(n, d=1):
@@ -39,18 +40,14 @@ def test_presentations_pass_jacobi():
 
 def test_broken_presentation_fails_jacobi():
     # sl(2)-like rules with one structure constant corrupted
-    def g(i):
-        e = [0, 0, 0]
-        e[i] = 1
-        return tuple(e)
-
-    with pytest.raises(ValueError, match="Jacobi"):
+    E, H, F_ = 0, 1, 2
+    with pytest.raises(ValueError, match="Jacobi identity fails on generators 0,1,2"):
         AlgebraPresentation(
             names=("E", "H", "F"),
             rules={
-                (1, 0): {g(0): F(2)},
-                (2, 0): {g(0): F(-1)},   # should close on H, not E
-                (2, 1): {g(2): F(2)},
+                (H, E): {E: 2},
+                (F_, E): {E: -1},   # should close on H, not E
+                (F_, H): {F_: 2},
             },
         )
 
@@ -58,7 +55,46 @@ def test_broken_presentation_fails_jacobi():
 def test_non_integer_structure_constant_is_refused():
     # [H, E] = E/2: a presentation with integer constants only can be ordered on ints
     with pytest.raises(ValueError, match="non-integer structure constant"):
-        AlgebraPresentation(names=("E", "H"), rules={(1, 0): {(1, 0): F(1, 2)}})
+        AlgebraPresentation(names=("E", "H"), rules={(1, 0): {0: F(1, 2)}})
+
+
+@pytest.mark.parametrize("rules, message", [
+    ({(0, 1): {0: 1}}, "must satisfy a > b"),
+    ({(1, 1): {0: 1}}, "must satisfy a > b"),
+    ({(1, 0): {2: 1}}, "foreign generator"),   # a bracket onto a third generator
+    ({(1, 0): {-1: 1}}, "foreign generator"),
+])
+def test_malformed_rules_are_refused(rules, message):
+    with pytest.raises(ValueError, match=message):
+        AlgebraPresentation(names=("E", "H"), rules=rules)
+
+
+def e3_rules() -> dict:
+    """The rules of e3_presentation in index form, read off its packed rules."""
+    p = e3_presentation()
+    return {(p.units.index(x), p.units.index(y)): {p.units.index(z): k for z, k in combo.items()}
+            for (x, y), combo in p.rules.items()}
+
+
+def test_e3_rules_rebuild_the_presentation():
+    # the nine honest rules, read back to index form, pass and pack as before
+    p, rules = e3_presentation(), e3_rules()
+    assert len(rules) == 9
+    assert AlgebraPresentation(p.names, rules).rules == p.rules
+
+
+@pytest.mark.parametrize("corrupt", ["double", "negate", "drop"])
+@pytest.mark.parametrize("pair", sorted(e3_rules()))
+def test_every_e3_rule_is_held_by_jacobi(pair, corrupt):
+    """Doubling, negating or dropping any one of the nine brackets of e(3)
+    breaks the Jacobi identity, so the check guards each rule."""
+    p, rules = e3_presentation(), e3_rules()
+    if corrupt == "drop":
+        del rules[pair]
+    else:
+        rules[pair] = {c: k * (2 if corrupt == "double" else -1) for c, k in rules[pair].items()}
+    with pytest.raises(ValueError, match="Jacobi"):
+        AlgebraPresentation(p.names, rules)
 
 
 PRESENTATIONS = (e2_presentation(), e3_presentation())
@@ -82,7 +118,7 @@ def test_monomial_pair_product_matches_scheduled_oracle(data):
     p = data.draw(st.sampled_from(PRESENTATIONS))
     ma, mb = data.draw(monomials(p, degree=7)), data.draw(monomials(p, degree=7))
     pick = data.draw(st.sampled_from([lambda pos: pos[0], lambda pos: pos[-1]]))
-    product = _pair(p.pack(ma, 0), p.pack(mb, 0), p)
+    product = _pair(pack(p, ma, 0), pack(p, mb, 0), p)
     assert {unpack(p, m)[0]: c for m, c in product.items()} == normal_order_scheduled(
         word_of(ma) + word_of(mb), p, pick
     )
@@ -98,7 +134,7 @@ def test_bracketed_pair_is_not_the_exponent_sum():
 
 
 def monomial(p, mono) -> NCElement:
-    return NCElement(p, 0, {(mono, 0): 1})
+    return element(p, 0, {(mono, 0): 1})
 
 
 def held(p, key: int) -> int:
@@ -123,7 +159,7 @@ def test_letter_sets_match_the_per_letter_oracle(data):
     p = data.draw(st.sampled_from(PRESENTATIONS))
     exponent = st.one_of(st.just(0), st.just(TOP), st.integers(0, TOP))
     mono = data.draw(st.tuples(*[exponent] * p.size))
-    key = p.pack(mono, data.draw(st.integers(0, 1 << 20)))
+    key = pack(p, mono, data.draw(st.integers(0, 1 << 20)))
     oracle_held, oracle_blocked = letter_sets(p, key)
     assert held(p, key) == as_guard_bits(p, oracle_held)
     assert p.blocked[held(p, key)] == as_guard_bits(p, oracle_blocked)
@@ -142,7 +178,7 @@ def test_mask_test_takes_the_shortcut_exactly_for_sliding_letters(data):
     p = data.draw(st.sampled_from(PRESENTATIONS))
     ma, mb = data.draw(monomials(p)), data.draw(monomials(p))
     first = lambda pos: pos[0]
-    shortcut = not p.blocked[held(p, p.pack(ma, 0))] & held(p, p.pack(mb, 0))
+    shortcut = not p.blocked[held(p, pack(p, ma, 0))] & held(p, pack(p, mb, 0))
     sliding = all(
         normal_order_scheduled((a, b), p, first) == {tuple(map((a, b).count, range(p.size))): 1}
         for a in set(word_of(ma)) for b in set(word_of(mb)) if a > b
@@ -161,7 +197,7 @@ def test_exponent_at_the_guard_bit_is_refused():
     p = e2_presentation()
     top = 1 << (FIELD_BITS - 1)
     with pytest.raises(ValueError, match="do not fit"):
-        NCElement(p, 0, {((0, top, 0), 0): 1})
+        element(p, 0, {((0, top, 0), 0): 1})
     half = monomial(p, (0, top // 2, 0))
     assert coefficients(half * monomial(p, (0, top // 2 - 1, 0))) == {((0, top - 1, 0), 0): 1}
     with pytest.raises(ValueError, match="guard bit"):
@@ -181,7 +217,7 @@ def inhomogeneous_elements(draw, p):
     for mono in draw(st.lists(monomials(p, degree=3), min_size=0, max_size=4, unique=True)):
         for k in draw(st.lists(st.integers(0, order), min_size=1, max_size=3, unique=True)):
             terms[(mono, k)] = draw(COEFFS)
-    return NCElement(p, order, terms)
+    return element(p, order, terms)
 
 
 def assert_canonical(el: NCElement):
@@ -302,7 +338,7 @@ def test_series_function_arctanh_map():
 
 def test_series_function_sqrt_of_one():
     p = e2_presentation()
-    zero = NCElement(p, 5, {})
+    zero = element(p, 5, {})
     result = series_function_apply(zero, "sqrt1p")[0]
     assert (result - NCElement.one(p, 5)).is_zero
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from jordanrep.exact import taylor
 from jordanrep.ncseries import NCElement, e2_presentation, series_function_apply
 
-from oracles import coefficients, order_part
+from oracles import coefficients, element, order_part
 
 P = e2_presentation()
 
@@ -23,7 +23,7 @@ def F(n, d=1):
 
 def p_plus_series(coeffs, order):
     """sum_k coeffs[k-1] t^k P+^k, an element of positive valuation."""
-    return NCElement(P, order, {((0, k, 0), k): F(c) for k, c in enumerate(coeffs, start=1)})
+    return element(P, order, {((0, k, 0), k): F(c) for k, c in enumerate(coeffs, start=1)})
 
 
 def one(order):
@@ -133,14 +133,14 @@ def test_mul_t_and_div_t_track_known_order():
 
 
 def test_terms_above_the_order_are_dropped():
-    el = NCElement(P, 2, {((0, 1, 0), 2): F(1), ((0, 1, 0), 3): F(5), ((0, 2, 0), 1): F(0)})
+    el = element(P, 2, {((0, 1, 0), 2): F(1), ((0, 1, 0), 3): F(5), ((0, 2, 0), 1): F(0)})
     assert coefficients(el) == {((0, 1, 0), 2): 1}
 
 
 def test_first_nonzero_takes_lowest_order_then_least_monomial():
-    el = NCElement(P, 4, {((0, 0, 1), 3): F(2), ((1, 0, 0), 1): F(-1), ((0, 2, 0), 1): F(5)})
+    el = element(P, 4, {((0, 0, 1), 3): F(2), ((1, 0, 0), 1): F(-1), ((0, 2, 0), 1): F(5)})
     assert el.first_nonzero() == ("P+^2", 1, 5)
-    assert NCElement(P, 4, {}).first_nonzero() is None
+    assert element(P, 4, {}).first_nonzero() is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,8 @@ scan that overflows floats, malformed --from-json input (including an entry
 that is not c*h^d with the power d that its position and generator fix), an
 unwritable --output, a truncation order below 2 or above MAX_ORDER, a
 tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
-MAX_TENSOR_DIM (checked as soon as "j" is read), a symbolic element
+MAX_TENSOR_DIM (checked as soon as "j" is read), --from-json with any
+suite but sl2, a symbolic element
 table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
 MAX_SPIN, or a selection that runs no checks.
 Any other package error is a defect and propagates.
@@ -36,7 +37,6 @@ from .errors import DimensionMismatch, InputError
 from .irrep import (
     Irrep,
     casimir,
-    classical_rep,
     ensure_half_integer,
     map_to_deformed,
     singular_vector,
@@ -60,12 +60,14 @@ MAX_ORDER = 100
 
 #: Largest tensor dimension (2j1+1)(2j2+1) of `verify so4` and `verify hopf`,
 #: and largest dimension 2j+1 of a `verify sl2 --from-json` irrep.  The
-#: slowest shape is the most lopsided, whose one large irrep carries the
-#: longest integers: `verify so4 --j1 0 --j2 107` takes 26 s and peaks at
-#: 157 MB on a 2-vCPU host ((0, 40) / (0, 80) / (0, 100): 0.5 / 6.5 / 18 s,
-#: about dim^4), and `verify hopf --j1 0 --j2 107` 18 s.  Wider shapes are
-#: cheaper: (1, 35) takes 2.9 s and (7, 6), of dimension 195, 1.1 s.  The
-#: j = 107 irrep from JSON verifies in 15 s.
+#: slowest tensor shape is the most lopsided, whose one large irrep carries
+#: the longest integers: `verify so4 --j1 0 --j2 107` takes 17-25 s and
+#: peaks at 149 MB on a 2-vCPU host, all but 1 s of it in the relations
+#: and the coalgebra ((0, 40) / (0, 80) / (0, 100): 0.8 / 8.5 / 22 s), and
+#: `verify hopf --j1 0 --j2 107` 6-8 s.  Wider shapes are cheaper: (1, 35)
+#: takes 6.1 s and (7, 6), of dimension 195, 2.4 s.  The slowest job under
+#: the cap is the j = 107 irrep from JSON, 28-39 s and 68 MB: with no J+
+#: to work from, it sums e^{±hX} over the matrix powers of hX.
 MAX_TENSOR_DIM = 215
 
 #: Largest --max-level of the symbolic `elements` table, built in about
@@ -252,7 +254,7 @@ def cmd_irrep(args) -> int:
     if args.basis == "verma":
         rep = verma_basis_irrep(args.j)
     else:
-        rep = map_to_deformed(classical_rep(args.j))
+        rep = map_to_deformed(args.j)
     if args.format == "latex":
         parts = [
             f"% j = {rep.j}, basis = {rep.basis}",
@@ -287,7 +289,7 @@ def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
     reports = []
     j = Fraction(1, 2)
     while j <= j_max:
-        for rep in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+        for rep in (verma_basis_irrep(j), map_to_deformed(j)):
             report = verify_sl2_relations(rep)
             is_scalar, value = casimir(rep)
             if is_scalar and value == j * (j + 1):
@@ -303,6 +305,8 @@ def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
 
 
 def cmd_verify(args) -> int:
+    if args.from_json and args.suite != "sl2":
+        raise InputError(f"--from-json applies to verify sl2 only, not to verify {args.suite}")
     if args.order < 2:
         raise InputError("order must be at least 2")
     if args.order > MAX_ORDER:

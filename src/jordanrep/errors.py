@@ -17,10 +17,6 @@ class MissingElement(JordanRepError):
     """A recursion step referenced a matrix element not yet present in the table."""
 
 
-class SingularLeadingElement(JordanRepError):
-    """A diagonal coefficient of the triangular singular-vector system vanished."""
-
-
 class IllFormedComposition(JordanRepError):
     """A series function was applied to an operator argument of zero valuation."""
 

@@ -3,11 +3,11 @@
 :func:`taylor` gives the coefficients of exp, sinh, cosh, ln(1+x), arctanh,
 sqrt(1+x) and 1/(1+x) from their closed forms, and :func:`power_sum` sums
 several of them over the powers of one argument whose powers vanish from
-some point on: h times the strictly upper triangular X of an irrep in
-:func:`jordanrep.irrep.exponentials`, a PBW element of positive order in
-the deformation parameter in :mod:`jordanrep.ncseries`.  The map-route
-irrep sums its series as bands of J+ instead
-(:func:`jordanrep.irrep.map_to_deformed`).
+some point on: h times the strictly upper triangular X of a Verma-basis
+or JSON irrep in :func:`jordanrep.irrep.exponentials`, a PBW element of
+positive order in the deformation parameter in :mod:`jordanrep.ncseries`.
+The map-route irrep sums every series, e^{±hX} included, as bands of J+
+instead (:func:`jordanrep.irrep.map_to_deformed`).
 """
 
 from __future__ import annotations

@@ -19,8 +19,11 @@ spin-j triple (J+, J-, J0),
 
 J+ has one nonzero superdiagonal s, so J+^k is one band with entry
 (r, r+k) = s_r ... s_{r+k-1}, and each series is a finite sum of bands
-with closed-form Taylor coefficients.  Both constructions are verified
-against the defining relations
+with closed-form Taylor coefficients: X, the square root and, since
+hX = 2 arctanh(hJ+/2), the Cayley forms e^{±hX} = (1 ± hJ+/2)/(1 ∓ hJ+/2).
+The Verma-basis irrep and one read from JSON have no J+ to work from, and
+sum e^{±hX} over the matrix powers of hX (:func:`exponentials`).  Both
+constructions are verified against the defining relations
 
     [H, X] = (2/h) sinh(h X),   [H, Y] = -{Y, cosh(h X)},   [X, Y] = H,
 
@@ -31,11 +34,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from operator import mul
 
-from .errors import DimensionMismatch, SingularLeadingElement
+from .errors import DimensionMismatch
 from .exact import (
     ONE,
     BiPoly,
@@ -86,23 +89,19 @@ class SingularVector(namedtuple("SingularVector", "j coeffs")):
         return vec
 
 
-class Irrep(namedtuple("Irrep", "j basis X Y H")):
+class Irrep(namedtuple("Irrep", "j basis X Y H e")):
     """A (2j+1)-dimensional triple of polynomial matrices.
 
     basis "verma" indexes w_0..w_{2j} by the power of the lowering
     generator; basis "diagonal" orders weights descending so H comes out
     diagonal (2j, 2j-2, ..., -2j).  Both bases have the basis weights
     2j - 2i, so X, Y and H are graded matrices of weights 2, -2 and 0.
-    With no ``__slots__`` an instance keeps a ``__dict__`` for :attr:`e`."""
+    ``e`` is {+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every
+    exponential, cosh and sinh."""
 
     @property
     def dim(self) -> int:
         return int(2 * self.j) + 1
-
-    @cached_property
-    def e(self) -> dict[int, PolyMatrix]:
-        """:func:`exponentials` of X, the source of every exponential, cosh and sinh."""
-        return exponentials(self.X)
 
     def to_obj(self) -> dict:
         return {
@@ -138,10 +137,9 @@ class Irrep(namedtuple("Irrep", "j basis X Y H")):
             if len(grid) != 2 * j + 1:
                 raise DimensionMismatch(f"{name} has {len(grid)} rows, "
                                         f"but j = {j} needs {2 * j + 1}")
-        return Irrep(j=j, basis=obj["basis"], **{
-            name: PolyMatrix.from_polys(grids[name], spin_weights(j), weight)
-            for name, weight in GENERATOR_WEIGHTS.items()
-        })
+        mats = {name: PolyMatrix.from_polys(grids.pop(name), spin_weights(j), weight)
+                for name, weight in GENERATOR_WEIGHTS.items()}  # no grid outlives its matrix
+        return Irrep(j=j, basis=obj["basis"], e=exponentials(mats["X"]), **mats)
 
 
 def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
@@ -153,10 +151,6 @@ def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
     one = PolyMatrix.identity(hx.weights)
     even, odd = power_sum([taylor("cosh", hx.rows + 1), taylor("sinh", hx.rows + 1)], hx, one)
     return {+1: even + odd, -1: even - odd, 0: one}
-
-
-class ClassicalRep(namedtuple("ClassicalRep", "j plus minus zero")):
-    """Spin-j matrices of the undeformed triple, weights descending."""
 
 
 # -- singular vectors ---------------------------------------------------------
@@ -176,12 +170,8 @@ def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
         acc = table.X(lam + 1, lam - 2 * r)
         for p in range(1, r):
             acc = acc + coeffs[p - 1] * table.X(lam + 1 - 2 * p, lam - 2 * r)
-        lead = table.X(lam + 1 - 2 * r, lam - 2 * r)
-        if lead == 0:
-            raise SingularLeadingElement(
-                f"diagonal element X_{lam + 1 - 2 * r}^{lam - 2 * r}(lam={lam}) vanished"
-            )
-        coeffs.append(-acc / lead)
+        # the lead X_{m+1}^m = (m+1)(lam-m) at m = lam - 2r is 2r(lam-2r+1) > 0
+        coeffs.append(-acc / table.X(lam + 1 - 2 * r, lam - 2 * r))
     return SingularVector(j=j, coeffs=tuple(coeffs))
 
 
@@ -207,58 +197,44 @@ def verma_basis_irrep(j) -> Irrep:
     for p, c in enumerate(sv.coeffs, start=1):
         ym[lam - 2 * p + 1][lam] = -c
     weights = spin_weights(j)
-    return Irrep(j=j, basis="verma", X=PolyMatrix(xm, weights, 2), Y=PolyMatrix(ym, weights, -2),
-                 H=PolyMatrix(hm, weights, 0))
-
-
-def classical_rep(j) -> ClassicalRep:
-    """Spin-j matrices in the basis w_j, w_{j-1}, ..., w_{-j}."""
-    j = ensure_half_integer(j)
-    weights = spin_weights(j)
-    dim = len(weights)
-    plus = [[0] * dim for _ in range(dim)]
-    minus = [[0] * dim for _ in range(dim)]
-    zero = [[0] * dim for _ in range(dim)]
-    two_j = int(2 * j)
-    for i in range(dim):
-        zero[i][i] = two_j - 2 * i
-        if i >= 1:
-            # raising from column i (m = j - i) up to row i-1
-            plus[i - 1][i] = i * (two_j - i + 1)
-        if i + 1 < dim:
-            minus[i + 1][i] = 1
-    return ClassicalRep(
-        j=j,
-        plus=PolyMatrix(plus, weights, 2),
-        minus=PolyMatrix(minus, weights, -2),
-        zero=PolyMatrix(zero, weights, 0),
-    )
+    x = PolyMatrix(xm, weights, 2)
+    return Irrep(j=j, basis="verma", X=x, Y=PolyMatrix(ym, weights, -2),
+                 H=PolyMatrix(hm, weights, 0), e=exponentials(x))
 
 
 def _band(s, coeffs, weights, weight: int) -> PolyMatrix:
-    """sum_k coeffs[k] x^k, where x has the superdiagonal s and no other
-    nonzero entry: entry (r, r+k) is coeffs[k] s_r ... s_{r+k-1}."""
+    """sum_k coeffs[k] x^k, where x has the integer superdiagonal s and no
+    other nonzero entry: entry (r, r+k) is coeffs[k] s_r ... s_{r+k-1},
+    summed as ints over the common denominator of the coefficients."""
+    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    nums = [int(c * den) for c in coeffs]
+    grid = [[0] * r + list(map(mul, nums, accumulate(s[r:], mul, initial=1)))  # s_r ... s_{r+k-1}
+            for r in range(len(weights))]
+    return PolyMatrix(grid, weights, weight).scale(Fraction(1, den))
+
+
+def map_to_deformed(j) -> Irrep:
+    """The invertible nonlinear map applied to the classical spin-j triple:
+    J+ has the superdiagonal s_r = r(2j+1-r) (r = 1..2j), J- the unit
+    subdiagonal and J0 the weights on its diagonal.  Every series is a band
+    of s: X = sum_k 2 arctanh_k / 2^k h^{k-1} J+^k,
+    sqrt(1 - h^2 J+^2 / 4) = sum_m sqrt1p_m (-1/4)^m h^{2m} J+^{2m}, and
+    e^{±hX} = 1 + 2 sum_{k>=1} (±1/2)^k h^k J+^k."""
+    j = ensure_half_integer(j)
+    weights = spin_weights(j)
     n = len(weights)
-    grid = [[0] * n for _ in range(n)]
-    for r in range(n):
-        for k, run in enumerate(accumulate(s[r:], mul, initial=1)):  # s_r ... s_{r+k-1}
-            grid[r][r + k] = coeffs[k] * run
-    return PolyMatrix(grid, weights, weight)
-
-
-def map_to_deformed(c: ClassicalRep) -> Irrep:
-    """The invertible nonlinear map applied to a classical triple, with both
-    series summed as bands of the superdiagonal s of J+:
-    X = sum_k 2 arctanh_k / 2^k h^{k-1} J+^k and
-    sqrt(1 - h^2 J+^2 / 4) = sum_m sqrt1p_m (-1/4)^m h^{2m} J+^{2m}."""
-    n, weights = c.plus.rows, c.plus.weights
-    s = [Fraction(c.plus.nums[r][r + 1], c.plus.den) for r in range(n - 1)]
+    s = [r * (n - r) for r in range(1, n)]
     x = _band(s, [2 * a / 2**k for k, a in enumerate(taylor("arctanh", n))], weights, 2)
     sqrt1p = taylor("sqrt1p", (n + 1) // 2)
     root = _band(s, [0 if k % 2 else sqrt1p[k // 2] * Fraction(-1, 4) ** (k // 2)
                      for k in range(n)], weights, 0)
-    y = root * c.minus * root
-    return Irrep(j=c.j, basis="diagonal", X=x, Y=y, H=c.zero)
+    minus = PolyMatrix([[int(r == c + 1) for c in range(n)] for r in range(n)], weights, -2)
+    zero = PolyMatrix([[w * (r == c) for c in range(n)] for r, w in enumerate(weights)],
+                      weights, 0)
+    e = {sign: _band(s, [1] + [2 * Fraction(sign, 2) ** k for k in range(1, n)], weights, 0)
+         for sign in (+1, -1)}
+    e[0] = PolyMatrix.identity(weights)
+    return Irrep(j=j, basis="diagonal", X=x, Y=root * minus * root, H=zero, e=e)
 
 
 # -- exact verification -----------------------------------------------------------
@@ -341,8 +317,7 @@ def verify_hopf(j1, j2) -> VerificationReport:
     """Coproduct, counit and antipode identities on V_{j1} (x) V_{j2}."""
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
     report = VerificationReport(f"hopf j1={j1} j2={j2}")
-    a = map_to_deformed(classical_rep(j1))
-    b = map_to_deformed(classical_rep(j2))
+    a, b = map_to_deformed(j1), map_to_deformed(j2)
     la, lb = legs(a), legs(b)
     kron = PolyMatrix.kron
 
@@ -353,7 +328,7 @@ def verify_hopf(j1, j2) -> VerificationReport:
 
     # counit axiom: collapsing either tensor leg to the trivial representation
     # must reproduce the generator on the other leg.
-    eps = legs(map_to_deformed(classical_rep(0)))
+    eps = legs(map_to_deformed(0))
     for side, rep, left, right in (("left", a, eps, la), ("right", b, lb, eps)):
         for g in GENERATOR_WEIGHTS:
             report.check_matrix_identity(f"counit (eps x id) on {g} [{side} j={rep.j}]",

@@ -13,7 +13,7 @@ copies' legs (the names of :data:`~jordanrep.irrep.COPRODUCT`),
 and the full list of bracket relations and the coalgebra maps are verified
 as exact polynomial-matrix identities.  ``build_so4`` builds every leg
 they read once, in one table.  Each exponential is a Kronecker product of
-per-copy series e^{±hX_i}, finite as X_i is strictly upper triangular: X1
+per-copy group-likes e^{±hX_i} (``Irrep.e``, bands of each copy's J+): X1
 and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
 and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
 
@@ -28,8 +28,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
-from .irrep import (COPRODUCT, Irrep, antipodes, classical_rep, contract, cosh_sinh,
-                    ensure_half_integer, legs, map_to_deformed)
+from .irrep import (COPRODUCT, Irrep, antipodes, contract, cosh_sinh, ensure_half_integer,
+                    legs, map_to_deformed)
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
@@ -70,7 +70,7 @@ _GROUP_LIKES = {"e^{hJ+}": (+1, +1), "e^{-hJ+}": (-1, -1),
 
 def build_so4(j1, j2) -> So4Rep:
     j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
-    one, two = map_to_deformed(classical_rep(j1)), map_to_deformed(classical_rep(j2))
+    one, two = map_to_deformed(j1), map_to_deformed(j2)
     copies = copy_legs(one, two)
     table = combine(*copies)
     table["1"] = PolyMatrix.identity(table["J+"].weights)

@@ -3,7 +3,8 @@ helpers that only the tests need.
 
 Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
-the h^2 and h^4 matrix elements come from closed forms, the combinatorial
+the h^2 and h^4 matrix elements come from closed forms, the classical
+spin-j triple from its textbook matrices, the combinatorial
 counts from exhaustive enumeration, normal forms from a reducer with a
 free choice of swap, the letter sets of a packed monomial one letter at a
 time, sums of Kronecker products by assembling the full
@@ -12,6 +13,7 @@ polynomials in h, functions of nilpotent matrices by their Taylor series
 over matrix powers, and spectra by the characteristic polynomial.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
@@ -20,6 +22,7 @@ from operator import or_
 
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
 from jordanrep.exact.series import power_sum, taylor
+from jordanrep.irrep import ensure_half_integer, spin_weights
 from jordanrep.ncseries import FIELD_BITS, NCElement, _element
 
 
@@ -157,6 +160,38 @@ def order_part(el: NCElement, k: int) -> dict:
 def failures(report) -> list:
     """The failed entries of a verification report, in the order checked."""
     return [e for e in report.entries if e.status == "fail"]
+
+
+# -- the classical triple -----------------------------------------------------------
+
+
+class ClassicalRep(namedtuple("ClassicalRep", "j plus minus zero")):
+    """Spin-j matrices of the undeformed triple, weights descending."""
+
+
+def classical_rep(j) -> ClassicalRep:
+    """Spin-j matrices in the basis w_j, w_{j-1}, ..., w_{-j}: the classical
+    triple that the nonlinear map deforms."""
+    j = ensure_half_integer(j)
+    weights = spin_weights(j)
+    dim = len(weights)
+    plus = [[0] * dim for _ in range(dim)]
+    minus = [[0] * dim for _ in range(dim)]
+    zero = [[0] * dim for _ in range(dim)]
+    two_j = int(2 * j)
+    for i in range(dim):
+        zero[i][i] = two_j - 2 * i
+        if i >= 1:
+            # raising from column i (m = j - i) up to row i-1
+            plus[i - 1][i] = i * (two_j - i + 1)
+        if i + 1 < dim:
+            minus[i + 1][i] = 1
+    return ClassicalRep(
+        j=j,
+        plus=PolyMatrix(plus, weights, 2),
+        minus=PolyMatrix(minus, weights, -2),
+        zero=PolyMatrix(zero, weights, 0),
+    )
 
 
 # -- closed forms for the h^2 and h^4 elements --------------------------------
@@ -457,7 +492,8 @@ def nilpotent_apply(kind: str, m: PolyMatrix) -> PolyMatrix:
     """f(h^{w/2} m) for a nilpotent matrix m of even weight w >= 0, the named
     function f of ``taylor`` summed over the powers of h^{w/2} m, so the
     usual exp(hX) is ``nilpotent_apply("exp", X)``.  The reference for the
-    band sums of ``map_to_deformed`` and for every exponential, cosh and sinh."""
+    band sums of ``map_to_deformed`` (its Cayley bands e^{±hX} included) and
+    for every exponential, cosh and sinh."""
     assert m.weight >= 0 and m.weight % 2 == 0, f"weight {m.weight}"
     for _ in range(m.weight // 2):
         m = m.mul_h()

@@ -14,7 +14,6 @@ from jordanrep.exact import ZERO, BiPoly
 from jordanrep.irrep import (
     Irrep,
     casimir,
-    classical_rep,
     map_to_deformed,
     verify_hopf,
     verify_sl2_relations,
@@ -106,7 +105,7 @@ def test_criterion_5_relation_suite_all_spins():
     with Budget("5 defining relations + Casimir, j<=6, both bases", 30.0):
         j = Fraction(1, 2)
         while j <= 6:
-            for rep in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+            for rep in (verma_basis_irrep(j), map_to_deformed(j)):
                 report = verify_sl2_relations(rep)
                 assert report.passed, (j, rep.basis, [e.relation_label for e in failures(report)])
                 is_scalar, value = casimir(rep)

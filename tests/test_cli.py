@@ -171,6 +171,11 @@ def test_latex_diagonal_h(capsys):
         # wrote a file named json), nor --max-lev --max-level
         ["verify", "qe3", "--order", "6", "--out", "json"],
         ["elements", "--max-lev", "3"],
+        # --from-json reads a representation for the sl2 relations only
+        ["verify", "so4", "--from-json", "nofile"],
+        ["verify", "hopf", "--from-json", "nofile"],
+        ["verify", "e2", "--from-json", "nofile"],
+        ["verify", "all", "--from-json", "nofile"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
@@ -393,7 +398,7 @@ def test_level_and_spin_caps_are_checked_before_any_work(monkeypatch, capsys):
     def never(*args):
         raise Started(*args)
 
-    for name in ("build_table", "verma_basis_irrep", "classical_rep", "singular_vector"):
+    for name in ("build_table", "verma_basis_irrep", "map_to_deformed", "singular_vector"):
         monkeypatch.setattr(cli, name, never)
     over = str(cli.MAX_SPIN + Fraction(1, 2))
     too_big = [

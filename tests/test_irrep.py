@@ -1,17 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from jordanrep import irrep
+from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import ONE, ZERO, PolyMatrix, commutator
 from jordanrep.report import VerificationReport
 from jordanrep.irrep import (
     Irrep,
     casimir,
-    classical_rep,
     cosh_sinh,
     ensure_half_integer,
+    exponentials,
     map_to_deformed,
     singular_vector,
     verify_hopf,
@@ -23,8 +25,8 @@ from jordanrep.verma import build_table
 
 import golden
 from oracles import (
-    act, charpoly, constant_value, diagonal, failures, graded, is_homogeneous_h, negate_h,
-    nilpotent_apply, subs_h, term, trace, with_h,
+    act, charpoly, classical_rep, constant_value, diagonal, failures, graded, is_homogeneous_h,
+    negate_h, nilpotent_apply, subs_h, term, trace, with_h,
 )
 
 HALF = Fraction(1, 2)
@@ -123,12 +125,12 @@ def test_classical_rep_brackets():
 
 def test_map_to_deformed_half_is_classical():
     c = classical_rep(HALF)
-    r = map_to_deformed(c)
+    r = map_to_deformed(HALF)
     assert (r.X, r.Y, r.H) == (c.plus, c.minus, c.zero)
 
 
 def test_map_to_deformed_seven_halves_golden():
-    r = map_to_deformed(classical_rep(Fraction(7, 2)))
+    r = map_to_deformed(Fraction(7, 2))
     assert r.X == golden.DIAGONAL_X
     assert r.Y == golden.DIAGONAL_Y
     assert r.H == golden.DIAGONAL_H
@@ -136,7 +138,7 @@ def test_map_to_deformed_seven_halves_golden():
 
 def test_map_to_deformed_j_one_two_term_series():
     c = classical_rep(1)
-    r = map_to_deformed(c)
+    r = map_to_deformed(1)
     # J+^3 = 0, so the deformed X is J+ itself
     assert r.X == c.plus
     assert r.X[0, 2] == ZERO
@@ -150,21 +152,51 @@ def test_map_to_deformed_j_one_two_term_series():
 @pytest.mark.parametrize("j", [0, HALF, 1, Fraction(7, 2), 10, 40])
 def test_band_sums_match_the_taylor_route(monkeypatch, j):
     """X and the square root, summed as bands of J+, against their Taylor
-    series over matrix powers."""
-    bands = {}
+    series over matrix powers; J+, J- and J0 are the classical triple."""
+    bands = []
 
     def spy(s, coeffs, weights, weight):
-        bands[weight] = honest(s, coeffs, weights, weight)
-        return bands[weight]
+        bands.append(honest(s, coeffs, weights, weight))
+        return bands[-1]
 
     honest = irrep._band
     monkeypatch.setattr(irrep, "_band", spy)
     c = classical_rep(j)
-    r = map_to_deformed(c)
-    assert r.X == bands[2] == nilpotent_apply("arctanh", c.plus.scale(HALF)).divide_h().scale(2)
-    root = nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
-    assert bands[0] == root
+    r = map_to_deformed(j)
+    x, root = bands[:2]
+    assert r.X == x == nilpotent_apply("arctanh", c.plus.scale(HALF)).divide_h().scale(2)
+    assert root == nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
     assert r.Y == root * c.minus * root
+    assert r.H == c.zero
+
+
+@pytest.mark.parametrize("j", [0, HALF, 1, Fraction(5, 2), 7, 40])
+def test_cayley_bands_are_the_exponentials(j):
+    """e^{±hX} of the map route, one band of J+ each, against the matrix
+    power sum of the other irreps and the Taylor route."""
+    r = map_to_deformed(j)
+    assert r.e == exponentials(r.X)
+    assert r.e[+1] == nilpotent_apply("exp", r.X)
+    assert r.e[-1] == nilpotent_apply("exp", -r.X)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_a_wrong_cayley_coefficient_fails_the_relations(monkeypatch, capsys, sign):
+    """The coefficient of J+^2 in the band of e^{sign hX} off by 1 fails
+    `verify sl2` on the diagonal irreps of spin 1 and up, and `verify so4`."""
+    honest = irrep._band
+
+    def wrong(s, coeffs, weights, weight):
+        if weight == 0 and len(coeffs) > 2 and coeffs[1] == sign:   # 1 + 2 sum (sign/2)^k J+^k
+            coeffs = [*coeffs[:2], coeffs[2] + 1, *coeffs[3:]]
+        return honest(s, coeffs, weights, weight)
+
+    monkeypatch.setattr(irrep, "_band", wrong)
+    assert main(["verify", "sl2", "--j-max", "2"]) == 1
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    assert [r["suite"] for r in reports if r["status"] == "fail"] == [
+        f"sl2 relations j={j} basis=diagonal" for j in ("1", "3/2", "2")]
+    assert main(["verify", "so4", "--j1", "3/2", "--j2", "1"]) == 1
 
 
 @pytest.mark.parametrize("kind, index", [("arctanh", 3), ("sqrt1p", 1)])
@@ -180,21 +212,22 @@ def test_a_wrong_series_coefficient_fails_the_relations(monkeypatch, kind, index
         return coeffs
 
     monkeypatch.setattr(irrep, "taylor", wrong)
-    assert not verify_sl2_relations(map_to_deformed(classical_rep(2))).passed
+    assert not verify_sl2_relations(map_to_deformed(2)).passed
     assert not verify_so4_relations(build_so4(Fraction(3, 2), 1)).passed
 
 
 @pytest.mark.parametrize("j", [HALF, 1, Fraction(3, 2), Fraction(7, 2), 3])
 def test_relations_both_bases(j):
     assert verify_sl2_relations(verma_basis_irrep(j)).passed
-    assert verify_sl2_relations(map_to_deformed(classical_rep(j))).passed
+    assert verify_sl2_relations(map_to_deformed(j)).passed
 
 
 def test_relations_negative_control():
     r = verma_basis_irrep(Fraction(3, 2))
     rows = subs_h(r.X, 1)
     rows[0][1] = -rows[0][1]
-    corrupted = Irrep(j=r.j, basis=r.basis, X=PolyMatrix(rows, r.X.weights, 2), Y=r.Y, H=r.H)
+    x = PolyMatrix(rows, r.X.weights, 2)
+    corrupted = Irrep(j=r.j, basis=r.basis, X=x, Y=r.Y, H=r.H, e=exponentials(x))
     report = verify_sl2_relations(corrupted)
     assert not report.passed
     failing = failures(report)
@@ -205,7 +238,7 @@ def test_relations_negative_control():
 def test_missing_power_of_h_is_caught_by_the_weight():
     """[H,X] = 2 sinh(hX) lacks the 1/h of the true relation, yet both sides
     have the same values at h = 1; only their weights, 2 and 0, differ."""
-    for r in (verma_basis_irrep(Fraction(5, 2)), map_to_deformed(classical_rep(Fraction(5, 2)))):
+    for r in (verma_basis_irrep(Fraction(5, 2)), map_to_deformed(Fraction(5, 2))):
         lhs, wrong = commutator(r.H, r.X), nilpotent_apply("sinh", r.X).scale(2)
         assert subs_h(lhs, 1) == subs_h(wrong, 1)
         with pytest.raises(DimensionMismatch):
@@ -214,10 +247,11 @@ def test_missing_power_of_h_is_caught_by_the_weight():
 
 @pytest.mark.parametrize("two_j", range(13))
 def test_one_pass_exponentials_match_the_two_series(two_j):
-    """Irrep.e sums the even and odd powers of hX in one pass; the two
+    """Irrep.e, summed in one pass over the even and odd powers of hX on the
+    Verma route and as Cayley bands of J+ on the map route; the two
     exponential series, cosh and sinh of nilpotent_apply are the oracle."""
     j = Fraction(two_j, 2)
-    for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+    for r in (verma_basis_irrep(j), map_to_deformed(j)):
         e_plus, e_minus = r.e[+1], r.e[-1]
         assert e_plus == nilpotent_apply("exp", r.X)
         assert e_minus == nilpotent_apply("exp", -r.X)
@@ -228,7 +262,7 @@ def test_one_pass_exponentials_match_the_two_series(two_j):
 
 def test_traces_vanish():
     for j in (HALF, 1, Fraction(5, 2)):
-        for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+        for r in (verma_basis_irrep(j), map_to_deformed(j)):
             assert trace(r.X) == ZERO
             assert trace(r.Y) == ZERO
             assert trace(r.H) == ZERO
@@ -239,13 +273,13 @@ def test_casimir_values():
     assert sc and value == Fraction(3, 4)
     # both bases agree for j = 7/2, and the scalar is exactly j(j+1)
     sc_v, v_verma = casimir(verma_basis_irrep(Fraction(7, 2)))
-    sc_d, v_diag = casimir(map_to_deformed(classical_rep(Fraction(7, 2))))
+    sc_d, v_diag = casimir(map_to_deformed(Fraction(7, 2)))
     assert sc_v and sc_d and v_verma == v_diag == Fraction(63, 4)
 
 
 @pytest.mark.parametrize("j", [HALF, 1, 2, Fraction(5, 2)])
 def test_casimir_classical_limit(j):
-    for r in (verma_basis_irrep(j), map_to_deformed(classical_rep(j))):
+    for r in (verma_basis_irrep(j), map_to_deformed(j)):
         sc, value = casimir(r)
         assert sc
         assert value == j * (j + 1)
@@ -269,7 +303,7 @@ def test_h_spectrum_via_characteristic_polynomial():
     while j <= 6:
         r = verma_basis_irrep(j)
         assert charpoly(r.H) == _weight_ladder_charpoly(j, r.dim), j
-        d = map_to_deformed(classical_rep(j))
+        d = map_to_deformed(j)
         assert d.H == diagonal(
             [Fraction(2 * j - 2 * n) for n in range(d.dim)]
         ), j
@@ -304,7 +338,7 @@ def test_basis_equivalence():
     X, Y and H has the same matrix in the cyclic basis of Y on both."""
     for jj in (HALF, 1, Fraction(5, 2), 4):
         a = verma_basis_irrep(jj)
-        b = map_to_deformed(classical_rep(jj))
+        b = map_to_deformed(jj)
         assert casimir(a)[1] == casimir(b)[1]
         for name in ("X", "Y", "H"):
             ga, gb = getattr(a, name), getattr(b, name)
@@ -386,7 +420,7 @@ def test_irreps_are_even_in_h(basis):
     one at +h only through its coproduct."""
     for two_j in range(9):
         j = Fraction(two_j, 2)
-        r = verma_basis_irrep(j) if basis == "verma" else map_to_deformed(classical_rep(j))
+        r = verma_basis_irrep(j) if basis == "verma" else map_to_deformed(j)
         assert (negate_h(r.X), negate_h(r.Y), negate_h(r.H)) == (r.X, r.Y, r.H)
 
 

@@ -6,7 +6,7 @@ from jordanrep import irrep, so4
 from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
 from jordanrep.exact import PolyMatrix, TensorSum, commutator
-from jordanrep.irrep import casimir, classical_rep, cosh_sinh, map_to_deformed
+from jordanrep.irrep import casimir, cosh_sinh, map_to_deformed
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
 from oracles import assemble, failures, nilpotent_apply, subs_h
 
@@ -91,8 +91,7 @@ def test_j_triple_satisfies_deformed_sl2():
 
 def test_per_copy_casimirs_central():
     for j1, j2 in PAIRS[:2]:
-        rep1 = map_to_deformed(classical_rep(j1))
-        rep2 = map_to_deformed(classical_rep(j2))
+        rep1, rep2 = map_to_deformed(j1), map_to_deformed(j2)
         sc1, c1 = casimir(rep1)
         sc2, c2 = casimir(rep2)
         assert sc1 and sc2
@@ -182,7 +181,7 @@ def test_exponentials_factor_over_the_copies(j1, j2):
                           ("cosh", "cosh", jp), ("sinh", "sinh", jp)):
         assert g[name] == nilpotent_apply(kind, m), name
     for j in (j1, j2):
-        rep = map_to_deformed(classical_rep(j))
+        rep = map_to_deformed(j)
         assert cosh_sinh(rep.e[+1], rep.e[-1]) == (nilpotent_apply("cosh", rep.X),
                                                    nilpotent_apply("sinh", rep.X))
 
@@ -193,8 +192,8 @@ def test_exponentials_factor_over_the_copies(j1, j2):
 ])
 def test_series_run_on_single_copies_only(monkeypatch, capsys, argv, largest):
     """Every series is evaluated on one factor's matrices, none on the
-    tensor space of dimension (2j1+1)(2j2+1): the e^{±hX} power sum and the
-    band sums of the map."""
+    tensor space of dimension (2j1+1)(2j2+1): the band sums of the map,
+    e^{±hX} included, and no matrix power sum at all."""
     rows = {"power_sum": [], "_band": []}
     honest_power_sum, honest_band = irrep.power_sum, irrep._band
 
@@ -210,14 +209,13 @@ def test_series_run_on_single_copies_only(monkeypatch, capsys, argv, largest):
     monkeypatch.setattr(irrep, "_band", band)
     assert main(argv) == 0
     capsys.readouterr()
-    for seen in rows.values():
-        assert seen and max(seen) <= largest
+    assert rows["power_sum"] == []
+    assert rows["_band"] and max(rows["_band"]) <= largest
 
 
 def _corrupt(rep):
     """Put e^{+hX} in place of e^{-hX} in the group-likes of rep."""
-    rep.__dict__["e"] = {**rep.e, -1: rep.e[+1]}
-    return rep
+    return rep._replace(e={**rep.e, -1: rep.e[+1]})
 
 
 def test_a_corrupted_group_like_is_caught(monkeypatch):
@@ -234,7 +232,7 @@ def test_a_corrupted_group_like_is_caught(monkeypatch):
     honest = irrep.map_to_deformed
     for j, expected in ((HALF, coproducts), (1, antipodes)):   # copy 1, then copy 2
         monkeypatch.setattr(so4, "map_to_deformed",
-                            lambda c, j=j: _corrupt(honest(c)) if c.j == j else honest(c))
+                            lambda spin, j=j: _corrupt(honest(spin)) if spin == j else honest(spin))
         wrong = build_so4(HALF, 1)
         mixed = r._replace(legs={**r.legs, **{n: wrong.legs[n] for n in exponentials}},
                            copies=wrong.copies)
@@ -243,7 +241,7 @@ def test_a_corrupted_group_like_is_caught(monkeypatch):
             assert [e.relation_label for e in failures(verify_so4_coalgebra(rep))] == coalgebra
 
     monkeypatch.setattr(irrep, "map_to_deformed",
-                        lambda c: _corrupt(honest(c)) if c.j == 1 else honest(c))
+                        lambda spin: _corrupt(honest(spin)) if spin == 1 else honest(spin))
     assert [e.relation_label for e in failures(irrep.verify_hopf(HALF, 1))] == [
         "coproduct [H,X] = (2/h) sinh(hX)",
         "coproduct [H,Y] = -{Y, cosh(hX)}",

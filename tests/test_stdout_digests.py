@@ -20,7 +20,9 @@ place of a per-monomial memo, which held about ten thousand monomials
 after qe3 at order 30.  so4 at (0, 12), whose 1 x 1 left legs leave empty
 rows in the Kronecker-sum elimination, and hopf at (7, 6), whose products
 run at dimension 195, were pinned before products, Kronecker products and
-that elimination came to walk each matrix's cached nonzero columns.  The
+that elimination came to walk each matrix's cached nonzero columns, and so4
+and hopf at (0, 40), whose dim-81 irrep carries the longest bands the
+suite runs, before e^{±hX} of the map route became bands of J+.  The
 four spectrum scans were pinned before their rows came from one formula,
 and the LaTeX element table before its X columns became running sums of
 the H columns and the LaTeX and plain-text polynomial writers came to share
@@ -55,6 +57,8 @@ DIGESTS = {
     "verify so4 --j1 0 --j2 0": "01257e22f8dc42b3466f467e944899e2ce3010f12ace2c6807b1e1276ee17c4e",
     "verify so4 --j1 0 --j2 12": "6c93981e14e7f86e9eda8593312c250dce47178a727f770ffbd2d59dd050ea8d",
     "verify hopf --j1 7 --j2 6": "826d887e2c72e66f4d17275ab9af2ba491f5ddc3baa4b364c602f24e6f93a3d4",
+    "verify so4 --j1 0 --j2 40": "3cdd5d5703495d40a6cdc2671c73d567e31cfc3e80d438f034836dda73a80c3e",
+    "verify hopf --j1 0 --j2 40": "ab4cd6e552983b826c23d91d837c24f980e1c6cf6ce450ef6ba6bc64c1c88dcd",
     "verify qe3 --order 14": "c7b816c19f6a8b4bea3668b792bd98cc15212225f5ef08df4cbc7eca67891e2a",
     "verify e3 --order 20": "073ae8c389b950bdf421012819b97a8b2ea395545c33607a44d27ed397626d0c",
     "verify e2 --order 20": "39573c171f72fedd742c8db01659e1c7318aae81a6ec01adddd389864a33546b",

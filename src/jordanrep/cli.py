@@ -17,8 +17,9 @@ tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
 MAX_TENSOR_DIM (checked as soon as "j" is read), --from-json with any
 suite but sl2, a symbolic element
 table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
-MAX_SPIN, or a selection that runs no checks.
-Any other package error is a defect and propagates.
+MAX_SPIN, or a selection that runs no checks.  Past argparse, only
+InputError and the OSError of an unwritable --output exit 2; any other
+exception, a ValueError included, is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -1,27 +1,12 @@
-"""Exception types shared across the package."""
+"""The exception types that some caller catches; every other failure raises
+a built-in exception."""
 
 
-class JordanRepError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class DimensionMismatch(JordanRepError):
+class DimensionMismatch(Exception):
     """Matrix operands have incompatible shapes."""
 
 
-class BadParity(JordanRepError):
-    """Composition enumeration asked for an odd total or an odd number of parts."""
-
-
-class MissingElement(JordanRepError):
-    """A recursion step referenced a matrix element not yet present in the table."""
-
-
-class IllFormedComposition(JordanRepError):
-    """A series function was applied to an operator argument of zero valuation."""
-
-
-class InputError(JordanRepError):
+class InputError(Exception):
     """Command-line input that cannot be verified or scanned: a malformed
     file, a selection that runs no checks, or a spectrum scan at a zero
     deformation parameter or one that overflows floats."""

@@ -41,7 +41,7 @@ from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
 
-from .errors import IllFormedComposition, InputError
+from .errors import InputError
 from .exact import power_sum, taylor
 from .exact.poly import as_fraction
 from .report import VerificationReport
@@ -184,7 +184,7 @@ def _times(left: dict, mb: int, p: AlgebraPresentation) -> dict:
     return out
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=None)
 def _normal_order_cached(ma: int, mb: int, p: AlgebraPresentation):
     """The normal form of a bracketed pair (see :func:`_pair`), built from
     shorter pairs: the lowest letter y of mb goes first, ma.mb = (ma.y).mb',
@@ -368,8 +368,8 @@ def series_function_apply(x: NCElement, *kinds) -> list[NCElement]:
     `1p` function tags take the deviation from 1 (ln(1+x), sqrt(1+x),
     1/(1+x))."""
     if not x.valuation_positive():
-        raise IllFormedComposition("a series needs an argument of positive order "
-                                   "in the deformation parameter")
+        raise ValueError("a series needs an argument of positive order "
+                         "in the deformation parameter")
     series = [taylor(f, x.order + 2) for f in kinds]
     return power_sum(series, x, NCElement.one(x.presentation, x.order))
 

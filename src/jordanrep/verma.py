@@ -40,7 +40,6 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
-from .errors import BadParity, MissingElement
 from .exact import BiPoly, LAM
 
 
@@ -48,12 +47,6 @@ def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
     """All ordered tuples of ``num_parts`` positive odd integers summing to
     ``total``, in lexicographic order.  Order matters: (7,1) and (1,7) are
     distinct compositions."""
-    if total % 2 or num_parts % 2:
-        raise BadParity(f"total={total} and num_parts={num_parts} must both be even")
-    if total < 2 or num_parts < 2:
-        raise ValueError("total and num_parts must be positive")
-    if num_parts > total:
-        raise ValueError("cannot split a total among more parts than its size")
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], remaining: int, parts_left: int):
@@ -75,10 +68,10 @@ class ElementTable:
     A completed table is immutable by contract: the operations below only
     read from it.  Every value lies in the ring of lam, whose zero and one
     the table keeps; accessors return that zero for index pairs ruled out by
-    parity or range (the action never maps below w_0)."""
+    parity or range (the action never maps below w_0); above the maximum
+    level, their dict raises KeyError."""
 
-    def __init__(self, max_level: int, lam):
-        self.max_level = max_level
+    def __init__(self, lam):
         self.lam = lam
         self.zero = lam - lam
         self.one = self.zero + 1
@@ -89,19 +82,13 @@ class ElementTable:
         """The coefficient of h^{n-m} in H_n^m."""
         if m < 0 or m > n or (n - m) % 2:
             return self.zero
-        try:
-            return self._H[(n, m)]
-        except KeyError:
-            raise MissingElement(f"H_{n}^{m} is not in the table (L={self.max_level})")
+        return self._H[(n, m)]
 
     def X(self, n: int, m: int):
         """The coefficient of h^{n-m-1} in X_n^m."""
         if m < 0 or m >= n or (n - m) % 2 == 0:
             return self.zero
-        try:
-            return self._X[(n, m)]
-        except KeyError:
-            raise MissingElement(f"X_{n}^{m} is not in the table (L={self.max_level})")
+        return self._X[(n, m)]
 
     def stored_items(self):
         """((kind, n, m), element) pairs for everything the table holds, each
@@ -163,7 +150,7 @@ def h_column(two_n: int, count: int, table: ElementTable) -> list:
 def build_table(max_level: int, lam=LAM) -> ElementTable:
     """Fill all H_n^m, X_n^m with n <= max_level, in increasing h-degree, over
     the ring of lam: the symbol LAM or an exact Fraction."""
-    table = ElementTable(max_level, lam)
+    table = ElementTable(lam)
     for two_n in range(0, max_level + 1, 2):
         column = h_column(two_n, max_level - two_n + 1, table)
         for m, value in enumerate(column):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanrep import ncseries
-from jordanrep.errors import IllFormedComposition, InputError
+from jordanrep.errors import InputError
 from jordanrep.ncseries import (
     FIELD_BITS,
     AlgebraPresentation,
@@ -345,7 +345,7 @@ def test_series_function_sqrt_of_one():
 
 def test_series_function_rejects_nonzero_valuation():
     p = e2_presentation()
-    with pytest.raises(IllFormedComposition):
+    with pytest.raises(ValueError, match="positive order"):
         series_function_apply(NCElement.generator(p, "P+", 4), "exp")[0]
 
 

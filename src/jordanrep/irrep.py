@@ -40,7 +40,6 @@ from operator import mul
 
 from .errors import DimensionMismatch
 from .exact import (
-    ONE,
     BiPoly,
     PolyMatrix,
     anticommutator,
@@ -56,9 +55,9 @@ GENERATOR_WEIGHTS = {"X": 2, "Y": -2, "H": 0}
 
 
 def ensure_half_integer(j) -> Fraction:
-    """Coerce j to a nonnegative half-integer Fraction."""
-    j = Fraction(j)
-    if j < 0 or (2 * j).denominator != 1:
+    """A spin read from JSON ("7/2" or 3, but not true) as a nonnegative
+    half-integer Fraction."""
+    if isinstance(j, bool) or (j := Fraction(j)) < 0 or (2 * j).denominator != 1:
         raise ValueError(f"j must be a nonnegative half-integer, got {j}")
     return j
 
@@ -67,26 +66,6 @@ def spin_weights(j: Fraction) -> tuple[int, ...]:
     """The basis weights 2j, 2j - 2, ..., -2j of both irrep bases."""
     two_j = int(2 * j)
     return tuple(range(two_j, -two_j - 1, -2))
-
-
-class SingularVector(namedtuple("SingularVector", "j coeffs")):
-    """Coefficients C_1..C_[j] of the singular vector at weight lam = 2j.
-
-    C_p multiplies w_{2j-2p+1} and is c_p h^{2p}; ``coeffs`` holds the
-    rationals c_p.  For j < 1 the list is empty and the singular vector is
-    w_{2j+1} itself."""
-
-    @property
-    def lam(self) -> int:
-        return int(2 * self.j)
-
-    def levels(self) -> dict[int, BiPoly]:
-        """The vector as a map level -> coefficient C_p = c_p h^{2p}."""
-        top = self.lam + 1
-        vec = {top: ONE}
-        for p, c in enumerate(self.coeffs, start=1):
-            vec[top - 2 * p] = BiPoly({(0, 2 * p): c})
-        return vec
 
 
 class Irrep(namedtuple("Irrep", "j basis X Y H e")):
@@ -156,11 +135,12 @@ def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
 # -- singular vectors ---------------------------------------------------------
 
 
-def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
-    """Solve the triangular zero-mode system at lam = 2j by forward
-    substitution, on the h-coefficients of a table over the rationals at
-    that lam."""
-    j = ensure_half_integer(j)
+def singular_vector(j, table: ElementTable | None = None) -> tuple[Fraction, ...]:
+    """The rationals c_1..c_[j] of the singular vector at weight lam = 2j,
+    whose coefficient C_p = c_p h^{2p} multiplies w_{2j-2p+1} (for j < 1
+    there are none: the vector is w_{2j+1} itself).  They solve the
+    triangular zero-mode system by forward substitution, on the
+    h-coefficients of a table over the rationals at that lam."""
     lam = int(2 * j)
     num = int(j)  # [j] coefficients
     if table is None:
@@ -172,7 +152,7 @@ def singular_vector(j, table: ElementTable | None = None) -> SingularVector:
             acc = acc + coeffs[p - 1] * table.X(lam + 1 - 2 * p, lam - 2 * r)
         # the lead X_{m+1}^m = (m+1)(lam-m) at m = lam - 2r is 2r(lam-2r+1) > 0
         coeffs.append(-acc / table.X(lam + 1 - 2 * r, lam - 2 * r))
-    return SingularVector(j=j, coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 # -- the two constructions ------------------------------------------------------
@@ -183,18 +163,16 @@ def verma_basis_irrep(j) -> Irrep:
     Y = unit subdiagonal plus the singular-vector corrections in the last
     column.  Each grid holds h-coefficients, whose powers of h the grading
     fixes."""
-    j = ensure_half_integer(j)
     lam = int(2 * j)
     dim = lam + 1
     table = build_table(lam + 1, Fraction(lam))
-    sv = singular_vector(j, table)
 
     xm = [[table.X(n, m) for n in range(dim)] for m in range(dim)]
     hm = [[table.H(n, m) for n in range(dim)] for m in range(dim)]
     ym = [[0] * dim for _ in range(dim)]
     for n in range(dim - 1):
         ym[n + 1][n] = 1
-    for p, c in enumerate(sv.coeffs, start=1):
+    for p, c in enumerate(singular_vector(j, table), start=1):
         ym[lam - 2 * p + 1][lam] = -c
     weights = spin_weights(j)
     x = PolyMatrix(xm, weights, 2)
@@ -220,7 +198,6 @@ def map_to_deformed(j) -> Irrep:
     of s: X = sum_k 2 arctanh_k / 2^k h^{k-1} J+^k,
     sqrt(1 - h^2 J+^2 / 4) = sum_m sqrt1p_m (-1/4)^m h^{2m} J+^{2m}, and
     e^{±hX} = 1 + 2 sum_{k>=1} (±1/2)^k h^k J+^k."""
-    j = ensure_half_integer(j)
     weights = spin_weights(j)
     n = len(weights)
     s = [r * (n - r) for r in range(1, n)]
@@ -245,23 +222,23 @@ def cosh_sinh(e_plus: PolyMatrix, e_minus: PolyMatrix) -> tuple[PolyMatrix, Poly
     return (e_plus + e_minus).scale(Fraction(1, 2)), (e_plus - e_minus).scale(Fraction(1, 2))
 
 
-def _check_sl2(report: VerificationReport, prefix: str, x, y, h, e_plus, e_minus):
+def check_sl2(report: VerificationReport, prefix: str, x, y, h, e_plus, e_minus, names):
     """The three defining relations of the triple (x, y, h), with e^{±hx}
-    given, each label starting with ``prefix``."""
+    given, each label starting with ``prefix`` and naming x, y and h by
+    ``names``."""
     cosh_hx, sinh_hx = cosh_sinh(e_plus, e_minus)
-    report.check_matrix_identity(
-        f"{prefix}[H,X] = (2/h) sinh(hX)", commutator(h, x), sinh_hx.divide_h().scale(2)
-    )
-    report.check_matrix_identity(
-        f"{prefix}[H,Y] = -{{Y, cosh(hX)}}", commutator(h, y), -anticommutator(y, cosh_hx)
-    )
-    report.check_matrix_identity(f"{prefix}[X,Y] = H", commutator(x, y), h)
+    nx, ny, nh = names
+    report.check_matrix_identity(f"{prefix}[{nh},{nx}] = (2/h) sinh(h{nx})",
+                                 commutator(h, x), sinh_hx.divide_h().scale(2))
+    report.check_matrix_identity(f"{prefix}[{nh},{ny}] = -{{{ny}, cosh(h{nx})}}",
+                                 commutator(h, y), -anticommutator(y, cosh_hx))
+    report.check_matrix_identity(f"{prefix}[{nx},{ny}] = {nh}", commutator(x, y), h)
 
 
 def verify_sl2_relations(r: Irrep) -> VerificationReport:
     """The three defining relations as exact matrix identities."""
     report = VerificationReport(f"sl2 relations j={r.j} basis={r.basis}")
-    _check_sl2(report, "", r.X, r.Y, r.H, r.e[+1], r.e[-1])
+    check_sl2(report, "", r.X, r.Y, r.H, r.e[+1], r.e[-1], ("X", "Y", "H"))
     return report
 
 
@@ -315,7 +292,6 @@ def contract(pairs, left: dict, right: dict, op):
 
 def verify_hopf(j1, j2) -> VerificationReport:
     """Coproduct, counit and antipode identities on V_{j1} (x) V_{j2}."""
-    j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
     report = VerificationReport(f"hopf j1={j1} j2={j2}")
     a, b = map_to_deformed(j1), map_to_deformed(j2)
     la, lb = legs(a), legs(b)
@@ -324,7 +300,7 @@ def verify_hopf(j1, j2) -> VerificationReport:
     # D is an algebra map: D(X), D(Y), D(H) satisfy the relations, with
     # e^{hD(X)} = D(e+) since D(X) is primitive
     d = {g: contract(pairs, la, lb, kron) for g, pairs in COPRODUCT.items()}
-    _check_sl2(report, "coproduct ", d["X"], d["Y"], d["H"], d["e+"], d["e-"])
+    check_sl2(report, "coproduct ", d["X"], d["Y"], d["H"], d["e+"], d["e-"], ("X", "Y", "H"))
 
     # counit axiom: collapsing either tensor leg to the trivial representation
     # must reproduce the generator on the other leg.

@@ -386,8 +386,6 @@ _SLACK = 4
 def _series_suite(name: str, order: int, p: AlgebraPresentation, w: int):
     """A suite's empty report, with 1 and the generators of ``p`` in PBW
     order at the internal truncation ``w``."""
-    if order < 2:
-        raise ValueError("order must be at least 2")
     report = VerificationReport(
         f"{name} order={order}",
         meta={"pbw_order": " < ".join(p.names), "truncation_order": order},
@@ -630,7 +628,7 @@ def suite_qe3(order: int) -> VerificationReport:
 _SPECTRUM_KEYS = ("input", "class", "re_p_plus", "im_p_plus", "p_minus", "p_zero")
 
 
-def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float = 1.0, pi_zero: float = 1.0) -> dict:
+def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float, pi_zero: float) -> dict:
     """Classify classical momentum eigenvalues under the inverse map.
 
     Returns the scan rows plus a diagnostic: either the exact singular hit or

@@ -16,6 +16,10 @@ they read once, in one table.  Each exponential is a Kronecker product of
 per-copy group-likes e^{±hX_i} (``Irrep.e``, bands of each copy's J+): X1
 and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
 and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
+J+, J-, J0 and e^{±hJ+} are the sl(2) coproducts D(X), D(Y), D(H) and
+D(e^{±hX}) on V_{j1} (x) V_{j2} (Ohn, Lett. Math. Phys. 25 (1992) 85), so
+the sl(2) relation check :func:`~jordanrep.irrep.check_sl2` checks their
+three brackets.
 
 Verification runs on concrete representations: passing at several (j1, j2)
 pairs is evidence for the abstract identities, not a proof, and the default
@@ -28,8 +32,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
-from .irrep import (COPRODUCT, Irrep, antipodes, contract, cosh_sinh, ensure_half_integer,
-                    legs, map_to_deformed)
+from .irrep import (COPRODUCT, Irrep, antipodes, check_sl2, contract, cosh_sinh, legs,
+                    map_to_deformed)
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
@@ -69,7 +73,6 @@ _GROUP_LIKES = {"e^{hJ+}": (+1, +1), "e^{-hJ+}": (-1, -1),
 
 
 def build_so4(j1, j2) -> So4Rep:
-    j1, j2 = ensure_half_integer(j1), ensure_half_integer(j2)
     one, two = map_to_deformed(j1), map_to_deformed(j2)
     copies = copy_legs(one, two)
     table = combine(*copies)
@@ -87,15 +90,10 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     jp, jm, j0, kp, km, k0 = (g[name] for name in GENERATOR_NAMES)
     e_pjp, e_mjp, e_mkp = g["e^{hJ+}"], g["e^{-hJ+}"], g["e^{-hK+}"]
     cosh_jp, sinh_jp = g["cosh"], g["sinh"]
-    two_sinh_over_h = sinh_jp.divide_h().scale(2)
 
-    report.check_matrix_identity("[J0,J+] = (2/h) sinh(hJ+)",
-                                 commutator(j0, jp), two_sinh_over_h)
+    check_sl2(report, "", jp, jm, j0, e_pjp, e_mjp, ("J+", "J-", "J0"))
     report.check_matrix_identity("[K0,K+] = (2/h) sinh(hJ+)",
-                                 commutator(k0, kp), two_sinh_over_h)
-    report.check_matrix_identity("[J0,J-] = -{J-, cosh(hJ+)}",
-                                 commutator(j0, jm), -anticommutator(jm, cosh_jp))
-    report.check_matrix_identity("[J+,J-] = J0", commutator(jp, jm), j0)
+                                 commutator(k0, kp), sinh_jp.divide_h().scale(2))
     report.check_matrix_identity("[K+,K-] = J0", commutator(kp, km), j0)
     report.check_matrix_identity(
         "[K0,K-] = -{J-, e^{-hK+}} - {K-, sinh(hJ+)}",

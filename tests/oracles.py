@@ -22,7 +22,7 @@ from operator import or_
 
 from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
 from jordanrep.exact.series import power_sum, taylor
-from jordanrep.irrep import ensure_half_integer, spin_weights
+from jordanrep.irrep import spin_weights
 from jordanrep.ncseries import FIELD_BITS, NCElement, _element
 
 
@@ -172,7 +172,6 @@ class ClassicalRep(namedtuple("ClassicalRep", "j plus minus zero")):
 def classical_rep(j) -> ClassicalRep:
     """Spin-j matrices in the basis w_j, w_{j-1}, ..., w_{-j}: the classical
     triple that the nonlinear map deforms."""
-    j = ensure_half_integer(j)
     weights = spin_weights(j)
     dim = len(weights)
     plus = [[0] * dim for _ in range(dim)]

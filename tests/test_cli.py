@@ -344,6 +344,26 @@ def test_non_string_coefficient_from_json_exits_two(tmp_path, capsys):
         assert "coefficients must be" in captured.err
 
 
+def test_bool_spin_from_json_exits_two(tmp_path, capsys):
+    """A JSON true is not the spin 1, though Python reads it as 1: the j = 1
+    irrep with "j": true is refused, and with "j": 1 it passes."""
+    assert main(["irrep", "--j", "1", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    rep_file = tmp_path / "spin.json"
+    rep_file.write_text(json.dumps({**payload, "j": 1}))
+    assert main(["verify", "sl2", "--from-json", str(rep_file)]) == 0
+    capsys.readouterr()
+    rep_file.write_text(json.dumps({**payload, "j": True}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "half-integer" in captured.err
+
+
 def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
     def never(*args):
         raise AssertionError(f"suite ran at {args}")

@@ -6,7 +6,7 @@ import pytest
 from jordanrep import irrep
 from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import ONE, ZERO, PolyMatrix, commutator
+from jordanrep.exact import ONE, ZERO, BiPoly, PolyMatrix, commutator
 from jordanrep.report import VerificationReport
 from jordanrep.irrep import (
     Irrep,
@@ -38,34 +38,42 @@ def test_ensure_half_integer():
         ensure_half_integer(Fraction(1, 3))
     with pytest.raises(ValueError):
         ensure_half_integer(-1)
+    assert ensure_half_integer(1) == 1
+    with pytest.raises(ValueError):
+        ensure_half_integer(True)  # a JSON true, which Fraction reads as 1
+
+
+def levels(lam, coeffs) -> dict:
+    """The singular vector at weight lam as a map level -> coefficient:
+    1 at the top level lam + 1, c_p h^{2p} at lam + 1 - 2p."""
+    return {lam + 1 - 2 * p: term(c, 0, 2 * p) for p, c in enumerate((1, *coeffs))}
 
 
 def test_singular_vector_table():
     for lam, expected in golden.SINGULAR_VECTORS.items():
-        sv = singular_vector(Fraction(lam, 2))
-        assert sv.coeffs == tuple(expected), lam
-        assert all(type(c) is Fraction for c in sv.coeffs)
-        vec = sv.levels()
+        coeffs = singular_vector(Fraction(lam, 2))
+        assert coeffs == tuple(expected), lam
+        assert all(type(c) is Fraction for c in coeffs)
+        vec = levels(lam, coeffs)
         for p, value in enumerate(expected, start=1):
             coeff = vec[lam + 1 - 2 * p]
             assert coeff == term(value, 0, 2 * p), (lam, p)
             assert is_homogeneous_h(coeff, 2 * p)
 
 
-def test_singular_vector_levels_layout():
-    sv = singular_vector(2)
-    vec = sv.levels()
-    assert vec[5] == ONE
-    assert vec[3] == term(21, 0, 2)
-    assert vec[1] == term(36, 0, 4)
+def test_singular_vector_levels_layout(capsys):
+    assert main(["singvec", "--lambda", "4"]) == 0
+    printed = json.loads(capsys.readouterr().out)["levels"]
+    assert list(printed) == ["1", "3", "5"]
+    vec = {int(level): BiPoly.from_obj(c) for level, c in printed.items()}
+    assert vec == {5: ONE, 3: term(21, 0, 2), 1: term(36, 0, 4)}
 
 
 def test_singular_vector_annihilated_and_eigen():
     # X kills the singular vector exactly; H has eigenvalue lam - 2(2j+1)
     for lam in range(13):
         table = build_table(lam + 2, Fraction(lam))
-        sv = singular_vector(Fraction(lam, 2), table)
-        vec = sv.levels()
+        vec = levels(lam, singular_vector(Fraction(lam, 2), table))
         assert act(table, "X", vec) == {}, lam
         h_vec = act(table, "H", vec)
         eigen = lam - 2 * (lam + 1)

@@ -485,7 +485,7 @@ def test_report_locates_series_failures():
 
 
 def test_momentum_spectrum_classification():
-    scan = momentum_spectrum(1.0, [-2.0, -1.0, 0.0, 1.0])
+    scan = momentum_spectrum(1.0, [-2.0, -1.0, 0.0, 1.0], 1.0, 1.0)
     classes = {row["input"]: row["class"] for row in scan["rows"]}
     assert classes == {-2.0: "complex", -1.0: "singular", 0.0: "regular", 1.0: "regular"}
     assert scan["singular_hit"]
@@ -500,11 +500,11 @@ def test_momentum_spectrum_classification():
 
 
 def test_momentum_spectrum_nearest_approach_diagnostic():
-    scan = momentum_spectrum(1.0, [-0.75, 0.25])
+    scan = momentum_spectrum(1.0, [-0.75, 0.25], 1.0, 1.0)
     assert not scan["singular_hit"]
     assert scan["nearest_approach"]["input"] == -0.75
 
 
 def test_momentum_spectrum_rejects_zero_omega():
     with pytest.raises(InputError):
-        momentum_spectrum(0.0, [1.0])
+        momentum_spectrum(0.0, [1.0], 1.0, 1.0)

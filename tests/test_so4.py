@@ -89,6 +89,27 @@ def test_j_triple_satisfies_deformed_sl2():
         assert commutator(jp, jm) == j0
 
 
+#: The so(4) legs that the sl(2) coproduct of each COPRODUCT name gives.
+J_TRIPLE = {"X": "J+", "Y": "J-", "H": "J0", "e+": "e^{hJ+}", "e-": "e^{-hJ+}"}
+
+
+@pytest.mark.parametrize("j1,j2", [(HALF, HALF), (Fraction(1), HALF), (Fraction(3, 2), Fraction(1)),
+                                   (Fraction(2), Fraction(3, 2)), (Fraction(0), Fraction(2))])
+def test_j_triple_is_the_sl2_coproduct(j1, j2):
+    """J+-, J0 and e^{±hJ+} are D(X), D(Y), D(H) and D(e^{±hX}) on
+    V_{j1} (x) V_{j2}, which is why the sl(2) relation check serves them.  The
+    opposite coproduct, each pair's legs swapped, differs on Y and H unless
+    one factor is 1x1."""
+    g = build_so4(j1, j2).legs
+    la, lb = irrep.legs(map_to_deformed(j1)), irrep.legs(map_to_deformed(j2))
+    for x, name in J_TRIPLE.items():
+        assert g[name] == irrep.contract(irrep.COPRODUCT[x], la, lb, PolyMatrix.kron), name
+    for x in ("Y", "H"):
+        swapped = [(r, l) for l, r in irrep.COPRODUCT[x]]
+        opposite = irrep.contract(swapped, la, lb, PolyMatrix.kron)
+        assert (opposite != g[J_TRIPLE[x]]) == (min(j1, j2) >= HALF), x
+
+
 def test_per_copy_casimirs_central():
     for j1, j2 in PAIRS[:2]:
         rep1, rep2 = map_to_deformed(j1), map_to_deformed(j2)

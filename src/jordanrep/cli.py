@@ -73,17 +73,17 @@ MAX_ORDER = 100
 MAX_TENSOR_DIM = 215
 
 #: Largest --max-level of the symbolic `elements` table, built in about
-#: half a minute on a 2-vCPU host (L = 19 / 21 / 23: 3.0 / 9.8 / 32 s, about
-#: 3.3x per two levels).
+#: half a minute on a 2-vCPU host (L = 19 / 21 / 23: 2.8 / 9.8 / 27 s, about
+#: 3x per two levels).
 MAX_LEVEL = 23
 
 #: Largest spin of `irrep`, `singvec` (as --lambda = 2j) and `verify sl2
 #: --j-max`.  A Verma irrep builds its element table over Q at lam = 2j to
-#: level 2j + 1 (`irrep --j 11 / 12 / 13`, to L = 23 / 25 / 27: 0.9 / 2.6 /
-#: 7.1 s on a 2-vCPU host, about 2.8x per two levels), and `verify sl2
-#: --j-max 13`, which builds one for every spin, takes 18 s.  `elements
-#: --lambda` builds the same tables, so its --max-level is capped at
-#: 2 MAX_SPIN + 1 (27: 9.3 s at lam = 5/3).
+#: level 2j + 1 (`irrep --j 11 / 12 / 13`, to L = 23 / 25 / 27: 1.0 / 1.6 /
+#: 4.1 s on a 2-vCPU host), and `verify sl2 --j-max 13`, which builds one
+#: for every spin, takes 12.5 s.  `elements --lambda` builds the same
+#: tables, so its --max-level is capped at 2 MAX_SPIN + 1 (27: 5.8 s at
+#: lam = 5/3).
 MAX_SPIN = 13
 
 
@@ -329,7 +329,7 @@ def cmd_verify(args) -> int:
                 if 2 * j + 1 > MAX_TENSOR_DIM:
                     raise InputError(f"{args.from_json} has j = {j}, which needs {2 * j + 1} "
                                      f"rows, above the largest {MAX_TENSOR_DIM}")
-                rep = Irrep.from_obj(obj)
+                rep = Irrep.from_obj(obj, j)
             except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
                     DimensionMismatch) as exc:
                 raise InputError(

@@ -101,13 +101,13 @@ class Irrep(namedtuple("Irrep", "j basis X Y H e")):
         }
 
     @staticmethod
-    def from_obj(obj) -> "Irrep":
+    def from_obj(obj, j: Fraction) -> "Irrep":
         """X, Y and H from grids of polynomials, each entry checked against
-        its grade; the grid size is checked against j before any basis
-        weight is made."""
+        its grade, where j is obj["j"] as :func:`ensure_half_integer` read
+        it; the grid size is checked against j before any basis weight is
+        made."""
         if obj["basis"] not in ("verma", "diagonal"):
             raise ValueError(f"basis must be verma or diagonal, got {obj['basis']!r}")
-        j = ensure_half_integer(obj["j"])
         grids = {
             name: [[BiPoly.from_obj(a) for a in row] for row in obj["matrices"][name]]
             for name in GENERATOR_WEIGHTS

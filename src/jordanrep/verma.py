@@ -22,16 +22,22 @@ too, since (m+1)(lam - m) = sum_{k<=m} (lam - 2k):
     X_{m+2n+1}^m = sum_{k=0}^{m} H_{k+2n}^k,
 
 where Z_l is the descending product of X elements from level l+2n to level l
-prescribed by the composition.  The table stores each element as its
-coefficient of h^{2n} alone, since (kind, n, m) fixes the power, and puts
-h^{2n} back only on output (:meth:`ElementTable.stored_items`).  The
-recursion only adds, multiplies and tests for zero, and putting a value in
-for lam is a ring homomorphism, so it runs over whichever ring holds lam:
-polynomials in lam when lam is the symbol LAM, or the rationals when lam is a
-Fraction, as for the irreps at lam = 2j.
+prescribed by the composition.  A composition is a path down the ladder in
+odd steps, so each sum over compositions is a sum over paths
+(:func:`composition_sums`), walked depth first: paths that share their first
+steps share the product along them, and a path through a zero X element
+(X_{2j+1}^{2j} at lam = 2j) is dropped at that step.  The table stores each
+element as its coefficient of h^{2n} alone, since (kind, n, m) fixes the
+power, and puts h^{2n} back only on output
+(:meth:`ElementTable.stored_items`).  The recursion only adds, multiplies and
+tests for zero, and putting a value in for lam is a ring homomorphism, so it
+runs over whichever ring holds lam: polynomials in lam when lam is the symbol
+LAM, or the rationals when lam is a Fraction, as for the irreps at lam = 2j.
 
 The tests check the recursion against independent closed forms of the
-degree-2 and degree-4 elements.
+degree-2 and degree-4 elements, the path sums against the formula summed
+composition by composition, and every element against the paper's map on
+the classical Verma module M(lam).
 """
 
 from __future__ import annotations
@@ -41,25 +47,6 @@ from itertools import accumulate
 from math import factorial
 
 from .exact import BiPoly, LAM
-
-
-def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of ``num_parts`` positive odd integers summing to
-    ``total``, in lexicographic order.  Order matters: (7,1) and (1,7) are
-    distinct compositions."""
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], remaining: int, parts_left: int):
-        if parts_left == 1:
-            if remaining >= 1 and remaining % 2 == 1:
-                out.append(prefix + (remaining,))
-            return
-        # each later part is odd >= 1, so at most remaining - (parts_left - 1)
-        for part in range(1, remaining - (parts_left - 1) + 1, 2):
-            extend(prefix + (part,), remaining - part, parts_left - 1)
-
-    extend((), total, num_parts)
-    return out
 
 
 class ElementTable:
@@ -98,33 +85,25 @@ class ElementTable:
                 yield (kind, n, m), BiPoly({(0, n - m - shift): 1}) * v
 
 
-def z_product(m: int, two_n: int, comp: tuple[int, ...], table: ElementTable):
-    """Ordered product of X elements descending from level m+2n to m by the
-    steps of the composition; zero as soon as one factor is."""
-    level = m + two_n
-    acc = table.one
-    for step in comp:
-        nxt = level - step
-        factor = table.X(level, nxt)
-        if factor == 0:
-            return table.zero
-        acc = acc * factor
-        level = nxt
-    return acc
-
-
 def composition_sums(l: int, two_n: int, table: ElementTable) -> list:
     """Z_l summed over the compositions of 2n into 2k odd parts, one sum for
-    each k = 1..n."""
-    out = []
-    for k in range(1, two_n // 2 + 1):
-        acc = table.zero
-        for comp in odd_compositions(two_n, 2 * k):
-            z = z_product(l, two_n, comp, table)
-            if z != 0:
-                acc = acc + z
-        out.append(acc)
-    return out
+    each k = 1..n.  A composition is a path from level l+2n down to level l
+    in odd steps, and Z_l the product of the X elements along it; the paths
+    are walked depth first, so compositions that share their first steps
+    share that prefix product, and a branch ends at its first zero factor."""
+    sums = [table.zero] * (two_n // 2)
+
+    def walk(level: int, steps: int, acc):
+        if level == l:   # odd steps summing to 2n: an even count of them
+            sums[steps // 2 - 1] += acc
+            return
+        for nxt in range(level - 1, l - 1, -2):
+            factor = table.X(level, nxt)
+            if factor != 0:
+                walk(nxt, steps + 1, acc * factor)
+
+    walk(l + two_n, 0, table.one)
+    return sums
 
 
 def h_column(two_n: int, count: int, table: ElementTable) -> list:

@@ -3,7 +3,9 @@ helpers that only the tests need.
 
 Nothing here goes through the recursion machinery under test: the Verma
 action is rebuilt by direct operator application of the defining relations,
-the h^2 and h^4 matrix elements come from closed forms, the classical
+the h^2 and h^4 matrix elements come from closed forms, the element table
+from the paper's recursion summed composition by composition and from the
+paper's map on the classical Verma module M(lam), the classical
 spin-j triple from its textbook matrices, the combinatorial
 counts from exhaustive enumeration, normal forms from a reducer with a
 free choice of swap, the letter sets of a packed monomial one letter at a
@@ -261,6 +263,111 @@ def closed_form_oracle(kind: str, n: int) -> BiPoly:
     if n < 0:
         raise ValueError("index must be nonnegative")
     return _CLOSED_FORMS[kind](n)
+
+
+# -- the element table by the paper's recursion, composition by composition ------
+
+
+def odd_compositions(total: int, num_parts: int) -> list[tuple[int, ...]]:
+    """All ordered tuples of ``num_parts`` positive odd integers summing to
+    ``total``, in lexicographic order.  Order matters: (7,1) and (1,7) are
+    distinct compositions."""
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...], remaining: int, parts_left: int):
+        if parts_left == 1:
+            if remaining >= 1 and remaining % 2 == 1:
+                out.append(prefix + (remaining,))
+            return
+        # each later part is odd >= 1, so at most remaining - (parts_left - 1)
+        for part in range(1, remaining - (parts_left - 1) + 1, 2):
+            extend(prefix + (part,), remaining - part, parts_left - 1)
+
+    extend((), total, num_parts)
+    return out
+
+
+def z_product(m: int, two_n: int, comp: tuple[int, ...], table):
+    """Ordered product of X elements descending from level m+2n to m by the
+    steps of the composition; zero as soon as one factor is."""
+    level = m + two_n
+    acc = table.one
+    for step in comp:
+        nxt = level - step
+        factor = table.X(level, nxt)
+        if factor == 0:
+            return table.zero
+        acc = acc * factor
+        level = nxt
+    return acc
+
+
+def literal_composition_sums(l: int, two_n: int, table) -> list:
+    """Z_l summed over the compositions of 2n into 2k odd parts, one sum for
+    each k = 1..n, listing every composition and multiplying it out alone."""
+    out = []
+    for k in range(1, two_n // 2 + 1):
+        acc = table.zero
+        for comp in odd_compositions(two_n, 2 * k):
+            acc = acc + z_product(l, two_n, comp, table)
+        out.append(acc)
+    return out
+
+
+# -- the element table by the map on the classical Verma module -----------------
+
+
+class MapTable(namedtuple("MapTable", "H X top")):
+    """X_n^m and H_n^m keyed (n, m) as :class:`jordanrep.verma.ElementTable`
+    stores them, and the top classical vector v_L in the w basis."""
+
+
+def verma_map_table(max_level: int, lam) -> MapTable:
+    """The element table up to level L = ``max_level`` from the paper's map,
+    with no recursion: the deformed Verma module is the classical M(lam),
+    on which J+ v_n = n(lam - n + 1) v_{n-1}, J- v_n = v_{n+1} and
+    J0 v_n = (lam - 2n) v_n, with X = (2/h) arctanh(h J+ / 2), Y = R J- R,
+    H = J0 and R = sqrt(1 - h^2 J+^2 / 4).  Every element is homogeneous in
+    h, so h = 1 leaves the h-coefficient that the table keeps.  The basis
+    w_n = Y^n v_0 is v_n plus lower levels, so the w-coordinates of X w_n
+    and H w_n follow by back-substitution, with no division.  At lam = L - 1
+    the classical v_L is singular, and ``top`` is the singular vector."""
+    zero = lam - lam
+    one = zero + 1
+    size = max_level + 1
+
+    def raise_(u):
+        return [(n + 1) * (lam - n) * u[n + 1] for n in range(size - 1)] + [zero]
+
+    def series(coeffs, u):
+        acc = [coeffs[0] * a for a in u]
+        for c in coeffs[1:]:
+            u = raise_(u)
+            acc = [a + c * b for a, b in zip(acc, u)]
+        return acc
+
+    x_coeffs = [2 * a / 2**k for k, a in enumerate(taylor("arctanh", size))]
+    sqrt1p = taylor("sqrt1p", (size + 1) // 2)
+    root = [0 if k % 2 else sqrt1p[k // 2] * Fraction(-1, 4) ** (k // 2) for k in range(size)]
+    w = [[one] + [zero] * max_level]
+    for _ in range(max_level):
+        w.append(series(root, [zero] + series(root, w[-1])[:-1]))
+
+    def in_w(u):
+        coords = [zero] * size
+        for m in reversed(range(size)):
+            if u[m] != 0:
+                coords[m] = c = u[m]
+                u = [a - c * b for a, b in zip(u, w[m])]
+        return coords
+
+    h_table, x_table = {}, {}
+    for n, wn in enumerate(w):
+        h_coords = in_w([(lam - 2 * k) * a for k, a in enumerate(wn)])
+        x_coords = in_w(series(x_coeffs, wn))
+        h_table.update({(n, m): h_coords[m] for m in range(n % 2, n + 1, 2)})
+        x_table.update({(n, m): x_coords[m] for m in range(1 - n % 2, n, 2)})
+    return MapTable(h_table, x_table, in_w([zero] * max_level + [one]))
 
 
 # -- actions on Verma vectors ---------------------------------------------------

@@ -74,7 +74,7 @@ def test_criterion_2_verma_golden_matrices(capsys):
     with Budget("2 verma-basis golden matrices j=7/2", 1.0):
         code, payload = run_cli_json(capsys, ["irrep", "--j", "7/2", "--basis", "verma"])
         assert code == 0
-        rep = Irrep.from_obj(payload)
+        rep = Irrep.from_obj(payload, Fraction(7, 2))
         for name, want in (("X", golden.VERMA_X), ("Y", golden.VERMA_Y), ("H", golden.VERMA_H)):
             message = _located_mismatch(name, getattr(rep, name), want)
             assert message is None, message
@@ -84,7 +84,7 @@ def test_criterion_3_diagonal_golden_matrices(capsys):
     with Budget("3 diagonal-basis golden matrices j=7/2", 1.0):
         code, payload = run_cli_json(capsys, ["irrep", "--j", "7/2", "--basis", "diagonal"])
         assert code == 0
-        rep = Irrep.from_obj(payload)
+        rep = Irrep.from_obj(payload, Fraction(7, 2))
         for name, want in (("X", golden.DIAGONAL_X), ("Y", golden.DIAGONAL_Y), ("H", golden.DIAGONAL_H)):
             message = _located_mismatch(name, getattr(rep, name), want)
             assert message is None, message

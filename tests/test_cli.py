@@ -34,7 +34,7 @@ def test_irrep_verma_json_contains_golden_term(capsys):
     assert code == 0
     x = payload["matrices"]["X"]
     assert x[0][3] == [{"c": "-42", "l": 0, "h": 2}]
-    rebuilt = Irrep.from_obj(payload)
+    rebuilt = Irrep.from_obj(payload, Fraction(7, 2))
     assert rebuilt == verma_basis_irrep(Fraction(7, 2))
 
 
@@ -42,7 +42,7 @@ def test_irrep_json_round_trip_via_file(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["irrep", "--j", "2", "--basis", "diagonal", "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
-    rebuilt = Irrep.from_obj(payload)
+    rebuilt = Irrep.from_obj(payload, Fraction(2))
     assert rebuilt.to_obj() == {k: v for k, v in payload.items() if k != "schema"}
 
 
@@ -506,6 +506,37 @@ def test_from_json_above_the_tensor_cap_is_refused_before_any_grid(tmp_path, mon
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "is not a representation" in err and f"needs {cli.MAX_TENSOR_DIM}" in err
+
+
+def test_from_json_spin_is_checked_once(tmp_path, monkeypatch, capsys):
+    """The spin of a --from-json file is read and checked once, where the
+    size cap needs it: a file whose 2j + 1 is above MAX_TENSOR_DIM is
+    refused with one error line though it has no matrices at all, and a
+    good file passes its spin to Irrep.from_obj as checked."""
+    checked, honest = [], irrep.ensure_half_integer
+
+    def counting(j):
+        checked.append(j)
+        return honest(j)
+
+    monkeypatch.setattr(cli, "ensure_half_integer", counting)
+    monkeypatch.setattr(irrep, "ensure_half_integer", counting)
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"j": str(Fraction(cli.MAX_TENSOR_DIM, 2)), "basis": "verma"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "sl2", "--from-json", str(rep_file)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"above the largest {cli.MAX_TENSOR_DIM}" in captured.err
+    assert checked == [str(Fraction(cli.MAX_TENSOR_DIM, 2))]
+
+    checked.clear()
+    assert main(["irrep", "--j", "3/2", "--output", str(rep_file)]) == 0
+    assert main(["verify", "sl2", "--from-json", str(rep_file)]) == 0
+    capsys.readouterr()
+    assert checked == ["3/2"]
 
 
 def test_elements_json_puts_back_each_power_of_h(capsys):

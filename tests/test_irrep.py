@@ -434,5 +434,5 @@ def test_irreps_are_even_in_h(basis):
 
 def test_irrep_json_round_trip():
     r = verma_basis_irrep(Fraction(5, 2))
-    again = Irrep.from_obj(r.to_obj())
+    again = Irrep.from_obj(r.to_obj(), r.j)
     assert again == r

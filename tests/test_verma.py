@@ -2,22 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from jordanrep.exact import LAM, ZERO
-from jordanrep.verma import (
-    ElementTable,
-    build_table,
-    h_column,
-    odd_compositions,
-    z_product,
-)
+from jordanrep.irrep import singular_vector
+from jordanrep.verma import build_table, composition_sums, h_column
 
 from oracles import (
     brute_force_actions,
     closed_form_oracle,
     enumerate_odd_tuples,
     is_homogeneous_h,
+    literal_composition_sums,
+    odd_compositions,
     subs_lam,
+    verma_map_table,
     with_h,
+    z_product,
 )
 
 
@@ -55,10 +55,26 @@ def test_z_product_two_factors():
     assert z_product(0, 2, (1, 1), t) == 2 * (LAM - 1) * LAM
 
 
-def test_z_product_missing_element():
-    small = ElementTable(LAM)
+def test_composition_sums_missing_element():
+    # a walk from level 3 reads X_3^2, past the level-2 table
+    small = build_table(2)
     with pytest.raises(KeyError):
-        z_product(1, 2, (1, 1), small)
+        composition_sums(1, 2, small)
+
+
+@pytest.mark.parametrize("lam", [LAM, Fraction(6), Fraction(12)])
+def test_path_walk_is_the_literal_recursion(lam):
+    """The depth-first walk sums the same products as the paper's formula,
+    one product per composition, for every (l, 2n) of a level-13 table;
+    at lam = 2j the zero X_{2j+1}^{2j} prunes the walk."""
+    max_level = 13
+    t = build_table(max_level, lam)
+    if lam != LAM:
+        assert t.X(int(lam) + 1, int(lam)) == 0
+    for two_n in range(2, max_level + 1, 2):
+        for l in range(max_level - two_n + 1):
+            assert composition_sums(l, two_n, t) == literal_composition_sums(l, two_n, t), \
+                (l, two_n)
 
 
 def test_h_element_base_and_golden():
@@ -143,7 +159,7 @@ def test_every_table_value_lies_in_the_ring_of_lam():
     t = build_table(9)
     assert all(dh == 0 for v in (*t._H.values(), *t._X.values()) for (_, dh), _ in v.items())
     q = build_table(9, Fraction(4))
-    values = [*q._H.values(), *q._X.values(), q.H(2, 1), q.X(1, 1), z_product(1, 2, (1, 1), q)]
+    values = [*q._H.values(), *q._X.values(), q.H(2, 1), q.X(1, 1), *composition_sums(1, 4, q)]
     assert all(type(v) is Fraction for v in values)
 
 
@@ -174,3 +190,44 @@ def test_direct_action_oracle_matches_table():
                 assert x_act[n].get(m, ZERO) == with_h(t.X(n, m), n - m - 1), ("X", n, m)
         for m in range(n, -1, -2):
             assert h_act[n].get(m, ZERO) == with_h(t.H(n, m), n - m), ("H", n, m)
+
+
+def test_the_map_on_the_classical_verma_module_gives_the_table():
+    """The paper's map on M(lam), with no recursion, gives every entry of
+    the recursion's table: symbolically to level 15 and over Q to level 19."""
+    symbolic = verma_map_table(15, LAM)
+    t = build_table(15)
+    assert (symbolic.H, symbolic.X) == (t._H, t._X)
+    for lam in (Fraction(7, 3), Fraction(-3, 2), Fraction(12)):
+        rational = verma_map_table(19, lam)
+        q = build_table(19, lam)
+        assert (rational.H, rational.X) == (q._H, q._X), lam
+
+
+def test_the_map_on_the_classical_verma_module_gives_the_singular_vectors():
+    """At lam = 2j the classical v_{2j+1} is singular; in the w basis it is
+    w_{2j+1} + sum_p c_p w_{2j+1-2p}, with the c_p of singular_vector."""
+    for two_j in range(16):
+        top = verma_map_table(two_j + 1, Fraction(two_j)).top
+        expected = [0] * (two_j + 2)
+        expected[two_j + 1] = 1
+        for p, c in enumerate(singular_vector(Fraction(two_j, 2)), start=1):
+            expected[two_j + 1 - 2 * p] = c
+        assert top == expected, two_j
+
+
+@pytest.mark.parametrize("kind, index, error", [("arctanh", 3, Fraction(1, 7)),
+                                                ("sqrt1p", 1, Fraction(1, 9))])
+def test_a_wrong_map_coefficient_changes_the_map_table(monkeypatch, kind, index, error):
+    honest = oracles.taylor
+
+    def wrong(name, count):
+        coeffs = honest(name, count)
+        if name == kind:
+            coeffs[index] += error
+        return coeffs
+
+    monkeypatch.setattr(oracles, "taylor", wrong)
+    lam = Fraction(7, 3)
+    wrong_table, q = verma_map_table(9, lam), build_table(9, lam)
+    assert (wrong_table.H, wrong_table.X) != (q._H, q._X)

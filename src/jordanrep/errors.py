@@ -9,4 +9,4 @@ class DimensionMismatch(Exception):
 class InputError(Exception):
     """Command-line input that cannot be verified or scanned: a malformed
     file, a selection that runs no checks, or a spectrum scan at a zero
-    deformation parameter or one that overflows floats."""
+    deformation parameter or one whose exact cells leave the float range."""

@@ -617,54 +617,58 @@ def suite_qe3(order: int) -> VerificationReport:
     return report
 
 
-# -- numerical singularity scan --------------------------------------------------
+# -- singularity scan -------------------------------------------------------------
 #
-# The only floating-point code in the package, quarantined here: the inverse
-# map evaluated on classical momentum eigenvalues.  The map degenerates where
-# 1 + omega*pi_plus reaches zero and the leading eigenvalue picks up an
-# imaginary part pi/omega beyond it.
+# The inverse map evaluated on classical momentum eigenvalues, exactly until
+# each cell is printed.  The map degenerates where 1 + omega*pi_plus reaches
+# zero, and the leading eigenvalue picks up an imaginary part pi/omega beyond
+# it.  Only ln|u| and pi are floats, each made exact before it is divided by
+# omega.
 
 #: The fields of a scan row, in the column order of the CSV output.
 _SPECTRUM_KEYS = ("input", "class", "re_p_plus", "im_p_plus", "p_minus", "p_zero")
 
 
-def momentum_spectrum(omega: float, pi_plus_grid, pi_minus: float, pi_zero: float) -> dict:
+def _rounded(value: Fraction) -> float:
+    """``value`` rounded once to a float; OverflowError where it leaves the
+    float range, which a nonzero value that rounds to 0.0 also does."""
+    rounded = float(value)
+    if value and not rounded:
+        raise OverflowError("a nonzero value rounds to 0.0")
+    return rounded
+
+
+def momentum_spectrum(omega: Fraction, pi_plus_grid, pi_minus: Fraction,
+                      pi_zero: Fraction) -> dict:
     """Classify classical momentum eigenvalues under the inverse map.
 
-    Returns the scan rows plus a diagnostic: either the exact singular hit or
-    the nearest approach of 1 + omega*pi_plus to zero on the grid.  A scan
-    that leaves the float range is refused rather than reported as inf."""
+    A point is singular exactly where u = 1 + omega*pi_plus is zero, regular
+    where u > 0 and complex where u < 0.  Returns the scan rows plus a
+    diagnostic: either the singular hit or the nearest approach of u to zero
+    on the grid.  A scan whose cells leave the float range is refused."""
     if omega == 0:
         raise InputError("the spectrum scan needs a nonzero deformation parameter")
-    omega = float(omega)
-    try:
-        tail = (omega / 4.0) * pi_zero**2   # p_minus = pi_minus + tail / u
-    except OverflowError:
-        tail = math.inf
+    tail = omega * pi_zero**2 / 4   # p_minus = pi_minus + tail / u
+    im_complex = Fraction(math.pi) / omega
     rows = []
-    for value in map(float, pi_plus_grid):
-        u = 1.0 + omega * value
-        if u == 0.0:
-            cells = ("singular", None, None, None, None)
-        else:
-            cells = ("regular" if u > 0.0 else "complex", math.log(abs(u)) / omega,
-                     0.0 if u > 0.0 else math.pi / omega, pi_minus + tail / u, pi_zero / u)
-        rows.append(dict(zip(_SPECTRUM_KEYS, (value, *cells))))
-    if not all(
-        math.isfinite(v) for row in rows for v in row.values() if isinstance(v, float)
-    ):
-        raise InputError(
-            f"the scan at omega={omega}, pi0={pi_zero}, pim={pi_minus} overflows floats"
-        )
-    singular_hit = any(row["class"] == "singular" for row in rows)
-    out = {
-        "omega": omega,
-        "pi_minus": float(pi_minus),
-        "pi_zero": float(pi_zero),
-        "rows": rows,
-        "singular_hit": singular_hit,
-    }
-    if rows and not singular_hit:
-        nearest = min((row["input"] for row in rows), key=lambda v: abs(1.0 + omega * v))
-        out["nearest_approach"] = {"input": nearest, "one_plus_omega_pi_plus": 1.0 + omega * nearest}
+    try:
+        out = {"omega": _rounded(omega), "pi_minus": _rounded(pi_minus),
+               "pi_zero": _rounded(pi_zero), "rows": rows}
+        for value in pi_plus_grid:
+            u = 1 + omega * value
+            if u == 0:
+                cells = ("singular", None, None, None, None)
+            else:
+                cells = ("regular" if u > 0 else "complex",
+                         _rounded(Fraction(math.log(_rounded(abs(u)))) / omega),
+                         _rounded(0 if u > 0 else im_complex),
+                         _rounded(pi_minus + tail / u), _rounded(pi_zero / u))
+            rows.append(dict(zip(_SPECTRUM_KEYS, (_rounded(value), *cells))))
+    except OverflowError:
+        raise InputError("the scan's cells leave the float range") from None
+    out["singular_hit"] = any(row["class"] == "singular" for row in rows)
+    if rows and not out["singular_hit"]:
+        nearest = min(pi_plus_grid, key=lambda v: abs(1 + omega * v))
+        out["nearest_approach"] = {"input": _rounded(nearest),
+                                   "one_plus_omega_pi_plus": _rounded(1 + omega * nearest)}
     return out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanrep import cli, irrep
+from jordanrep import cli, irrep, ncseries
 from jordanrep.cli import main
 from jordanrep.errors import InputError
 from jordanrep.exact import PolyMatrix
@@ -176,6 +176,12 @@ def test_latex_diagonal_h(capsys):
         ["verify", "hopf", "--from-json", "nofile"],
         ["verify", "e2", "--from-json", "nofile"],
         ["verify", "all", "--from-json", "nofile"],
+        # spectrum numbers are exact rationals, so argparse refuses non-finite ones
+        ["spectrum", "--omega", "1", "--grid", "0:1:nan"],
+        ["spectrum", "--omega", "1", "--grid", "0:inf:1"],
+        ["spectrum", "--omega", "nan", "--grid", "0:1:0.5", "--out", "json"],
+        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "inf"],
+        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pim", "nan"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
@@ -187,27 +193,34 @@ def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+#: 10^-400 as a rational: nonzero, and too small for a float.
+_TINY = Fraction(1, 10**400)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--omega", "0", "--grid", "0:1:0.5"],
         ["verify", "sl2", "--j-max", "0"],
         # grids refused before any point is allocated
-        ["spectrum", "--omega", "1", "--grid", "0:1:nan"],
-        ["spectrum", "--omega", "1", "--grid", "0:inf:1"],
         ["spectrum", "--omega", "1", "--grid", "0:1e12:1e-3"],
         ["spectrum", "--omega", "1", "--grid", "0:1:0"],
         ["spectrum", "--omega", "1", "--grid", "2:1:0.5"],
-        ["spectrum", "--omega", "nan", "--grid", "0:1:0.5", "--out", "json"],
-        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "inf"],
-        ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pim", "nan"],
-        # finite inputs whose scan overflows floats: pi0**2, then p_minus
+        # scans whose p_minus = pim + (omega/4) pi0**2 / u leaves the float range
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "1e200"],
         ["spectrum", "--omega", "1e10", "--grid", "0:1:0.5", "--pi0", "1e154", "--out", "json"],
         ["verify", "e2", "--order", "1"],
         ["verify", "qe3", "--order", str(cli.MAX_ORDER + 1)],
         ["verify", "all", "--order", "1000000000"],
         ["irrep", "--j", "1", "--output", "/nonexistent/x.json"],
+        # exact inputs whose scan leaves the float range: a nonzero u = 1 + omega pi+
+        # too small for a float, an omega too small for one, a pi+ too large,
+        # and ln|u|/omega and pi/omega beyond the largest float
+        ["spectrum", "--omega", "1", "--grid", f"{_TINY - 1}:{_TINY - 1}:1"],
+        ["spectrum", "--omega", "1e-400", "--grid", "0:1:0.5"],
+        ["spectrum", "--omega", "1", "--grid", "1e400:1e400:1"],
+        ["spectrum", "--omega", f"1/{2**1020}", "--grid", f"{2**20 - 2**1020}:0:{2**1021}"],
+        ["spectrum", f"--omega=-1/{2**1023}", "--grid", f"{3 * 2**1022}:{3 * 2**1022}:1"],
     ],
 )
 def test_refused_inputs_exit_two_without_traceback(argv, capsys):
@@ -555,11 +568,46 @@ def test_elements_json_puts_back_each_power_of_h(capsys):
 
 
 def test_grid_cap_is_checked_before_allocating():
-    assert len(cli.grid_points(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)) == cli.MAX_GRID_POINTS
+    top = Fraction(cli.MAX_GRID_POINTS)
+    assert len(cli.grid_points(Fraction(0), top - 1, Fraction(1))) == cli.MAX_GRID_POINTS
     with pytest.raises(InputError, match="more than"):
-        cli.grid_points(0.0, float(cli.MAX_GRID_POINTS), 1.0)
+        cli.grid_points(Fraction(0), top, Fraction(1))
     with pytest.raises(InputError, match="more than"):
-        cli.grid_points(-1e308, 1e308, 1e-300)
+        cli.grid_points(Fraction(-10**308), Fraction(10**308), Fraction(1, 10**300))
+
+
+def test_exactly_singular_grid_point_is_a_singular_hit(capsys):
+    """u = 1 + omega pi+ is zero exactly at pi+ = -2 for omega = 1/2, the
+    second point of the grid, which -2.01 + 0.01 in floats is not."""
+    argv = ["spectrum", "--omega", "0.5", "--grid", "-2.01:-1.99:0.01"]
+    code, payload = run_json(capsys, argv + ["--out", "json"])
+    assert code == 0 and payload["singular_hit"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "-2.0,singular,,,,"
+
+
+def test_grid_keeps_its_last_point(capsys):
+    """(1.5001 - 1.5) / 1e-5 is exactly 10; in floats it is 1.1e-12 short
+    of 10, which a rounding slack of 1e-12 does not make up."""
+    assert main(["spectrum", "--omega", "1", "--grid", "1.5:1.5001:1e-5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 11
+    assert rows[-1].split(",")[0] == "1.5001"
+
+
+def test_numbers_past_the_float_range_are_input_errors():
+    """Refused by the scan and the grid count themselves, not by the exit
+    code main gives a ValueError: a nonzero u = 1 + omega pi+ that rounds to
+    0.0, and omegas and a grid bound of 5001 digits, more than a refusal
+    could print."""
+    one, huge = Fraction(1), Fraction(10**5000)
+    with pytest.raises(InputError, match="leave the float range"):
+        ncseries.momentum_spectrum(one, [_TINY - 1], one, one)
+    for omega in (huge, 1 / huge):
+        with pytest.raises(InputError, match="leave the float range"):
+            ncseries.momentum_spectrum(omega, [one], one, one)
+    with pytest.raises(InputError, match="empty"):
+        cli.grid_points(huge, one, one)
 
 
 def test_internal_package_errors_propagate(monkeypatch):

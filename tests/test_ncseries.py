@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -485,26 +486,54 @@ def test_report_locates_series_failures():
 
 
 def test_momentum_spectrum_classification():
-    scan = momentum_spectrum(1.0, [-2.0, -1.0, 0.0, 1.0], 1.0, 1.0)
+    scan = momentum_spectrum(F(1), [F(-2), F(-1), F(0), F(1)], F(1), F(1))
     classes = {row["input"]: row["class"] for row in scan["rows"]}
     assert classes == {-2.0: "complex", -1.0: "singular", 0.0: "regular", 1.0: "regular"}
     assert scan["singular_hit"]
     row_complex = next(r for r in scan["rows"] if r["class"] == "complex")
-    import math
-
-    assert row_complex["im_p_plus"] == pytest.approx(math.pi)
+    assert row_complex["im_p_plus"] == math.pi
     row_zero = next(r for r in scan["rows"] if r["input"] == 0.0)
     assert row_zero["re_p_plus"] == 0.0
-    assert row_zero["p_minus"] == pytest.approx(1.25)
+    assert row_zero["p_minus"] == 1.25
     assert row_zero["p_zero"] == 1.0
 
 
 def test_momentum_spectrum_nearest_approach_diagnostic():
-    scan = momentum_spectrum(1.0, [-0.75, 0.25], 1.0, 1.0)
+    scan = momentum_spectrum(F(1), [F(-3, 4), F(1, 4)], F(1), F(1))
     assert not scan["singular_hit"]
-    assert scan["nearest_approach"]["input"] == -0.75
+    assert scan["nearest_approach"] == {"input": -0.75, "one_plus_omega_pi_plus": 0.25}
 
 
 def test_momentum_spectrum_rejects_zero_omega():
     with pytest.raises(InputError):
-        momentum_spectrum(0.0, [1.0], 1.0, 1.0)
+        momentum_spectrum(F(0), [F(1)], F(1), F(1))
+
+
+def test_scan_rows_are_the_inverse_map_that_verify_e3_checks(monkeypatch):
+    """P+, P0 and P- of _e3_deformed are power series in w over the commuting
+    momenta.  At w = 11, a prime above the order, such a series agrees with
+    an exact value through w^order when their difference is divisible by
+    11^(order+1), the momenta being 11-adic units; a term they differ in at
+    a lower power leaves a lower power of 11.  With its rounding taken out
+    and ln replaced by its Taylor sum through the order, the scan's own row
+    at that point is the exact value of each closed form."""
+    order, prime = 8, 11
+    p = e3_presentation()
+    pi_p, pi_0, pi_m = (NCElement.generator(p, g, order + 4) for g in ("Pi+", "Pi0", "Pi-"))
+    deformed = _e3_deformed(pi_p, pi_0, pi_m)[:3]
+    point = (F(0), F(0), F(0), F(2, 3), F(5, 7), F(-3, 2))   # J+, J0, J-, Pi+, Pi0, Pi-
+
+    monkeypatch.setattr(ncseries, "_rounded", lambda value: value)
+    monkeypatch.setattr(math, "log", lambda u: sum(
+        F((-1) ** (k + 1), k) * (u - 1) ** k for k in range(1, order + 2)))
+    scan = momentum_spectrum(F(prime), [point[3]], point[5], point[4])
+    (row,) = scan["rows"]
+    for cell, series in zip(("re_p_plus", "p_zero", "p_minus"), deformed):
+        at = F(0)
+        for (exponents, power), c in coefficients(series).items():
+            assert not any(exponents[:3]), (cell, exponents)
+            if power <= order:
+                at += c * prime**power * math.prod(v**e for v, e in zip(point, exponents))
+        difference = row[cell] - at
+        assert difference.denominator % prime, cell
+        assert difference.numerator % prime ** (order + 1) == 0, cell

@@ -26,7 +26,10 @@ suite runs, before e^{±hX} of the map route became bands of J+.  The
 four spectrum scans were pinned before their rows came from one formula,
 and the LaTeX element table before its X columns became running sums of
 the H columns and the LaTeX and plain-text polynomial writers came to share
-one term formatter.  The commands run in-process.
+one term formatter.  Three of the spectrum pins were re-recorded when the
+scan came to work in exact rationals, since their cells then became the
+correctly rounded values; the fourth kept its digest.  The commands run
+in-process.
 """
 
 import hashlib
@@ -77,15 +80,16 @@ DIGESTS = {
     "elements --max-level 7 --format latex":
         "b1e5557edc7bcc2b8af187e172b914fdd72a30e4ab918cc7b3ff758662d32407",
     # spectrum scans: with a singular hit, with no hit (nearest_approach
-    # printed), and a fine grid through |1 + omega pi+| in [0.71, 1.73]
+    # printed), and a fine grid on which 1 + omega pi+ runs from -0.7 to 1.3
+    # through its zero
     "spectrum --omega 1 --grid -3:3:0.5":
         "3c05a6e211adf7cf189ce1661cf6c11d5d35660dfbe6211decdbd281091f68db",
     "spectrum --omega 1 --grid -3:3:0.5 --pi0 2 --pim 0.5 --out json":
-        "c8ad91f7ce4903e3d44be76b4b146ef5be8eb5331d1dd3bee537dfdf25efca16",
+        "74776bbdf8c6d392c6b3361467a8ca202b0d7819682d2d92b55c68542212cb95",
     "spectrum --omega -0.7 --grid -5:5:0.37 --out json":
-        "c5fd7efc8d071aea4f83e1a52672864802458fd56cc397b65d3010f8a80b6e63",
+        "3636744bc007a124b59440583006031967080780d11852c6024ada3738507108",
     "spectrum --omega 1 --grid -1.7:0.3:0.01":
-        "40c4f6f35f0dd431d75c9e6664c908ef6cfc261c4134d1643d67e51dc8dc7d75",
+        "a2d5868b21ca6958b6d15873c75e43bdb8e5bbce501daad520cba44e5f14bfbe",
 }
 
 

@@ -17,9 +17,13 @@ tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
 MAX_TENSOR_DIM (checked as soon as "j" is read), --from-json with any
 suite but sl2, a symbolic element
 table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
-MAX_SPIN, or a selection that runs no checks.  Past argparse, InputError,
-an unwritable --output's OSError and ValueError (see main) exit 2; any
-other exception is a defect and propagates.
+MAX_SPIN, or a selection that runs no checks.  The command line and
+--from-json read numbers alike: a spin with half_integer ("n" or "odd/2"),
+any other rational with exact.poly.rational, which refuses a zero
+denominator and, before it builds a power of ten, a decimal exponent above
+exact.poly.MAX_EXPONENT in magnitude.  A negative value needs no "=".  Past
+argparse, InputError, an unwritable --output's OSError and ValueError (see
+main) exit 2; any other exception is a defect and propagates.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -29,16 +33,17 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import ncseries, so4
 from .errors import DimensionMismatch, InputError
 from .exact import BiPoly
+from .exact.poly import rational
 from .irrep import (
     Irrep,
     casimir,
-    ensure_half_integer,
     map_to_deformed,
     singular_vector,
     verify_hopf,
@@ -87,33 +92,13 @@ MAX_LEVEL = 23
 MAX_SPIN = 13
 
 
-def half_integer(text: str) -> Fraction:
-    """Accept 'n' or 'odd/2'; anything else (decimals included) is rejected."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num_text, den_text = text.split("/", 1)
-            num, den = int(num_text), int(den_text)
-            if den != 2 or num % 2 == 0:
-                raise ValueError
-            value = Fraction(num, 2)
-        else:
-            value = Fraction(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer or an odd/2 half-integer"
-        )
-    if value < 0:
-        raise argparse.ArgumentTypeError("j values must be nonnegative")
-    return value
-
-
-def rational(text: str) -> Fraction:
-    """An exact rational such as '7' or '-7/3'; a zero denominator is refused."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator")
+def half_integer(value) -> Fraction:
+    """A spin, from an option or a JSON "j": an int (not a bool) or the text
+    "n" or "odd/2", nonnegative; anything else ("1.5", "6/4") is a ValueError."""
+    match = re.fullmatch(r"(\d+)(/2)?", str(value)) if type(value) in (int, str) else None
+    if match is None or (match[2] and int(match[1]) % 2 == 0):
+        raise ValueError(f"a spin is a nonnegative integer or odd/2 half-integer, got {value!r}")
+    return Fraction(int(match[1]), 2 if match[2] else 1)
 
 
 def nonneg_int(text: str) -> int:
@@ -323,13 +308,12 @@ def cmd_verify(args) -> int:
             try:
                 with open(args.from_json) as fh:
                     obj = json.load(fh)
-                j = ensure_half_integer(obj["j"])
+                j = half_integer(obj["j"])
                 if 2 * j + 1 > MAX_TENSOR_DIM:
                     raise InputError(f"{args.from_json} has j = {j}, which needs {2 * j + 1} "
                                      f"rows, above the largest {MAX_TENSOR_DIM}")
                 rep = Irrep.from_obj(obj, j)
-            except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError,
-                    DimensionMismatch) as exc:
+            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
                 raise InputError(
                     f"{args.from_json} is not a representation: "
                     f"{type(exc).__name__} {exc}"
@@ -387,17 +371,15 @@ def cmd_spectrum(args) -> int:
 
 
 def _normalize_argv(argv):
-    """Glue values onto --grid so ranges starting at a negative number
-    ("-3:3:0.5") are not mistaken for option names."""
+    """Glue a value that starts with "-" and a digit or "." onto the option
+    before it ("--omega=-1/2", "--grid=-3:3:0.5"), so that argparse does not
+    take it for an option name: every option of this CLI takes a value."""
     out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--grid" and i + 1 < len(argv):
-            out.append(f"--grid={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
         else:
-            out.append(argv[i])
-            i += 1
+            out.append(arg)
     return out
 
 

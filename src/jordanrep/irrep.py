@@ -54,14 +54,6 @@ from .verma import ElementTable, build_table
 GENERATOR_WEIGHTS = {"X": 2, "Y": -2, "H": 0}
 
 
-def ensure_half_integer(j) -> Fraction:
-    """A spin read from JSON ("7/2" or 3, but not true) as a nonnegative
-    half-integer Fraction."""
-    if isinstance(j, bool) or (j := Fraction(j)) < 0 or (2 * j).denominator != 1:
-        raise ValueError(f"j must be a nonnegative half-integer, got {j}")
-    return j
-
-
 def spin_weights(j: Fraction) -> tuple[int, ...]:
     """The basis weights 2j, 2j - 2, ..., -2j of both irrep bases."""
     two_j = int(2 * j)
@@ -103,9 +95,8 @@ class Irrep(namedtuple("Irrep", "j basis X Y H e")):
     @staticmethod
     def from_obj(obj, j: Fraction) -> "Irrep":
         """X, Y and H from grids of polynomials, each entry checked against
-        its grade, where j is obj["j"] as :func:`ensure_half_integer` read
-        it; the grid size is checked against j before any basis weight is
-        made."""
+        its grade, where j is obj["j"] as ``cli.half_integer`` read it; the
+        grid size is checked against j before any basis weight is made."""
         if obj["basis"] not in ("verma", "diagonal"):
             raise ValueError(f"basis must be verma or diagonal, got {obj['basis']!r}")
         grids = {

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,9 @@ from jordanrep.errors import InputError
 from jordanrep.exact import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def run_json(capsys, argv):
@@ -526,14 +533,13 @@ def test_from_json_spin_is_checked_once(tmp_path, monkeypatch, capsys):
     size cap needs it: a file whose 2j + 1 is above MAX_TENSOR_DIM is
     refused with one error line though it has no matrices at all, and a
     good file passes its spin to Irrep.from_obj as checked."""
-    checked, honest = [], irrep.ensure_half_integer
+    checked, honest = [], cli.half_integer
 
     def counting(j):
         checked.append(j)
         return honest(j)
 
-    monkeypatch.setattr(cli, "ensure_half_integer", counting)
-    monkeypatch.setattr(irrep, "ensure_half_integer", counting)
+    monkeypatch.setattr(cli, "half_integer", counting)
     rep_file = tmp_path / "rep.json"
     rep_file.write_text(json.dumps({"j": str(Fraction(cli.MAX_TENSOR_DIM, 2)), "basis": "verma"}))
     with pytest.raises(SystemExit) as exc:
@@ -545,8 +551,8 @@ def test_from_json_spin_is_checked_once(tmp_path, monkeypatch, capsys):
     assert f"above the largest {cli.MAX_TENSOR_DIM}" in captured.err
     assert checked == [str(Fraction(cli.MAX_TENSOR_DIM, 2))]
 
-    checked.clear()
     assert main(["irrep", "--j", "3/2", "--output", str(rep_file)]) == 0
+    checked.clear()  # argparse read --j through the same reader
     assert main(["verify", "sl2", "--from-json", str(rep_file)]) == 0
     capsys.readouterr()
     assert checked == ["3/2"]
@@ -619,3 +625,51 @@ def test_internal_package_errors_propagate(monkeypatch):
     monkeypatch.setattr(cli, "cmd_spectrum", broken)
     with pytest.raises(KeyError):
         main(["spectrum", "--omega", "1", "--grid", "0:1:0.5"])
+
+
+def test_half_integer():
+    """The one spin reader, of --j, --j1, --j2, --j-max and a JSON "j": an
+    int or the text "n" or "odd/2", nonnegative."""
+    assert cli.half_integer("7/2") == Fraction(7, 2)
+    assert cli.half_integer(1) == 1 and cli.half_integer("0") == 0
+    for refused in (True,  # a JSON true, which Python reads as 1
+                    Fraction(1, 3), -1, "-1", "1.5", "6/4", 1.5, "1e100000000"):
+        with pytest.raises(ValueError, match="half-integer"):
+            cli.half_integer(refused)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega", "1e100000000", "--grid", "0:1:1"],
+    ["elements", "--max-level", "1", "--lambda", "1e100000000"],
+    ["verify", "sl2", "--from-json", "j.json"],
+    ["verify", "sl2", "--from-json", "c.json"],
+])
+def test_huge_exponents_are_refused_at_once(argv, tmp_path):
+    """A decimal exponent far past the float range is refused before any
+    power of ten is built, on the command line and as a --from-json "j" or
+    coefficient, with one error line; each of these ran for minutes when
+    Fraction read the text."""
+    assert main(["irrep", "--j", "1/2", "--basis", "diagonal",
+                 "--output", str(tmp_path / "rep.json")]) == 0
+    payload = json.loads((tmp_path / "rep.json").read_text())
+    (tmp_path / "j.json").write_text(json.dumps({**payload, "j": "1e100000000"}))
+    payload["matrices"]["X"][0][1][0]["c"] = "1e100000000"
+    (tmp_path / "c.json").write_text(json.dumps(payload))
+    done = subprocess.run([sys.executable, "-m", "jordanrep.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                          text=True, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.count("error:") == 1, done.stderr
+
+
+@pytest.mark.parametrize("head, option, value", [
+    (["spectrum", "--grid", "0:1:1"], "--omega", "-1/2"),
+    (["spectrum", "--grid", "0:1:1"], "--omega", "-1e-20"),
+    (["elements", "--max-level", "1"], "--lambda", "-7/3"),
+])
+def test_negative_values_need_no_equals_sign(head, option, value, capsys):
+    assert main([*head, f"{option}={value}"]) == 0
+    expected = capsys.readouterr().out
+    assert main([*head, option, value]) == 0
+    assert capsys.readouterr().out == expected

@@ -12,7 +12,6 @@ from jordanrep.irrep import (
     Irrep,
     casimir,
     cosh_sinh,
-    ensure_half_integer,
     exponentials,
     map_to_deformed,
     singular_vector,
@@ -30,17 +29,6 @@ from oracles import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def test_ensure_half_integer():
-    assert ensure_half_integer("7/2") == Fraction(7, 2)
-    with pytest.raises(ValueError):
-        ensure_half_integer(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        ensure_half_integer(-1)
-    assert ensure_half_integer(1) == 1
-    with pytest.raises(ValueError):
-        ensure_half_integer(True)  # a JSON true, which Fraction reads as 1
 
 
 def levels(lam, coeffs) -> dict:

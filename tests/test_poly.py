@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanrep.exact import LAM, ONE, ZERO, BiPoly
+from jordanrep.exact import LAM, ONE, ZERO, BiPoly, as_fraction
+from jordanrep.exact.poly import MAX_EXPONENT, rational
 from jordanrep.latexout import bipoly_latex
 
 from oracles import constant_value, is_homogeneous_h, subs_lam, term, with_h
@@ -85,6 +86,27 @@ WRITTEN = [
 def test_str_and_latex_of_polynomials(p, text, latex):
     assert str(p) == text
     assert bipoly_latex(p) == latex
+
+
+def test_rational_exponent_bound_and_zero_denominator():
+    """An exponent at MAX_EXPONENT in magnitude is read; one past it is
+    refused before Fraction expands the power of ten, and a zero denominator
+    is a ValueError too, which argparse reports as a usage error."""
+    assert rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert rational(f"1e+{MAX_EXPONENT}") == 10**MAX_EXPONENT
+    assert rational(f"-2E-{MAX_EXPONENT}") == Fraction(-2, 10**MAX_EXPONENT)
+    for text in (f"1e{MAX_EXPONENT + 1}", f"1E-{MAX_EXPONENT + 1}", "1e100000000"):
+        with pytest.raises(ValueError, match="exponent above"):
+            rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational("1/0")
+
+
+def test_as_fraction_takes_ints_and_fractions_only():
+    assert as_fraction(3) == 3 and as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    for value in ("1/2", 0.5):
+        with pytest.raises(TypeError):
+            as_fraction(value)
 
 
 def test_json_round_trip():

@@ -8,18 +8,19 @@ Subcommands
     spectrum  scan of the inverse-map singularity, exact until each cell is printed
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error.  Every refused input gets one ``error:`` line: a zero
-spectrum parameter omega, an empty or oversized --grid, a scan whose cells
-leave the float range, malformed --from-json input (including an entry
-that is not c*h^d with the power d that its position and generator fix), an
-unwritable --output, a truncation order below 2 or above MAX_ORDER, a
-tensor dimension (2j1+1)(2j2+1) or a --from-json dimension 2j+1 above
-MAX_TENSOR_DIM (checked as soon as "j" is read), --from-json with any
-suite but sl2, a symbolic element
-table above MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above
-MAX_SPIN, or a selection that runs no checks.  The command line and
---from-json read numbers alike: a spin with half_integer ("n" or "odd/2"),
-any other rational with exact.poly.rational, which refuses a zero
+or input error (an option that the suite does not read is a usage error).
+Every refused input gets one ``error:`` line: a zero spectrum parameter
+omega, an empty or oversized --grid, a scan whose cells leave the float
+range, malformed --from-json input (including an entry that is not c*h^d
+with the power d that its position and generator fix), an unwritable
+--output, a truncation order below 2 or above MAX_ORDER, a tensor dimension
+(2j1+1)(2j2+1) or a --from-json dimension 2j+1 above MAX_TENSOR_DIM
+(checked as soon as "j" is read), a symbolic element table above
+MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above MAX_SPIN, an
+`elements --lambda` whose numerator or denominator has more than
+MAX_LAMBDA_DIGITS digits, or a selection that runs no checks.  The command
+line and --from-json read numbers alike: a spin with half_integer ("n" or
+"odd/2"), any other rational with exact.poly.rational, which refuses a zero
 denominator and, before it builds a power of ten, a decimal exponent above
 exact.poly.MAX_EXPONENT in magnitude.  A negative value needs no "=".  Past
 argparse, InputError, an unwritable --output's OSError and ValueError (see
@@ -88,8 +89,13 @@ MAX_LEVEL = 23
 #: 4.1 s on a 2-vCPU host), and `verify sl2 --j-max 13`, which builds one
 #: for every spin, takes 12.5 s.  `elements --lambda` builds the same
 #: tables, so its --max-level is capped at 2 MAX_SPIN + 1 (27: 5.8 s at
-#: lam = 5/3).
+#: lam = 5/3), and its lam by MAX_LAMBDA_DIGITS.
 MAX_SPIN = 13
+
+#: Most digits in each of the numerator and denominator of `elements --lambda`:
+#: the largest job, `elements --max-level 27 --lambda (10^50 - 1)/(10^50 - 3)`,
+#: takes 50 s on a 2-vCPU host (20 / 40 digits: 18 / 41 s).
+MAX_LAMBDA_DIGITS = 50
 
 
 def half_integer(value) -> Fraction:
@@ -164,17 +170,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument("--output", default=None)
 
     p_v = sub.add_parser("verify", allow_abbrev=False, help="run exact verification suites")
-    p_v.add_argument("suite", choices=("sl2", "hopf", "so4", "e2", "e3", "qe3", "all"))
-    p_v.add_argument("--j-max", type=half_integer, default=Fraction(3),
-                     help="largest spin for the sl2 suite")
-    p_v.add_argument("--j1", type=half_integer, default=Fraction(1, 2))
-    p_v.add_argument("--j2", type=half_integer, default=Fraction(1, 2))
-    p_v.add_argument("--order", type=int, default=8,
-                     help="truncation order for the series suites")
-    p_v.add_argument("--from-json", default=None, metavar="FILE",
-                     help="verify the sl2 relations of a representation read "
-                          "from a JSON file instead of a built one")
-    p_v.add_argument("--output", default=None)
+    suites = p_v.add_subparsers(dest="suite", required=True)
+    spin = dict(type=half_integer, default=Fraction(1, 2))
+    options = {
+        "--j-max": dict(spin, default=Fraction(3), help="largest spin for the sl2 suite"),
+        "--from-json": dict(metavar="FILE", help="verify the sl2 relations of a representation "
+                            "read from a JSON file instead of a built one"),
+        "--j1": spin, "--j2": spin,
+        "--order": dict(type=int, default=8, help="truncation order for the series suites"),
+    }
+    for name, flags in {"sl2": ("--j-max", "--from-json"),
+                        "hopf": ("--j1", "--j2"), "so4": ("--j1", "--j2"),
+                        "e2": ("--order",), "e3": ("--order",), "qe3": ("--order",),
+                        "all": ("--j-max", "--order")}.items():
+        p_s = suites.add_parser(name, allow_abbrev=False)
+        # sl2 verifies either the built irreps up to --j-max or one read from a file
+        group = p_s.add_mutually_exclusive_group() if name == "sl2" else p_s
+        for flag in flags:
+            group.add_argument(flag, **options[flag])
+        p_s.add_argument("--output", default=None)
 
     p_sp = sub.add_parser("spectrum", allow_abbrev=False, help="inverse-map singularity scan")
     p_sp.add_argument("--omega", type=rational, required=True)
@@ -215,6 +229,9 @@ def cmd_elements(args) -> int:
                          f"{largest}")
     if args.lam is None:
         table = build_table(args.max_level)
+    elif max(abs(args.lam.numerator), args.lam.denominator) >= 10**MAX_LAMBDA_DIGITS:
+        raise InputError(f"the numerator or denominator of --lambda is above the largest "
+                         f"size, {MAX_LAMBDA_DIGITS} digits")
     else:
         table = build_table(args.max_level, args.lam)
     items = list(table.stored_items())
@@ -290,60 +307,58 @@ def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
     return reports
 
 
-def cmd_verify(args) -> int:
-    if args.from_json and args.suite != "sl2":
-        raise InputError(f"--from-json applies to verify sl2 only, not to verify {args.suite}")
-    if args.order < 2:
-        raise InputError("order must be at least 2")
-    if args.order > MAX_ORDER:
-        raise InputError(f"--order {args.order} is above the largest order {MAX_ORDER}")
-    if args.suite in ("so4", "hopf"):
-        dim = int((2 * args.j1 + 1) * (2 * args.j2 + 1))
+def _from_json_suite(path: str) -> list[VerificationReport]:
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        j = half_integer(obj["j"])
+        if 2 * j + 1 > MAX_TENSOR_DIM:
+            raise InputError(f"{path} has j = {j}, which needs {2 * j + 1} "
+                             f"rows, above the largest {MAX_TENSOR_DIM}")
+        rep = Irrep.from_obj(obj, j)
+    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+        raise InputError(f"{path} is not a representation: {type(exc).__name__} {exc}") from exc
+    return [verify_sl2_relations(rep)]
+
+
+def _tensor_suite(suite: str, pairs) -> list[VerificationReport]:
+    """`verify hopf` or `so4` at each (j1, j2), refused above MAX_TENSOR_DIM."""
+    reports = []
+    for j1, j2 in pairs:
+        dim = int((2 * j1 + 1) * (2 * j2 + 1))
         if dim > MAX_TENSOR_DIM:
-            raise InputError(f"--j1 {args.j1} --j2 {args.j2} give tensor dimension {dim}, "
+            raise InputError(f"--j1 {j1} --j2 {j2} give tensor dimension {dim}, "
                              f"above the largest {MAX_TENSOR_DIM}")
-    reports: list[VerificationReport] = []
-    if args.suite == "sl2":
-        if args.from_json:
-            try:
-                with open(args.from_json) as fh:
-                    obj = json.load(fh)
-                j = half_integer(obj["j"])
-                if 2 * j + 1 > MAX_TENSOR_DIM:
-                    raise InputError(f"{args.from_json} has j = {j}, which needs {2 * j + 1} "
-                                     f"rows, above the largest {MAX_TENSOR_DIM}")
-                rep = Irrep.from_obj(obj, j)
-            except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
-                raise InputError(
-                    f"{args.from_json} is not a representation: "
-                    f"{type(exc).__name__} {exc}"
-                ) from exc
-            reports.append(verify_sl2_relations(rep))
+        if suite == "hopf":
+            reports.append(verify_hopf(j1, j2))
         else:
-            reports.extend(_sl2_suite(args.j_max))
-    elif args.suite == "hopf":
-        reports.append(verify_hopf(args.j1, args.j2))
-    elif args.suite == "so4":
-        rep = so4.build_so4(args.j1, args.j2)
-        reports.append(so4.verify_so4_relations(rep))
-        reports.append(so4.verify_so4_coalgebra(rep))
-    elif args.suite == "e2":
-        reports.append(ncseries.suite_e2(args.order))
-    elif args.suite == "e3":
-        reports.append(ncseries.suite_e3(args.order))
-    elif args.suite == "qe3":
-        reports.append(ncseries.suite_qe3(args.order))
-    elif args.suite == "all":
-        reports.extend(_sl2_suite(args.j_max))
-        reports.append(verify_hopf(Fraction(1, 2), Fraction(1, 2)))
-        reports.append(verify_hopf(Fraction(1), Fraction(1, 2)))
-        for j1, j2 in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(1, 2)), (Fraction(1), Fraction(1))):
             rep = so4.build_so4(j1, j2)
-            reports.append(so4.verify_so4_relations(rep))
-            reports.append(so4.verify_so4_coalgebra(rep))
-        reports.append(ncseries.suite_e2(args.order))
-        reports.append(ncseries.suite_e3(args.order))
-        reports.append(ncseries.suite_qe3(args.order))
+            reports += [so4.verify_so4_relations(rep), so4.verify_so4_coalgebra(rep)]
+    return reports
+
+
+def _series_suite(names, order: int) -> list[VerificationReport]:
+    return [getattr(ncseries, "suite_" + name)(order) for name in names]
+
+
+def cmd_verify(args) -> int:
+    if "order" in args:  # the series suites and `all`, before any suite runs
+        if args.order < 2:
+            raise InputError("order must be at least 2")
+        if args.order > MAX_ORDER:
+            raise InputError(f"--order {args.order} is above the largest order {MAX_ORDER}")
+    if args.suite == "sl2":
+        reports = _from_json_suite(args.from_json) if args.from_json else _sl2_suite(args.j_max)
+    elif args.suite in ("hopf", "so4"):
+        reports = _tensor_suite(args.suite, [(args.j1, args.j2)])
+    elif args.suite == "all":
+        half, one = Fraction(1, 2), Fraction(1)
+        reports = (_sl2_suite(args.j_max)
+                   + _tensor_suite("hopf", [(half, half), (one, half)])
+                   + _tensor_suite("so4", [(half, half), (one, half), (one, one)])
+                   + _series_suite(("e2", "e3", "qe3"), args.order))
+    else:
+        reports = _series_suite([args.suite], args.order)
     if not any(r.entries for r in reports):
         raise InputError(f"verify {args.suite} with these options runs no checks")
     payload = {

@@ -14,6 +14,7 @@ from jordanrep.errors import InputError
 from jordanrep.exact import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
+from jordanrep.report import VerificationReport
 
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -82,6 +83,69 @@ def test_verify_from_json_good_and_corrupted(tmp_path, capsys):
     ]
     assert failing and "mismatch at" in failing[0]["detail"]
     assert failing[0]["residual_sample"] == "lhs=-108*h^2 rhs=-24*h^2"
+
+
+#: The options that each verify suite reads, besides --output.
+SUITE_OPTIONS = {
+    "sl2": {"--j-max", "--from-json"},
+    "hopf": {"--j1", "--j2"}, "so4": {"--j1", "--j2"},
+    "e2": {"--order"}, "e3": {"--order"}, "qe3": {"--order"},
+    "all": {"--j-max", "--order"},
+}
+OPTION_VALUES = {"--j-max": "1", "--from-json": "rep.json", "--j1": "1/2", "--j2": "0",
+                 "--order": "2"}
+
+
+@pytest.mark.parametrize("option", OPTION_VALUES)
+@pytest.mark.parametrize("suite", SUITE_OPTIONS)
+def test_each_suite_takes_only_the_options_it_reads(suite, option, tmp_path, monkeypatch,
+                                                    capsys):
+    """Every (suite, option) pair: a pair the suite reads runs it (each suite
+    function here returns one passing entry), any other is a usage error
+    that prints nothing and writes no --output file."""
+    (tmp_path / "rep.json").write_text(json.dumps(verma_basis_irrep(Fraction(1, 2)).to_obj()))
+    monkeypatch.chdir(tmp_path)
+
+    def one(*args):
+        report = VerificationReport("stub")
+        report.add_pass("stub")
+        return report
+
+    monkeypatch.setattr(cli, "_sl2_suite", lambda j_max: [one()])
+    for name in ("verify_sl2_relations", "verify_hopf"):
+        monkeypatch.setattr(cli, name, one)
+    for name in ("build_so4", "verify_so4_relations", "verify_so4_coalgebra"):
+        monkeypatch.setattr(cli.so4, name, one)
+    for name in ("suite_e2", "suite_e3", "suite_qe3"):
+        monkeypatch.setattr(cli.ncseries, name, one)
+    argv = ["verify", suite, option, OPTION_VALUES[option], "--output", "out.json"]
+    if option in SUITE_OPTIONS[suite]:
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "out.json").read_text())["status"] == "pass"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_from_json_excludes_j_max(tmp_path, capsys):
+    """verify sl2 checks either the irreps built up to --j-max or one read
+    from a file, never both."""
+    rep_file = str(tmp_path / "rep.json")
+    assert main(["irrep", "--j", "1", "--output", rep_file]) == 0
+    assert main(["verify", "sl2", "--from-json", rep_file]) == 0
+    capsys.readouterr()
+    for argv in (["--from-json", rep_file, "--j-max", "1"],
+                 ["--j-max", "1", "--from-json", rep_file]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sl2", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
 
 def test_verify_e3_exit_zero(capsys):
@@ -178,7 +242,8 @@ def test_latex_diagonal_h(capsys):
         # wrote a file named json), nor --max-lev --max-level
         ["verify", "qe3", "--order", "6", "--out", "json"],
         ["elements", "--max-lev", "3"],
-        # --from-json reads a representation for the sl2 relations only
+        # each verify suite takes only the options it reads: --from-json
+        # reads a representation for the sl2 relations only
         ["verify", "so4", "--from-json", "nofile"],
         ["verify", "hopf", "--from-json", "nofile"],
         ["verify", "e2", "--from-json", "nofile"],
@@ -189,6 +254,15 @@ def test_latex_diagonal_h(capsys):
         ["spectrum", "--omega", "nan", "--grid", "0:1:0.5", "--out", "json"],
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pi0", "inf"],
         ["spectrum", "--omega", "1", "--grid", "0:1:0.5", "--pim", "nan"],
+        # nor does a suite take another's size: --order belongs to the series
+        # suites and all, --j1 --j2 to hopf and so4, --j-max to sl2 and all
+        ["verify", "sl2", "--order", "500"],
+        ["verify", "so4", "--order", "1"],
+        ["verify", "e3", "--j1", "200", "--j2", "200", "--order", "2"],
+        ["verify", "e2", "--j-max", "100", "--order", "2"],
+        ["verify", "all", "--j1", "1", "--output", "out.json"],
+        # an option before the suite name belongs to no suite
+        ["verify", "--order", "6", "qe3"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
@@ -441,6 +515,7 @@ def test_level_and_spin_caps_are_checked_before_any_work(monkeypatch, capsys):
     for name in ("build_table", "verma_basis_irrep", "map_to_deformed", "singular_vector"):
         monkeypatch.setattr(cli, name, never)
     over = str(cli.MAX_SPIN + Fraction(1, 2))
+    wide = 10**cli.MAX_LAMBDA_DIGITS - 1  # the largest MAX_LAMBDA_DIGITS-digit integer
     too_big = [
         ["elements", "--max-level", str(cli.MAX_LEVEL + 1)],
         ["elements", "--max-level", str(2 * cli.MAX_SPIN + 2), "--lambda", "7"],
@@ -449,6 +524,10 @@ def test_level_and_spin_caps_are_checked_before_any_work(monkeypatch, capsys):
         ["singvec", "--lambda", str(2 * cli.MAX_SPIN + 1)],
         ["verify", "sl2", "--j-max", over],
         ["verify", "all", "--j-max", over],
+        # a --lambda with one part above MAX_LAMBDA_DIGITS digits, whatever the level
+        ["elements", "--max-level", "1", "--lambda", f"{10**cli.MAX_LAMBDA_DIGITS}/3"],
+        ["elements", "--max-level", "1", "--lambda", f"-7/{10**cli.MAX_LAMBDA_DIGITS + 1}"],
+        ["elements", "--max-level", "27", "--lambda", "1e170"],
     ]
     for argv in too_big:
         with pytest.raises(SystemExit) as exc:
@@ -466,6 +545,8 @@ def test_level_and_spin_caps_are_checked_before_any_work(monkeypatch, capsys):
         (["irrep", "--j", str(cli.MAX_SPIN), "--basis", "verma"], (cli.MAX_SPIN,)),
         (["irrep", "--j", str(cli.MAX_SPIN), "--basis", "diagonal"], (cli.MAX_SPIN,)),
         (["singvec", "--lambda", str(2 * cli.MAX_SPIN)], (cli.MAX_SPIN,)),
+        (["elements", "--max-level", "27", "--lambda", f"-{wide}/{wide - 2}"],
+         (27, Fraction(-wide, wide - 2))),
     ]
     for argv, args in largest:
         with pytest.raises(Started) as exc:
@@ -643,12 +724,14 @@ def test_half_integer():
     ["elements", "--max-level", "1", "--lambda", "1e100000000"],
     ["verify", "sl2", "--from-json", "j.json"],
     ["verify", "sl2", "--from-json", "c.json"],
+    ["elements", "--max-level", "27", "--lambda", "1e170"],
 ])
 def test_huge_exponents_are_refused_at_once(argv, tmp_path):
     """A decimal exponent far past the float range is refused before any
     power of ten is built, on the command line and as a --from-json "j" or
     coefficient, with one error line; each of these ran for minutes when
-    Fraction read the text."""
+    Fraction read the text.  A --lambda of more than MAX_LAMBDA_DIGITS
+    digits is refused before its table is built (1e170 took 22 s)."""
     assert main(["irrep", "--j", "1/2", "--basis", "diagonal",
                  "--output", str(tmp_path / "rep.json")]) == 0
     payload = json.loads((tmp_path / "rep.json").read_text())

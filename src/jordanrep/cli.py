@@ -44,7 +44,6 @@ from .exact import BiPoly
 from .exact.poly import rational
 from .irrep import (
     Irrep,
-    casimir,
     map_to_deformed,
     singular_vector,
     verify_hopf,
@@ -74,8 +73,9 @@ MAX_ORDER = 100
 #: and the coalgebra ((0, 40) / (0, 80) / (0, 100): 0.8 / 8.5 / 22 s), and
 #: `verify hopf --j1 0 --j2 107` 6-8 s.  Wider shapes are cheaper: (1, 35)
 #: takes 6.1 s and (7, 6), of dimension 195, 2.4 s.  The slowest job under
-#: the cap is the j = 107 irrep from JSON, 28-39 s and 68 MB: with no J+
-#: to work from, it sums e^{±hX} over the matrix powers of hX.
+#: the cap is the j = 107 irrep from JSON: 23 s and 68 MB, 0.7 s of it the
+#: Casimir, on a host that ran `verify so4 --j1 0 --j2 107` in 16 s.  With
+#: no J+ to work from, it sums e^{±hX} over the matrix powers of hX.
 MAX_TENSOR_DIM = 215
 
 #: Largest --max-level of the symbolic `elements` table, built in about
@@ -155,6 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="specialize the weight symbol at an exact rational")
     p_el.add_argument("--format", choices=("json", "latex"), default="json")
     p_el.add_argument("--output", default=None, help="write here instead of stdout")
+    p_el.set_defaults(run=cmd_elements, parser=p_el)
 
     p_ir = sub.add_parser("irrep", allow_abbrev=False,
                           help="construct an irreducible representation")
@@ -163,27 +164,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_ir.add_argument("--basis", choices=("verma", "diagonal"), default="verma")
     p_ir.add_argument("--format", choices=("json", "latex"), default="json")
     p_ir.add_argument("--output", default=None)
+    p_ir.set_defaults(run=cmd_irrep, parser=p_ir)
 
     p_sv = sub.add_parser("singvec", allow_abbrev=False, help="singular-vector coefficients")
     p_sv.add_argument("--lambda", dest="lam", type=nonneg_int, required=True,
                       help="nonnegative integer weight (= 2j)")
     p_sv.add_argument("--output", default=None)
+    p_sv.set_defaults(run=cmd_singvec, parser=p_sv)
 
     p_v = sub.add_parser("verify", allow_abbrev=False, help="run exact verification suites")
     suites = p_v.add_subparsers(dest="suite", required=True)
     spin = dict(type=half_integer, default=Fraction(1, 2))
     options = {
         "--j-max": dict(spin, default=Fraction(3), help="largest spin for the sl2 suite"),
-        "--from-json": dict(metavar="FILE", help="verify the sl2 relations of a representation "
-                            "read from a JSON file instead of a built one"),
+        "--from-json": dict(metavar="FILE", help="verify the sl2 relations and Casimir of a "
+                            "representation read from a JSON file instead of a built one"),
         "--j1": spin, "--j2": spin,
         "--order": dict(type=int, default=8, help="truncation order for the series suites"),
     }
-    for name, flags in {"sl2": ("--j-max", "--from-json"),
-                        "hopf": ("--j1", "--j2"), "so4": ("--j1", "--j2"),
-                        "e2": ("--order",), "e3": ("--order",), "qe3": ("--order",),
-                        "all": ("--j-max", "--order")}.items():
-        p_s = suites.add_parser(name, allow_abbrev=False)
+    for name, flags, about in (
+            ("sl2", ("--j-max", "--from-json"), "sl(2) relations and Casimir of each irrep"),
+            ("hopf", ("--j1", "--j2"), "coproduct, counit and antipode on V_j1 (x) V_j2"),
+            ("so4", ("--j1", "--j2"), "so(4) relations and coalgebra on V_j1 (x) V_j2"),
+            ("e2", ("--order",), "deformed e(2) brackets and Casimir, as series"),
+            ("e3", ("--order",), "deformed e(3) brackets, maps and Casimirs, as series"),
+            ("qe3", ("--order",), "q-deformed e(3) brackets and Casimir, as series"),
+            ("all", ("--j-max", "--order"), "sl2, hopf and so4 at small spins, and the series")):
+        p_s = suites.add_parser(name, allow_abbrev=False, help=about)
+        p_s.set_defaults(run=cmd_verify, parser=p_s)
         # sl2 verifies either the built irreps up to --j-max or one read from a file
         group = p_s.add_mutually_exclusive_group() if name == "sl2" else p_s
         for flag in flags:
@@ -198,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--out", choices=("csv", "json"), default="csv",
                       help="output format")
     p_sp.add_argument("--output", default=None, help="write here instead of stdout")
+    p_sp.set_defaults(run=cmd_spectrum, parser=p_sp)
     return parser
 
 
@@ -289,22 +298,8 @@ def cmd_singvec(args) -> int:
 
 def _sl2_suite(j_max: Fraction) -> list[VerificationReport]:
     _refuse_spin("--j-max", j_max, j_max)
-    reports = []
-    j = Fraction(1, 2)
-    while j <= j_max:
-        for rep in (verma_basis_irrep(j), map_to_deformed(j)):
-            report = verify_sl2_relations(rep)
-            is_scalar, value = casimir(rep)
-            if is_scalar and value == j * (j + 1):
-                report.add_pass("Casimir scalar with classical value j(j+1)", f"value {value}")
-            else:
-                report.add_fail(
-                    "Casimir scalar with classical value j(j+1)",
-                    f"is_scalar={is_scalar}, value={value}",
-                )
-            reports.append(report)
-        j += Fraction(1, 2)
-    return reports
+    return [verify_sl2_relations(build(Fraction(k, 2))) for k in range(1, int(2 * j_max) + 1)
+            for build in (verma_basis_irrep, map_to_deformed)]
 
 
 def _from_json_suite(path: str) -> list[VerificationReport]:
@@ -402,16 +397,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(list(argv)))
-    command = {
-        "elements": cmd_elements,
-        "irrep": cmd_irrep,
-        "singvec": cmd_singvec,
-        "verify": cmd_verify,
-        "spectrum": cmd_spectrum,
-    }[args.command]
+    args, extras = parser.parse_known_args(_normalize_argv(list(argv)))
+    if extras:  # reported by the subcommand's own parser, with its own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return command(args)
+        return args.run(args)
     # ValueError stays while bench/test_bench.py's exit-code control injects
     # one as a refused input; no refused input raises it (ROADMAP item 1)
     except (InputError, ValueError, OSError) as exc:

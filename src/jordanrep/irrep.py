@@ -227,9 +227,18 @@ def check_sl2(report: VerificationReport, prefix: str, x, y, h, e_plus, e_minus,
 
 
 def verify_sl2_relations(r: Irrep) -> VerificationReport:
-    """The three defining relations as exact matrix identities."""
+    """The three defining relations as exact matrix identities, and the
+    Casimir as the scalar j(j+1).  The relations alone pass on a reducible
+    or zero triple; the Casimir certifies the (2j+1)-dimensional irrep, built
+    or read from JSON alike."""
     report = VerificationReport(f"sl2 relations j={r.j} basis={r.basis}")
     check_sl2(report, "", r.X, r.Y, r.H, r.e[+1], r.e[-1], ("X", "Y", "H"))
+    is_scalar, value = casimir(r)
+    if is_scalar and value == r.j * (r.j + 1):
+        report.add_pass("Casimir scalar with classical value j(j+1)", f"value {value}")
+    else:
+        report.add_fail("Casimir scalar with classical value j(j+1)",
+                        f"is_scalar={is_scalar}, value={value}")
     return report
 
 

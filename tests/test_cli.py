@@ -61,6 +61,9 @@ def test_verify_sl2_small(capsys):
     assert len(payload["reports"]) == 6  # three spins, two bases
 
 
+CASIMIR = "Casimir scalar with classical value j(j+1)"
+
+
 def test_verify_from_json_good_and_corrupted(tmp_path, capsys):
     rep_file = tmp_path / "rep.json"
     assert main(["irrep", "--j", "3/2", "--output", str(rep_file)]) == 0
@@ -75,14 +78,83 @@ def test_verify_from_json_good_and_corrupted(tmp_path, capsys):
     code, report = run_json(capsys, ["verify", "sl2", "--from-json", str(bad_file)])
     assert code == 1
     assert report["status"] == "fail"
-    failing = [
-        e
+    failing = {
+        e["relation_label"]: e
         for r in report["reports"]
         for e in r["entries"]
         if e["status"] == "fail"
-    ]
-    assert failing and "mismatch at" in failing[0]["detail"]
-    assert failing[0]["residual_sample"] == "lhs=-108*h^2 rhs=-24*h^2"
+    }
+    sinh = failing["[H,X] = (2/h) sinh(hX)"]
+    assert "mismatch at" in sinh["detail"]
+    assert sinh["residual_sample"] == "lhs=-108*h^2 rhs=-24*h^2"
+    # the corrupted X also breaks the Casimir
+    assert failing[CASIMIR]["detail"].startswith("is_scalar=False")
+
+
+@pytest.mark.parametrize("x, y, h, detail", [
+    ([[0] * 3] * 3, [[0] * 3] * 3, [[0] * 3] * 3, "is_scalar=True, value=0"),
+    # V_{1/2} + V_0: X = E01, Y = E10, H = diag(1, -1, 0)
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+     [[1, 0, 0], [0, -1, 0], [0, 0, 0]], "is_scalar=False, value=3/4"),
+], ids=["zero", "doublet_plus_singlet"])
+def test_from_json_triple_that_is_not_the_irrep_fails_the_casimir(x, y, h, detail, tmp_path,
+                                                                   capsys):
+    """The three relations hold on the zero triple and on V_{1/2} + V_0, so
+    only the Casimir tells them from the 3-dimensional irrep they claim.
+    Each entry is a constant, the power h^0 that its grade fixes."""
+    grid = lambda m: [[[{"c": str(c), "l": 0, "h": 0}] if c else [] for c in row] for row in m]
+    rep_file = tmp_path / "rep.json"
+    rep_file.write_text(json.dumps({"j": "1", "basis": "diagonal",
+                                    "matrices": {"X": grid(x), "Y": grid(y), "H": grid(h)}}))
+    code, payload = run_json(capsys, ["verify", "sl2", "--from-json", str(rep_file)])
+    assert code == 1 and payload["status"] == "fail"
+    (report,) = payload["reports"]
+    status = {e["relation_label"]: e["status"] for e in report["entries"]}
+    assert status == {"[H,X] = (2/h) sinh(hX)": "pass", "[H,Y] = -{Y, cosh(hX)}": "pass",
+                      "[X,Y] = H": "pass", CASIMIR: "fail"}
+    assert [e["detail"] for e in report["entries"] if e["status"] == "fail"] == [detail]
+
+
+@pytest.mark.parametrize("basis", ["verma", "diagonal"])
+def test_from_json_irrep_passes_all_four_checks(basis, tmp_path, capsys):
+    rep_file = str(tmp_path / "rep.json")
+    assert main(["irrep", "--j", "3/2", "--basis", basis, "--output", rep_file]) == 0
+    code, payload = run_json(capsys, ["verify", "sl2", "--from-json", rep_file])
+    assert code == 0
+    (report,) = payload["reports"]
+    assert [e["relation_label"] for e in report["entries"]] == [
+        CASIMIR, "[H,X] = (2/h) sinh(hX)", "[H,Y] = -{Y, cosh(hX)}", "[X,Y] = H"]
+    assert all(e["status"] == "pass" for e in report["entries"])
+    assert report["entries"][0]["detail"] == "value 15/4"
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["verify", "sl2", "--order", "500"], "usage: jordanrep verify sl2 [-h]"),
+    (["elements", "--max-level", "1", "--bogus", "1"], "usage: jordanrep elements [-h]"),
+], ids=["verify_sl2", "elements"])
+def test_unread_option_is_reported_with_its_subcommand_usage(argv, usage, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err.startswith(usage)
+    prog = usage.split(" [-h]")[0].removeprefix("usage: ")
+    unread = " ".join(argv[-2:])
+    assert captured.err.endswith(f"{prog}: error: unrecognized arguments: {unread}\n")
+
+
+def test_verify_help_describes_every_suite(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per suite
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-h"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for suite in ("sl2", "hopf", "so4", "e2", "e3", "qe3", "all"):
+        described = [line.split(None, 1) for line in lines if line.split()[:1] == [suite]]
+        assert len(described) == 1 and len(described[0]) == 2, suite
 
 
 #: The options that each verify suite reads, besides --output.

@@ -19,12 +19,14 @@ with the power d that its position and generator fix), an unwritable
 MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above MAX_SPIN, an
 `elements --lambda` whose numerator or denominator has more than
 MAX_LAMBDA_DIGITS digits, or a selection that runs no checks.  The command
-line and --from-json read numbers alike: a spin with half_integer ("n" or
-"odd/2"), any other rational with exact.poly.rational, which refuses a zero
-denominator and, before it builds a power of ten, a decimal exponent above
+line and --from-json read numbers alike, in ASCII digits with no "_": a spin
+with half_integer ("n" or "odd/2"), a count or order with integer, any other
+rational with exact.poly.rational, which refuses a zero denominator and,
+before it builds a power of ten, a decimal exponent above
 exact.poly.MAX_EXPONENT in magnitude.  A negative value needs no "=".  Past
 argparse, InputError, an unwritable --output's OSError and ValueError (see
-main) exit 2; any other exception is a defect and propagates.
+main) exit 2; any other exception is a defect and propagates.  The console
+script ends by SIGPIPE, with no error line, when stdout is a closed pipe.
 All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
@@ -41,7 +43,7 @@ from fractions import Fraction
 from . import ncseries, so4
 from .errors import DimensionMismatch, InputError
 from .exact import BiPoly
-from .exact.poly import rational
+from .exact.poly import ascii_number, rational
 from .irrep import (
     Irrep,
     map_to_deformed,
@@ -99,17 +101,23 @@ MAX_LAMBDA_DIGITS = 50
 
 
 def half_integer(value) -> Fraction:
-    """A spin, from an option or a JSON "j": an int (not a bool) or the text
-    "n" or "odd/2", nonnegative; anything else ("1.5", "6/4") is a ValueError."""
-    match = re.fullmatch(r"(\d+)(/2)?", str(value)) if type(value) in (int, str) else None
+    """A spin, from an option or a JSON "j": an int (not a bool) or the text "n"
+    or "odd/2" in ASCII digits; anything else ("1.5", "6/4", "1_0") is a ValueError."""
+    match = re.fullmatch(r"([0-9]+)(/2)?", str(value)) if type(value) in (int, str) else None
     if match is None or (match[2] and int(match[1]) % 2 == 0):
         raise ValueError(f"a spin is a nonnegative integer or odd/2 half-integer, got {value!r}")
     return Fraction(int(match[1]), 2 if match[2] else 1)
 
 
+def integer(text: str) -> int:
+    """--order: an optional sign, then ASCII digits with no "_"."""
+    return int(ascii_number(text))
+
+
 def nonneg_int(text: str) -> int:
+    """An :func:`integer` that is at least 0."""
     try:
-        value = int(text)
+        value = integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
     if value < 0:
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--from-json": dict(metavar="FILE", help="verify the sl2 relations and Casimir of a "
                             "representation read from a JSON file instead of a built one"),
         "--j1": spin, "--j2": spin,
-        "--order": dict(type=int, default=8, help="truncation order for the series suites"),
+        "--order": dict(type=integer, default=8, help="truncation order for the series suites"),
     }
     for name, flags, about in (
             ("sl2", ("--j-max", "--from-json"), "sl(2) relations and Casimir of each irrep"),
@@ -311,7 +319,7 @@ def _from_json_suite(path: str) -> list[VerificationReport]:
             raise InputError(f"{path} has j = {j}, which needs {2 * j + 1} "
                              f"rows, above the largest {MAX_TENSOR_DIM}")
         rep = Irrep.from_obj(obj, j)
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch, RecursionError) as exc:
         raise InputError(f"{path} is not a representation: {type(exc).__name__} {exc}") from exc
     return [verify_sl2_relations(rep)]
 
@@ -409,6 +417,9 @@ def main(argv=None) -> int:
 
 
 def console_entry():
+    import signal  # a closed stdout pipe ends the program, as it ends cat
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

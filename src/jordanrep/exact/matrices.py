@@ -315,10 +315,9 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
 class TensorSum:
     """A sum of Kronecker pairs, never assembled into one big matrix.
 
-    Used for coproduct checks on tensor squares: products obey
-    (A (x) B)(C (x) D) = AC (x) BD, so all arithmetic happens on the small
-    factors, and :meth:`first_difference` decides an identity between two
-    sums by exact elimination on their left legs.  Every pair must share the
+    Used for coproduct checks on tensor squares: all arithmetic happens on
+    the small legs, and :meth:`first_difference` decides an identity between
+    two sums by exact elimination on their left legs.  Every pair must share the
     bases of its legs and the weight A.weight + B.weight of its product.
     """
 
@@ -330,10 +329,10 @@ class TensorSum:
     def __add__(self, other: "TensorSum") -> "TensorSum":
         return TensorSum(self.pairs + other.pairs)
 
-    def __mul__(self, other: "TensorSum") -> "TensorSum":
-        return TensorSum(
-            [(a * c, b * d) for (a, b) in self.pairs for (c, d) in other.pairs]
-        )
+    def kron(self, other: "TensorSum") -> "TensorSum":
+        """(A (x) C, B (x) D) over the pairs (A, B) of self and (C, D) of other."""
+        return TensorSum([(a.kron(c), b.kron(d))
+                          for (a, b) in self.pairs for (c, d) in other.pairs])
 
     def __neg__(self) -> "TensorSum":
         return TensorSum([(-a, b) for (a, b) in self.pairs])

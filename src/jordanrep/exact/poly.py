@@ -29,11 +29,19 @@ from fractions import Fraction
 MAX_EXPONENT = 1000
 
 
+def ascii_number(text: str) -> str:
+    """text, or ValueError if it holds "_" or a non-ASCII character: ``int``
+    and ``Fraction`` would read "1_000" and the digits of other scripts."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not written in ASCII digits without '_'")
+    return text
+
+
 def rational(text: str) -> Fraction:
-    """Outside text -- an integer, "p/q" or a decimal such as "-0.7" or
-    "1e-20" -- as a Fraction.  An exponent above MAX_EXPONENT in magnitude
-    (checked first) and a zero denominator raise ValueError."""
-    _, e, exponent = text.lower().partition("e")
+    """Outside text -- an integer, "p/q" or a decimal such as "-0.7" or "1e-20",
+    in ASCII digits with no "_" -- as a Fraction.  An exponent above MAX_EXPONENT
+    in magnitude (checked before Fraction) and a zero denominator raise ValueError."""
+    _, e, exponent = ascii_number(text).lower().partition("e")
     if e and abs(int(exponent)) > MAX_EXPONENT:
         raise ValueError(f"{text!r} has an exponent above {MAX_EXPONENT} in magnitude")
     try:

@@ -269,6 +269,7 @@ COPRODUCT = {
     "H": [("H", "e+"), ("e-", "H")],
     "e+": [("e+", "e+")],              # group-like
     "e-": [("e-", "e-")],
+    "1": [("1", "1")],
 }
 
 

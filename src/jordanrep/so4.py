@@ -2,13 +2,13 @@
 
 Copy 1 carries deformation parameter +h and copy 2 carries -h.  The irreps
 are even in h, so the sign shows only where the coalgebra sees it: copy 2's
-group-likes e+ = e^{hX} and e- = e^{-hX} trade places.  On the tensor
-product of two finite-dimensional irreps ``combine`` forms, from the two
-copies' legs (the names of :data:`~jordanrep.irrep.COPRODUCT`),
+group-likes e+ = e^{hX} and e- = e^{-hX} trade places.  Each copy acts on
+its own factor of V_{j1} (x) V_{j2}; ``combine`` joins the copies' legs (the
+names of :data:`~jordanrep.irrep.COPRODUCT`) by the product it is given:
 
-    J+ = X1 + X2                     K+ = X1 - X2
-    J- = Y1 e^{hX2} + e^{-hX1} Y2    K- = Y1 e^{hX2} - e^{-hX1} Y2
-    J0 = H1 e^{hX2} + e^{-hX1} H2    K0 = H1 e^{hX2} - e^{-hX1} H2
+    J+ = X1 (x) 1 + 1 (x) X2                 K+ = X1 (x) 1 - 1 (x) X2
+    J- = Y1 (x) e^{hX2} + e^{-hX1} (x) Y2    K- = Y1 (x) e^{hX2} - e^{-hX1} (x) Y2
+    J0 = H1 (x) e^{hX2} + e^{-hX1} (x) H2    K0 = H1 (x) e^{hX2} - e^{-hX1} (x) H2
 
 and the full list of bracket relations and the coalgebra maps are verified
 as exact polynomial-matrix identities.  ``build_so4`` builds every leg
@@ -32,39 +32,30 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact import PolyMatrix, TensorSum, anticommutator, commutator
-from .irrep import (COPRODUCT, Irrep, antipodes, check_sl2, contract, cosh_sinh, legs,
+from .irrep import (COPRODUCT, antipodes, check_sl2, contract, cosh_sinh, legs,
                     map_to_deformed)
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
 
 
-def combine(c1: dict, c2: dict) -> dict:
-    """J+-, J0, K+-, K0 (in GENERATOR_NAMES order) from the legs X, Y, H, e-
-    of copy 1 and copy 2, whatever they hold: matrices, coproducts or
-    antipodes.  Every product pairs legs of different copies, which commute,
-    so the anti-homomorphism S needs no reversal."""
-    y1, y2 = c1["Y"] * c2["e-"], c1["e-"] * c2["Y"]
-    h1, h2 = c1["H"] * c2["e-"], c1["e-"] * c2["H"]
-    return {"J+": c1["X"] + c2["X"], "J-": y1 + y2, "J0": h1 + h2,
-            "K+": c1["X"] - c2["X"], "K-": y1 - y2, "K0": h1 - h2}
-
-
-def copy_legs(one: Irrep, two: Irrep) -> tuple[dict, dict]:
-    """Each copy's legs on the tensor space; copy 2 carries -h, so its e+
-    and e- trade places."""
-    i1, i2 = one.e[0], two.e[0]
-    c1 = {name: m.kron(i2) for name, m in legs(one).items()}
-    c2 = {name: i1.kron(m) for name, m in legs(two).items()}
-    c2["e+"], c2["e-"] = c2["e-"], c2["e+"]
-    return c1, c2
+def combine(c1: dict, c2: dict, tensor) -> dict:
+    """J+-, J0, K+-, K0 (in GENERATOR_NAMES order) from the legs X, Y, H, 1, e-
+    of copy 1 and copy 2, whatever they hold (matrices, coproducts or
+    antipodes), each pair joined by ``tensor``.  Legs of different copies
+    commute, so the anti-homomorphism S needs no reversal."""
+    x1, x2 = tensor(c1["X"], c2["1"]), tensor(c1["1"], c2["X"])
+    y1, y2 = tensor(c1["Y"], c2["e-"]), tensor(c1["e-"], c2["Y"])
+    h1, h2 = tensor(c1["H"], c2["e-"]), tensor(c1["e-"], c2["H"])
+    return {"J+": x1 + x2, "J-": y1 + y2, "J0": h1 + h2,
+            "K+": x1 - x2, "K-": y1 - y2, "K0": h1 - h2}
 
 
 class So4Rep(namedtuple("So4Rep", "j1 j2 legs copies")):
     """A (2j1+1)(2j2+1)-dimensional representation: ``legs`` maps the six
     composite generators (GENERATOR_NAMES), "1", "cosh" and "sinh" of hJ+
     and the group-likes e^{±hJ+}, e^{±hK+} to their matrices, each built
-    once; ``copies`` is the pair of per-copy leg dicts from :func:`copy_legs`."""
+    once; ``copies`` holds each copy's legs on its own factor."""
 
 
 #: e^{h(s1 X1 + s2 X2)} as (s1, s2), the exponents of the factors' group-likes.
@@ -74,13 +65,14 @@ _GROUP_LIKES = {"e^{hJ+}": (+1, +1), "e^{-hJ+}": (-1, -1),
 
 def build_so4(j1, j2) -> So4Rep:
     one, two = map_to_deformed(j1), map_to_deformed(j2)
-    copies = copy_legs(one, two)
-    table = combine(*copies)
+    c1, c2 = legs(one), legs(two)
+    c2["e+"], c2["e-"] = c2["e-"], c2["e+"]  # copy 2 carries -h
+    table = combine(c1, c2, PolyMatrix.kron)
     table["1"] = PolyMatrix.identity(table["J+"].weights)
     for name, (s1, s2) in _GROUP_LIKES.items():
         table[name] = one.e[s1].kron(two.e[s2])
     table["cosh"], table["sinh"] = cosh_sinh(table["e^{hJ+}"], table["e^{-hJ+}"])
-    return So4Rep(j1, j2, table, copies)
+    return So4Rep(j1, j2, table, (c1, c2))
 
 
 def verify_so4_relations(r: So4Rep) -> VerificationReport:
@@ -147,9 +139,9 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
 #
 # The coproducts come by two routes.  Route (a) is the table below, written
 # in the composite generators.  Route (b) evaluates the sl(2) table
-# irrep.COPRODUCT on each copy's legs and feeds the results to ``combine``.
-# Coproducts on the tensor square are handled as sums of Kronecker pairs:
-# products act on the dim x dim legs, and the two routes are compared by exact
+# irrep.COPRODUCT on each copy's legs and joins the results by ``combine`` and
+# TensorSum.kron.  Coproducts on the tensor square are handled as sums of
+# Kronecker pairs of dim x dim legs, and the two routes are compared by exact
 # elimination on the left legs of their difference (TensorSum.first_difference),
 # so no dim^2 x dim^2 matrix and no block of one is ever assembled.
 
@@ -177,7 +169,7 @@ def _coproducts_direct(r_legs: dict) -> dict[str, TensorSum]:
 def _coproducts_per_copy(r: So4Rep) -> dict[str, TensorSum]:
     """Route (b): the sl(2) coproduct of each copy's legs, combined."""
     return combine(*({g: contract(pairs, c, c, _pair) for g, pairs in COPRODUCT.items()}
-                     for c in r.copies))
+                     for c in r.copies), TensorSum.kron)
 
 
 def _antipodes_direct(g: dict) -> dict[str, PolyMatrix]:
@@ -193,33 +185,17 @@ def _antipodes_direct(g: dict) -> dict[str, PolyMatrix]:
     }
 
 
-def _antipodes_per_copy(r: So4Rep) -> dict[str, PolyMatrix]:
-    """The sl(2) antipode of each copy's legs, combined."""
-    return combine(*(antipodes(c) for c in r.copies))
-
-
 def verify_so4_coalgebra(r: So4Rep) -> VerificationReport:
     """Coproducts computed two ways on the tensor square, antipodes against
     per-copy antipodes, and counit compatibility."""
     report = VerificationReport(f"so4 coalgebra j1={r.j1} j2={r.j2}")
-
-    direct = _coproducts_direct(r.legs)
-    per_copy = _coproducts_per_copy(r)
-    for name in GENERATOR_NAMES:
-        report.check_matrix_identity(
-            f"coproduct of {name}: direct = per-copy",
-            direct[name],
-            per_copy[name],
-        )
-
-    s_direct = _antipodes_direct(r.legs)
-    s_per_copy = _antipodes_per_copy(r)
-    for name in GENERATOR_NAMES:
-        report.check_matrix_identity(
-            f"antipode of {name}: direct = per-copy",
-            s_direct[name],
-            s_per_copy[name],
-        )
+    routes = (("coproduct", _coproducts_direct(r.legs), _coproducts_per_copy(r)),
+              ("antipode", _antipodes_direct(r.legs),
+               combine(*(antipodes(c) for c in r.copies), PolyMatrix.kron)))
+    for kind, direct, per_copy in routes:
+        for name in GENERATOR_NAMES:
+            report.check_matrix_identity(f"{kind} of {name}: direct = per-copy",
+                                         direct[name], per_copy[name])
 
     # counit: eps is the one-dimensional trivial representation, (j1, j2) =
     # (0, 0), whose legs are each leg's counit, a 1x1 matrix of the leg's

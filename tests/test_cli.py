@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -335,6 +336,14 @@ def test_latex_diagonal_h(capsys):
         ["verify", "all", "--j1", "1", "--output", "out.json"],
         # an option before the suite name belongs to no suite
         ["verify", "--order", "6", "qe3"],
+        # numbers are written in ASCII digits with no "_", which int and
+        # Fraction would read
+        ["irrep", "--j", "\u0663"],
+        ["singvec", "--lambda", "\u0664"],
+        ["elements", "--max-level", "\u0663"],
+        ["elements", "--max-level", "3", "--lambda", "1_000"],
+        ["elements", "--max-level", "3", "--lambda", "\u0661\u0662"],
+        ["verify", "e2", "--order", "1_0"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
@@ -402,6 +411,8 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
     relabelled["j"] = "1/2"  # 3x3 matrices labelled as a doublet
     zero_denominator = json.loads((tmp_path / "rep.json").read_text())
     zero_denominator["matrices"]["X"][0][1][0]["c"] = "1/0"
+    underscore = json.loads((tmp_path / "rep.json").read_text())
+    underscore["matrices"]["X"][0][1][0]["c"] = "1_0"
     huge = []  # infinities, and 1e400, which json also reads as one
     for literal in ("Infinity", "-Infinity", "1e400"):
         for field in ("j", "c", "h"):
@@ -411,6 +422,7 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
             else:
                 payload["matrices"]["X"][0][1][0][field] = "@"
             huge.append((f"{field}{literal}.json", json.dumps(payload).replace('"@"', literal)))
+    deep = "[" * 100_000 + "]" * 100_000  # json.load raises RecursionError
     for name, payload in (
         ("missing.json", {"j": "1/2"}),
         ("wrong.json", [1, 2]),
@@ -419,6 +431,11 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         ("basis.json", {**relabelled, "j": "1", "basis": "bogus"}),
         ("zero_denominator.json", zero_denominator),
         ("not_json.json", "{not json"),
+        ("deep.json", deep),
+        ("deep_j.json", f'{{"j": {deep}}}'),
+        # ASCII digits only: int and Fraction read these as 1 and 10
+        ("digit_j.json", {**relabelled, "j": "\u0661"}),
+        ("underscore.json", underscore),
         *huge,
     ):
         rep_file = tmp_path / name
@@ -426,8 +443,8 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "sl2", "--from-json", str(rep_file)])
         assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_repeated_term_from_json_exits_two(tmp_path, capsys):
@@ -539,13 +556,13 @@ def test_order_cap_is_checked_before_any_work(monkeypatch, capsys):
     for name in ("_sl2_suite", "verify_hopf"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(cli.so4, "build_so4", never)
-    for suite, order in (("qe3", cli.MAX_ORDER + 1), ("qe3", 1), ("all", 1)):
+    for suite, order in (("qe3", cli.MAX_ORDER + 1), ("qe3", 1), ("all", 1), ("e2", -1)):
         with pytest.raises(SystemExit) as exc:
             main(["verify", suite, "--order", str(order)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        if order == 1:
+        if order < 2:
             assert "order must be at least 2" in err
     # the smallest and largest allowed orders reach the suite
     for order in (2, cli.MAX_ORDER):
@@ -786,7 +803,8 @@ def test_half_integer():
     assert cli.half_integer("7/2") == Fraction(7, 2)
     assert cli.half_integer(1) == 1 and cli.half_integer("0") == 0
     for refused in (True,  # a JSON true, which Python reads as 1
-                    Fraction(1, 3), -1, "-1", "1.5", "6/4", 1.5, "1e100000000"):
+                    Fraction(1, 3), -1, "-1", "1.5", "6/4", 1.5, "1e100000000",
+                    "1_0", "\u0663", "1\u0663/2"):
         with pytest.raises(ValueError, match="half-integer"):
             cli.half_integer(refused)
 
@@ -828,3 +846,20 @@ def test_negative_values_need_no_equals_sign(head, option, value, capsys):
     expected = capsys.readouterr().out
     assert main([*head, option, value]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_pipe_ends_the_console_script_by_sigpipe(tmp_path):
+    """The console script is ended by SIGPIPE when its reader has gone, as
+    cat is; main's exit 2 for an OSError is kept for an unwritable --output,
+    and a closed pipe printed "error: [Errno 32] Broken pipe"."""
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from jordanrep.cli import console_entry; console_entry()",
+         "verify", "e2", "--order", "2"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=30) == -signal.SIGPIPE
+    assert "error:" not in err, err

@@ -261,6 +261,29 @@ def test_tensor_sum_first_difference_matches_assembled_oracle(sides):
     assert rhs.first_difference(lhs) == assemble(rhs).first_difference(assemble(lhs))
 
 
+@settings(max_examples=40, deadline=None)
+@given(tensor_sum_pairs(), tensor_sum_pairs())
+def test_tensor_sum_kron_matches_assembled_oracle(first, second):
+    """s.kron(t) pairs A (x) C with B (x) D: assembled, it is the Kronecker
+    product of the assembled s and t with the two middle factors swapped,
+    and its first mismatch against another joined sum is where the
+    assembled sums first differ."""
+    (s, s_other), (t, t_other) = first, second
+    joined = s.kron(t)
+    whole, parts = assemble(joined), assemble(s).kron(assemble(t))
+    (a, b), (c, d) = s.pairs[0], t.pairs[0]
+    n, r, m, q = a.rows, b.rows, c.rows, d.rows
+    # index (p, k, i, l) of (V (x) W) (x) (V' (x) W') in V (x) V' (x) W (x) W'
+    perm = [(p * r + i) * (m * q) + k * q + l
+            for p in range(n) for k in range(m) for i in range(r) for l in range(q)]
+    assert whole.weights == tuple(parts.weights[x] for x in perm)
+    assert all(whole[x, y] == parts[perm[x], perm[y]]
+               for x in range(whole.rows) for y in range(whole.rows))
+    for other in (s_other.kron(t), s.kron(t_other)):
+        assert joined.first_difference(other) == assemble(joined).first_difference(
+            assemble(other))
+
+
 @st.composite
 def dependent_tensor_sums(draw):
     """Two sums whose left legs depend linearly on each other, so that only

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,10 @@ def test_j_plus_rank_on_four_dim_space():
 
 def test_classical_limits():
     r = build_so4(HALF, HALF)
-    c1, c2 = r.copies
+    # each copy's legs on the tensor space
+    f1, f2 = r.copies
+    c1 = {name: m.kron(f2["1"]) for name, m in f1.items()}
+    c2 = {name: f1["1"].kron(m) for name, m in f2.items()}
     g = r.legs
     assert subs_h(g["J0"], 0) == subs_h(c1["H"] + c2["H"], 0)
     assert subs_h(g["K0"], 0) == subs_h(c1["H"] - c2["H"], 0)
@@ -135,6 +139,28 @@ def test_coalgebra_two_routes(j1, j2):
     assert sum("coproduct" in label for label in labels) == 6
     assert sum("antipode" in label for label in labels) == 6
     assert sum("counit" in label for label in labels) == 6
+
+
+@pytest.mark.parametrize("j1,j2", [(Fraction(3, 2), Fraction(3, 2)), (7, 6)])
+def test_only_route_a_multiplies_on_the_tensor_space(monkeypatch, j1, j2):
+    """Each copy keeps its legs on its own factor and ``combine`` joins them
+    by Kronecker products, so building the table and both per-copy routes
+    multiply no matrices of the tensor dimension; only route (a)'s
+    antipodes do, three products for each of J-, J0, K- and K0."""
+    dim = int((2 * j1 + 1) * (2 * j2 + 1))
+    callers = []
+    honest = PolyMatrix.__mul__
+
+    def mul(a, b):
+        if a.rows == dim:
+            callers.append(sys._getframe(1).f_code.co_name)
+        return honest(a, b)
+
+    monkeypatch.setattr(PolyMatrix, "__mul__", mul)
+    r = build_so4(j1, j2)
+    assert callers == []
+    assert verify_so4_coalgebra(r).passed
+    assert callers == ["_antipodes_direct"] * 12
 
 
 def test_coproduct_of_raising_generator_is_primitive():

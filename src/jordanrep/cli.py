@@ -7,27 +7,28 @@ Subcommands
     verify    run exact verification suites (sl2, hopf, so4, e2, e3, qe3, all)
     spectrum  scan of the inverse-map singularity, exact until each cell is printed
 
-Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-or input error (an option that the suite does not read is a usage error).
-Every refused input gets one ``error:`` line: a zero spectrum parameter
-omega, an empty or oversized --grid, a scan whose cells leave the float
-range, malformed --from-json input (including an entry that is not c*h^d
-with the power d that its position and generator fix), an unwritable
+Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
+input error (an option that the suite does not read is a usage error), 70 a
+defect.  Every refused input gets one ``error:`` line: a zero spectrum
+parameter omega, an empty or oversized --grid, a scan whose cells leave the
+float range, malformed --from-json input (including an entry that is not
+c*h^d with the power d that its position and generator fix), an unwritable
 --output, a truncation order below 2 or above MAX_ORDER, a tensor dimension
-(2j1+1)(2j2+1) or a --from-json dimension 2j+1 above MAX_TENSOR_DIM
-(checked as soon as "j" is read), a symbolic element table above
-MAX_LEVEL, a spin (--j, --lambda as 2j, --j-max) above MAX_SPIN, an
-`elements --lambda` whose numerator or denominator has more than
-MAX_LAMBDA_DIGITS digits, or a selection that runs no checks.  The command
-line and --from-json read numbers alike, in ASCII digits with no "_": a spin
-with half_integer ("n" or "odd/2"), a count or order with integer, any other
+(2j1+1)(2j2+1) or a --from-json dimension 2j+1 above MAX_TENSOR_DIM (checked
+as soon as "j" is read), a symbolic element table above MAX_LEVEL, a spin
+(--j, --lambda as 2j, --j-max) above MAX_SPIN, an `elements --lambda` whose
+numerator or denominator has more than MAX_LAMBDA_DIGITS digits, or a
+selection that runs no checks.  The command line and --from-json read numbers
+alike, in ASCII digits with no "_", space or leading "+": a spin with
+half_integer ("n" or "odd/2"), a count or order with integer, any other
 rational with exact.poly.rational, which refuses a zero denominator and,
 before it builds a power of ten, a decimal exponent above
 exact.poly.MAX_EXPONENT in magnitude.  A negative value needs no "=".  Past
 argparse, InputError, an unwritable --output's OSError and ValueError (see
-main) exit 2; any other exception is a defect and propagates.  The console
-script ends by SIGPIPE, with no error line, when stdout is a closed pipe.
-All structured output carries a top-level {"schema": "jordan-rep/1"}.
+main) exit 2; any other exception is a defect: main lets it propagate, and
+the console script prints its traceback and exits 70 (EX_SOFTWARE).  The
+console script ends by SIGPIPE, with no error line, when stdout is a closed
+pipe.  All structured output carries a top-level {"schema": "jordan-rep/1"}.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ from fractions import Fraction
 
 from . import ncseries, so4
 from .errors import DimensionMismatch, InputError
-from .exact import BiPoly
-from .exact.poly import ascii_number, rational
+from .exact.poly import BiPoly, ascii_number, rational
 from .irrep import (
     Irrep,
     map_to_deformed,
@@ -110,7 +110,7 @@ def half_integer(value) -> Fraction:
 
 
 def integer(text: str) -> int:
-    """--order: an optional sign, then ASCII digits with no "_"."""
+    """--order: an optional "-", then ASCII digits with no "_"."""
     return int(ascii_number(text))
 
 
@@ -420,7 +420,12 @@ def console_entry():
     import signal  # a closed stdout pipe ends the program, as it ends cat
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(main())
+    try:
+        status = main()
+    except Exception:  # a defect, printed as an uncaught one: exit EX_SOFTWARE
+        sys.excepthook(*sys.exc_info())
+        status = 70
+    sys.exit(status)
 
 
 if __name__ == "__main__":

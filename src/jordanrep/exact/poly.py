@@ -30,17 +30,18 @@ MAX_EXPONENT = 1000
 
 
 def ascii_number(text: str) -> str:
-    """text, or ValueError if it holds "_" or a non-ASCII character: ``int``
-    and ``Fraction`` would read "1_000" and the digits of other scripts."""
-    if "_" in text or not text.isascii():
-        raise ValueError(f"{text!r} is not written in ASCII digits without '_'")
+    """text, or ValueError if it holds "_", a non-ASCII character, a space or a
+    leading "+", all of which ``int`` and ``Fraction`` read but a spin refuses."""
+    if "_" in text or not text.isascii() or text.split() != [text.lstrip("+")]:
+        raise ValueError(f"{text!r} is not ASCII digits with no '_', space or leading '+'")
     return text
 
 
 def rational(text: str) -> Fraction:
     """Outside text -- an integer, "p/q" or a decimal such as "-0.7" or "1e-20",
-    in ASCII digits with no "_" -- as a Fraction.  An exponent above MAX_EXPONENT
-    in magnitude (checked before Fraction) and a zero denominator raise ValueError."""
+    as :func:`ascii_number` allows it -- as a Fraction.  An exponent above
+    MAX_EXPONENT in magnitude (checked before Fraction) and a zero denominator
+    raise ValueError."""
     _, e, exponent = ascii_number(text).lower().partition("e")
     if e and abs(int(exponent)) > MAX_EXPONENT:
         raise ValueError(f"{text!r} has an exponent above {MAX_EXPONENT} in magnitude")
@@ -217,6 +218,5 @@ def _coerce(value):
 
 
 ZERO = _wrap({})
-ONE = _wrap({(0, 0): Fraction(1)})
 #: The weight symbol, ready to use.
 LAM = _wrap({(1, 0): Fraction(1)})

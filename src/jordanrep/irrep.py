@@ -39,14 +39,9 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatch
-from .exact import (
-    BiPoly,
-    PolyMatrix,
-    anticommutator,
-    commutator,
-    power_sum,
-    taylor,
-)
+from .exact.matrices import PolyMatrix, anticommutator, commutator
+from .exact.poly import BiPoly
+from .exact.series import power_sum, taylor
 from .report import VerificationReport
 from .verma import ElementTable, build_table
 

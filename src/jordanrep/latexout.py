@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import BiPoly, PolyMatrix
+from .exact.matrices import PolyMatrix
+from .exact.poly import BiPoly
 
 
 def fraction_latex(q: Fraction) -> str:

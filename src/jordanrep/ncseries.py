@@ -42,8 +42,8 @@ from itertools import combinations
 from operator import or_
 
 from .errors import InputError
-from .exact import power_sum, taylor
 from .exact.poly import as_fraction
+from .exact.series import power_sum, taylor
 from .report import VerificationReport
 
 # -- presentations ------------------------------------------------------------

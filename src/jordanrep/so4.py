@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import PolyMatrix, TensorSum, anticommutator, commutator
+from .exact.matrices import PolyMatrix, TensorSum, anticommutator, commutator
 from .irrep import (COPRODUCT, antipodes, check_sl2, contract, cosh_sinh, legs,
                     map_to_deformed)
 from .report import VerificationReport

@@ -46,7 +46,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import factorial
 
-from .exact import BiPoly, LAM
+from .exact.poly import BiPoly, LAM
 
 
 class ElementTable:

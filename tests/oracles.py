@@ -22,13 +22,16 @@ from itertools import product
 from math import comb, lcm
 from operator import or_
 
-from jordanrep.exact import LAM, ONE, ZERO, BiPoly, PolyMatrix, TensorSum
+from jordanrep.exact.matrices import PolyMatrix, TensorSum
+from jordanrep.exact.poly import LAM, ZERO, BiPoly
 from jordanrep.exact.series import power_sum, taylor
 from jordanrep.irrep import spin_weights
 from jordanrep.ncseries import FIELD_BITS, NCElement, _element
 
 
 # -- small builders and queries ---------------------------------------------------
+
+ONE = BiPoly({(0, 0): 1})
 
 
 def term(coeff, deg_lam: int, deg_h: int) -> BiPoly:

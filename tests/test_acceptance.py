@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from jordanrep.cli import main
-from jordanrep.exact import ZERO, BiPoly
+from jordanrep.exact.poly import ZERO, BiPoly
 from jordanrep.irrep import (
     Irrep,
     casimir,

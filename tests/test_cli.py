@@ -1,18 +1,23 @@
+import argparse
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanrep import cli, irrep, ncseries
 from jordanrep.cli import main
 from jordanrep.errors import InputError
-from jordanrep.exact import PolyMatrix
+from jordanrep.exact.matrices import PolyMatrix
 from jordanrep.irrep import Irrep, verma_basis_irrep
 from jordanrep.latexout import matrix_latex
 from jordanrep.report import VerificationReport
@@ -344,6 +349,13 @@ def test_latex_diagonal_h(capsys):
         ["elements", "--max-level", "3", "--lambda", "1_000"],
         ["elements", "--max-level", "3", "--lambda", "\u0661\u0662"],
         ["verify", "e2", "--order", "1_0"],
+        # nor with a space or a leading "+", which int and Fraction would read
+        # and half_integer refuses
+        ["verify", "e2", "--order", " +2 "],
+        ["elements", "--max-level", "1", "--lambda", " +3 "],
+        ["elements", "--max-level", " 1"],
+        ["singvec", "--lambda", "+4"],
+        ["spectrum", "--omega", "+1", "--grid", "0:1:1"],
     ],
 )
 def test_usage_errors_exit_two(argv, tmp_path, monkeypatch, capsys):
@@ -413,6 +425,8 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
     zero_denominator["matrices"]["X"][0][1][0]["c"] = "1/0"
     underscore = json.loads((tmp_path / "rep.json").read_text())
     underscore["matrices"]["X"][0][1][0]["c"] = "1_0"
+    spaced = json.loads((tmp_path / "rep.json").read_text())
+    spaced["matrices"]["X"][0][1][0]["c"] = " 1"
     huge = []  # infinities, and 1e400, which json also reads as one
     for literal in ("Infinity", "-Infinity", "1e400"):
         for field in ("j", "c", "h"):
@@ -436,6 +450,7 @@ def test_malformed_from_json_exits_two(tmp_path, capsys):
         # ASCII digits only: int and Fraction read these as 1 and 10
         ("digit_j.json", {**relabelled, "j": "\u0661"}),
         ("underscore.json", underscore),
+        ("spaced.json", spaced),
         *huge,
     ):
         rep_file = tmp_path / name
@@ -863,3 +878,101 @@ def test_a_closed_stdout_pipe_ends_the_console_script_by_sigpipe(tmp_path):
     child.stderr.close()
     assert child.wait(timeout=30) == -signal.SIGPIPE
     assert "error:" not in err, err
+
+
+def test_a_defect_exits_seventy_with_its_traceback(tmp_path):
+    """An exception that main lets propagate is a defect: the console script
+    prints its traceback and exits 70 (EX_SOFTWARE), not the 1 of a failing
+    check.  Run in a child, since console_entry resets SIGPIPE."""
+    script = ("import jordanrep.cli as cli\n"
+              "def main():\n"
+              "    raise RuntimeError('a defect')\n"
+              "cli.main = main\n"
+              "cli.console_entry()\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 70
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback")
+    assert done.stderr.splitlines()[-1] == "RuntimeError: a defect"
+
+
+# -- the exit contract over drawn argv ------------------------------------------------
+
+_SPINS = ("0", "1/2", "1", "3/2")
+
+#: Cheap values that the command accepts, by option or by (command, option).
+_VALID = {
+    "--j": _SPINS, "--j-max": _SPINS, "--j1": _SPINS, "--j2": _SPINS,
+    "--max-level": tuple(map(str, range(6))),
+    "--order": ("2", "3", "4"),
+    ("elements", "--lambda"): ("7/3", "-1/2", "0"),
+    ("singvec", "--lambda"): ("0", "1", "2", "3"),
+    "--omega": ("1", "-0.7", "1e-20"),
+    "--grid": ("0:1:0.5", "-2:1:1", "-1:-1:1"),
+    "--pi0": ("1", "0.5", "0"),
+    "--pim": ("1", "-2", "0"),
+}
+
+#: One past each cap (--j 14, --j1 108, --max-level 24 and 28, --order 101,
+#: ...): each is refused before any work.  --max-level 24 is past the
+#: symbolic cap only, so it is drawn only without --lambda.
+_PAST_CAP = {
+    "--j": (str(cli.MAX_SPIN + 1),), "--j-max": (str(cli.MAX_SPIN + 1),),
+    # (2 j1 + 1)(2 j2 + 1) > MAX_TENSOR_DIM even at the other spin 0
+    **dict.fromkeys(("--j1", "--j2"), (str((cli.MAX_TENSOR_DIM + 1) // 2),)),
+    "--max-level": (str(cli.MAX_LEVEL + 1), str(2 * cli.MAX_SPIN + 2)),
+    ("elements", "--lambda"): (str(10**cli.MAX_LAMBDA_DIGITS),),
+    ("singvec", "--lambda"): (str(2 * cli.MAX_SPIN + 1),),
+    "--order": (str(cli.MAX_ORDER + 1),),
+    "--grid": (f"0:{cli.MAX_GRID_POINTS}:1",),
+}
+
+_MALFORMED = ("-1", " +2 ", "1_0", "\u0663", "1e100000000", "1/0", "")
+
+
+def _commands(parser, head=()):
+    """(argv head, parser) of each subcommand and each verify suite."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(head, parser)]
+    return [leaf for name, sub in subs[0].choices.items()
+            for leaf in _commands(sub, (*head, name))]
+
+
+@st.composite
+def _argv(draw):
+    head, parser = draw(st.sampled_from(_commands(cli.build_parser())))
+    actions = {a.option_strings[0]: a for a in parser._actions if a.option_strings
+               and a.option_strings[0] not in ("-h", "--output", "--from-json")}
+    flags = [flag for flag, action in actions.items() if action.required or draw(st.booleans())]
+    argv = list(head)
+    for flag in flags:
+        key = (head[0], flag) if (head[0], flag) in _VALID else flag
+        past = _PAST_CAP.get(key, ())
+        if flag == "--max-level" and "--lambda" in flags:
+            past = past[1:]
+        valid = tuple(actions[flag].choices or _VALID[key])
+        argv += [flag, draw(st.sampled_from(valid) | st.sampled_from(past + _MALFORMED))]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_argv())
+def test_every_drawn_argv_keeps_the_exit_contract(argv):
+    """Any subcommand or verify suite with its required options and any of
+    the others, each valid (half the time), one past its cap or malformed:
+    main returns 0 or 1, or exits 2 with an empty stdout and one error line,
+    last on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            assert exc.code == 2, (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+            assert "error: " in lines[-1] and sum("error:" in line for line in lines) == 1, argv
+        else:
+            assert status in (0, 1), argv

@@ -6,7 +6,8 @@ import pytest
 from jordanrep import irrep
 from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import ONE, ZERO, BiPoly, PolyMatrix, commutator
+from jordanrep.exact.matrices import PolyMatrix, commutator
+from jordanrep.exact.poly import ZERO, BiPoly
 from jordanrep.report import VerificationReport
 from jordanrep.irrep import (
     Irrep,
@@ -24,8 +25,8 @@ from jordanrep.verma import build_table
 
 import golden
 from oracles import (
-    act, charpoly, classical_rep, constant_value, diagonal, failures, graded, is_homogeneous_h,
-    negate_h, nilpotent_apply, subs_h, term, trace, with_h,
+    ONE, act, charpoly, classical_rep, constant_value, diagonal, failures, graded,
+    is_homogeneous_h, negate_h, nilpotent_apply, subs_h, term, trace, with_h,
 )
 
 HALF = Fraction(1, 2)

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import (
-    ONE,
-    ZERO,
-    PolyMatrix,
-    TensorSum,
-    commutator,
-    matrices,
-)
+from jordanrep.exact import matrices
+from jordanrep.exact.matrices import PolyMatrix, TensorSum, commutator
+from jordanrep.exact.poly import ZERO
 from jordanrep.irrep import map_to_deformed
 from oracles import (
+    ONE,
     assemble,
     charpoly,
     classical_rep,

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanrep.exact import LAM, ONE, ZERO, BiPoly, as_fraction
-from jordanrep.exact.poly import MAX_EXPONENT, rational
+from jordanrep.exact.poly import LAM, MAX_EXPONENT, ZERO, BiPoly, as_fraction, rational
 from jordanrep.latexout import bipoly_latex
 
-from oracles import constant_value, is_homogeneous_h, subs_lam, term, with_h
+from oracles import ONE, constant_value, is_homogeneous_h, subs_lam, term, with_h
 
 H = term(1, 0, 1)   # the deformation symbol h
 
@@ -100,6 +99,15 @@ def test_rational_exponent_bound_and_zero_denominator():
             rational(text)
     with pytest.raises(ValueError, match="zero denominator"):
         rational("1/0")
+
+
+def test_rational_refuses_a_space_and_a_leading_plus():
+    """Fraction reads " 1" and "+1"; a spin does not, so no outside number
+    does: the sign "+" is read only in a decimal exponent."""
+    for text in ("+1", " 1", "1 ", "1 / 2", "\t-1", "+ 1", ""):
+        with pytest.raises(ValueError, match="leading '\\+'"):
+            rational(text)
+    assert rational("-1") == -1 and rational("1e+2") == 100
 
 
 def test_as_fraction_takes_ints_and_fractions_only():

@@ -8,7 +8,10 @@ every parameter with a default must have been passed another value by at
 least one of those calls.  Code that only the tests use belongs in
 tests/oracles.py; code and parameters that nothing uses are deleted.  An
 exception class of jordanrep.errors stays only while some except clause in
-the package names it.
+the package names it, and a name that a module binds at module level stays
+only while the package reads it: an imported name in the module that imports
+it (so no module re-exports a name or imports one it does not use), and an
+assigned name in some module.
 """
 
 import ast
@@ -35,6 +38,12 @@ ALLOWED = {
     "jordanrep.ncseries.AlgebraPresentation.monomial_str",
     # a failure report prints the two mismatching entries as polynomials
     "jordanrep.exact.poly.BiPoly.__str__",
+}
+
+#: Bound at module level and read by no module of the package.
+UNREAD_NAMES = {
+    # package metadata, read by users and tools as jordanrep.__version__
+    "jordanrep.__version__",
 }
 
 
@@ -173,3 +182,39 @@ def test_every_package_exception_is_caught_somewhere_in_the_package():
     assert defined, "jordanrep.errors defines no exception class"
     uncaught = sorted(defined - caught)
     assert not uncaught, "caught by no except clause: " + ", ".join(uncaught)
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    """A module-level import must be read by its own module, and a
+    module-level assignment by some module of the package (by name, or as an
+    attribute of a module), so src/ holds no re-export, no unused import and
+    no constant that only the tests read."""
+    trees = {}
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        parts = path.relative_to(PACKAGE_DIR.parent).with_suffix("").parts
+        trees[".".join(parts).removesuffix(".__init__")] = ast.parse(path.read_text(), str(path))
+
+    loaded = {modname: {node.id for node in ast.walk(tree)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+              for modname, tree in trees.items()}
+    read_anywhere = set().union(*loaded.values()) | {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)}
+    unread = []
+    for modname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                read = loaded[modname]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name)]
+                read = read_anywhere
+            else:
+                continue
+            unread += [f"{modname}.{name}" for name in names
+                       if name not in read and f"{modname}.{name}" not in UNREAD_NAMES]
+    assert not unread, "bound but read by no module of the package: " + ", ".join(unread)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanrep.exact import taylor
+from jordanrep.exact.series import taylor
 from jordanrep.ncseries import NCElement, e2_presentation, series_function_apply
 
 from oracles import coefficients, element, order_part

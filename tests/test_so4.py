@@ -6,7 +6,7 @@ import pytest
 from jordanrep import irrep, so4
 from jordanrep.cli import main
 from jordanrep.errors import DimensionMismatch
-from jordanrep.exact import PolyMatrix, TensorSum, commutator
+from jordanrep.exact.matrices import PolyMatrix, TensorSum, commutator
 from jordanrep.irrep import casimir, cosh_sinh, map_to_deformed
 from jordanrep.so4 import build_so4, verify_so4_coalgebra, verify_so4_relations
 from oracles import assemble, failures, nilpotent_apply, subs_h

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from jordanrep.exact import LAM, ZERO
+from jordanrep.exact.poly import LAM, ZERO
 from jordanrep.irrep import singular_vector
 from jordanrep.verma import build_table, composition_sums, h_column
 

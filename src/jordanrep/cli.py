@@ -59,7 +59,7 @@ from .verma import build_table
 SCHEMA = "jordan-rep/1"
 
 #: Largest number of points a spectrum grid may have: an exact scan at the
-#: cap takes about 3 s on a 2-vCPU host.
+#: cap takes about 7 s on a 2-vCPU host, 4 s of it in 30-digit logarithms.
 MAX_GRID_POINTS = 100_000
 
 #: Largest truncation order of the series suites: `verify qe3` at this
@@ -275,12 +275,8 @@ def cmd_irrep(args) -> int:
     else:
         rep = map_to_deformed(args.j)
     if args.format == "latex":
-        parts = [
-            f"% j = {rep.j}, basis = {rep.basis}",
-            "X = " + matrix_latex(rep.X),
-            "Y = " + matrix_latex(rep.Y),
-            "H = " + matrix_latex(rep.H),
-        ]
+        parts = [f"% j = {rep.j}, basis = {rep.basis}",
+                 *(f"{g} = " + matrix_latex(rep.legs[g]) for g in "XYH")]
         _emit("\n".join(parts), args.output)
         return 0
     _emit(_json(rep.to_obj()), args.output)

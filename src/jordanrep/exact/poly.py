@@ -151,9 +151,6 @@ class BiPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> list:

@@ -4,10 +4,10 @@
 sqrt(1+x) and 1/(1+x) from their closed forms, and :func:`power_sum` sums
 several of them over the powers of one argument whose powers vanish from
 some point on: h times the strictly upper triangular X of a Verma-basis
-or JSON irrep in :func:`jordanrep.irrep.exponentials`, a PBW element of
-positive order in the deformation parameter in :mod:`jordanrep.ncseries`.
-The map-route irrep sums every series, e^{±hX} included, as bands of J+
-instead (:func:`jordanrep.irrep.map_to_deformed`).
+or JSON irrep, for its cosh and sinh (:mod:`jordanrep.irrep`), a PBW element
+of positive order in the deformation parameter in :mod:`jordanrep.ncseries`.
+The map-route irrep sums every series, cosh and sinh included, as bands of
+J+ instead (:func:`jordanrep.irrep.map_to_deformed`).
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ spin-j triple (J+, J-, J0),
 J+ has one nonzero superdiagonal s, so J+^k is one band with entry
 (r, r+k) = s_r ... s_{r+k-1}, and each series is a finite sum of bands
 with closed-form Taylor coefficients: X, the square root and, since
-hX = 2 arctanh(hJ+/2), the Cayley forms e^{±hX} = (1 ± hJ+/2)/(1 ∓ hJ+/2).
-The Verma-basis irrep and one read from JSON have no J+ to work from, and
-sum e^{±hX} over the matrix powers of hX (:func:`exponentials`).  Both
-constructions are verified against the defining relations
+hX = 2 arctanh(hJ+/2), cosh(hX) and sinh(hX), the even and odd parts of the
+Cayley form e^{hX} = (1 + hJ+/2)/(1 - hJ+/2).  The Verma-basis irrep and one
+read from JSON have no J+ to work from, and sum them over the matrix powers
+of hX.  An irrep is one table of named legs (:func:`leg_table`), e^{±hX} =
+cosh ± sinh included, which every check reads.  Both are checked against the
+defining relations
 
     [H, X] = (2/h) sinh(h X),   [H, Y] = -{Y, cosh(h X)},   [X, Y] = H,
 
@@ -55,14 +57,14 @@ def spin_weights(j: Fraction) -> tuple[int, ...]:
     return tuple(range(two_j, -two_j - 1, -2))
 
 
-class Irrep(namedtuple("Irrep", "j basis X Y H e")):
+class Irrep(namedtuple("Irrep", "j basis legs")):
     """A (2j+1)-dimensional triple of polynomial matrices.
 
     basis "verma" indexes w_0..w_{2j} by the power of the lowering
     generator; basis "diagonal" orders weights descending so H comes out
     diagonal (2j, 2j-2, ..., -2j).  Both bases have the basis weights
     2j - 2i, so X, Y and H are graded matrices of weights 2, -2 and 0.
-    ``e`` is {+1: e^{hX}, -1: e^{-hX}, 0: 1}, the source of every
+    ``legs`` is the :func:`leg_table` of the triple, the source of every
     exponential, cosh and sinh."""
 
     @property
@@ -80,11 +82,7 @@ class Irrep(namedtuple("Irrep", "j basis X Y H e")):
                 if self.basis == "verma"
                 else "weights descending 2j..-2j"
             ),
-            "matrices": {
-                "X": self.X.to_obj(),
-                "Y": self.Y.to_obj(),
-                "H": self.H.to_obj(),
-            },
+            "matrices": {g: self.legs[g].to_obj() for g in GENERATOR_WEIGHTS},
         }
 
     @staticmethod
@@ -102,20 +100,25 @@ class Irrep(namedtuple("Irrep", "j basis X Y H e")):
             if len(grid) != 2 * j + 1:
                 raise DimensionMismatch(f"{name} has {len(grid)} rows, "
                                         f"but j = {j} needs {2 * j + 1}")
-        mats = {name: PolyMatrix.from_polys(grids.pop(name), spin_weights(j), weight)
-                for name, weight in GENERATOR_WEIGHTS.items()}  # no grid outlives its matrix
-        return Irrep(j=j, basis=obj["basis"], e=exponentials(mats["X"]), **mats)
+        x, y, h = (PolyMatrix.from_polys(grids.pop(name), spin_weights(j), weight)
+                   for name, weight in GENERATOR_WEIGHTS.items())  # no grid outlives its matrix
+        return Irrep(j, obj["basis"], leg_table(x, y, h, *_cosh_sinh_sum(x)))
 
 
-def exponentials(x: PolyMatrix) -> dict[int, PolyMatrix]:
-    """{+1: e^{hx}, -1: e^{-hx}, 0: 1} for a matrix x of weight 2.
+def leg_table(x, y, h, cosh, sinh) -> dict[str, PolyMatrix]:
+    """The legs of the triple (x, y, h) by name: X, Y, H, "1", cosh and sinh
+    of hx, and the group-likes "e+" = e^{hx} = cosh + sinh and "e-" =
+    e^{-hx} = cosh - sinh, each formed once."""
+    return {"X": x, "Y": y, "H": h, "1": PolyMatrix.identity(x.weights),
+            "e+": cosh + sinh, "e-": cosh - sinh, "cosh": cosh, "sinh": sinh}
 
-    One power sum over (hx)^k for cosh(hx) and sinh(hx), which ends because
-    x is strictly upper triangular by its grade; e^{±hx} = cosh ± sinh."""
+
+def _cosh_sinh_sum(x: PolyMatrix) -> list[PolyMatrix]:
+    """cosh(hx) and sinh(hx) for x of weight 2, in one power sum over (hx)^k,
+    which ends because x is strictly upper triangular by its grade."""
     hx = x.mul_h()
-    one = PolyMatrix.identity(hx.weights)
-    even, odd = power_sum([taylor("cosh", hx.rows + 1), taylor("sinh", hx.rows + 1)], hx, one)
-    return {+1: even + odd, -1: even - odd, 0: one}
+    return power_sum([taylor("cosh", hx.rows + 1), taylor("sinh", hx.rows + 1)], hx,
+                     PolyMatrix.identity(hx.weights))
 
 
 # -- singular vectors ---------------------------------------------------------
@@ -162,8 +165,8 @@ def verma_basis_irrep(j) -> Irrep:
         ym[lam - 2 * p + 1][lam] = -c
     weights = spin_weights(j)
     x = PolyMatrix(xm, weights, 2)
-    return Irrep(j=j, basis="verma", X=x, Y=PolyMatrix(ym, weights, -2),
-                 H=PolyMatrix(hm, weights, 0), e=exponentials(x))
+    return Irrep(j, "verma", leg_table(x, PolyMatrix(ym, weights, -2), PolyMatrix(hm, weights, 0),
+                                       *_cosh_sinh_sum(x)))
 
 
 def _band(s, coeffs, weights, weight: int) -> PolyMatrix:
@@ -183,7 +186,8 @@ def map_to_deformed(j) -> Irrep:
     subdiagonal and J0 the weights on its diagonal.  Every series is a band
     of s: X = sum_k 2 arctanh_k / 2^k h^{k-1} J+^k,
     sqrt(1 - h^2 J+^2 / 4) = sum_m sqrt1p_m (-1/4)^m h^{2m} J+^{2m}, and
-    e^{±hX} = 1 + 2 sum_{k>=1} (±1/2)^k h^k J+^k."""
+    cosh(hX) and sinh(hX) the even and odd parts of the Cayley band
+    e^{hX} = 1 + 2 sum_{k>=1} (1/2)^k h^k J+^k."""
     weights = spin_weights(j)
     n = len(weights)
     s = [r * (n - r) for r in range(1, n)]
@@ -194,10 +198,10 @@ def map_to_deformed(j) -> Irrep:
     minus = PolyMatrix([[int(r == c + 1) for c in range(n)] for r in range(n)], weights, -2)
     zero = PolyMatrix([[w * (r == c) for c in range(n)] for r, w in enumerate(weights)],
                       weights, 0)
-    e = {sign: _band(s, [1] + [2 * Fraction(sign, 2) ** k for k in range(1, n)], weights, 0)
-         for sign in (+1, -1)}
-    e[0] = PolyMatrix.identity(weights)
-    return Irrep(j=j, basis="diagonal", X=x, Y=root * minus * root, H=zero, e=e)
+    cayley = [1] + [2 * Fraction(1, 2) ** k for k in range(1, n)]
+    cosh, sinh = (_band(s, [c if k % 2 == parity else 0 for k, c in enumerate(cayley)], weights, 0)
+                  for parity in (0, 1))
+    return Irrep(j, "diagonal", leg_table(x, root * minus * root, zero, cosh, sinh))
 
 
 # -- exact verification -----------------------------------------------------------
@@ -208,16 +212,16 @@ def cosh_sinh(e_plus: PolyMatrix, e_minus: PolyMatrix) -> tuple[PolyMatrix, Poly
     return (e_plus + e_minus).scale(Fraction(1, 2)), (e_plus - e_minus).scale(Fraction(1, 2))
 
 
-def check_sl2(report: VerificationReport, prefix: str, x, y, h, e_plus, e_minus, names):
-    """The three defining relations of the triple (x, y, h), with e^{±hx}
-    given, each label starting with ``prefix`` and naming x, y and h by
-    ``names``."""
-    cosh_hx, sinh_hx = cosh_sinh(e_plus, e_minus)
+def check_sl2(report: VerificationReport, prefix: str, legs: dict, names):
+    """The three defining relations of the triple that ``names`` picks out
+    of ``legs`` as (x, y, h), with legs["cosh"] and legs["sinh"] of hx,
+    each label starting with ``prefix`` and naming the triple by ``names``."""
     nx, ny, nh = names
+    x, y, h = legs[nx], legs[ny], legs[nh]
     report.check_matrix_identity(f"{prefix}[{nh},{nx}] = (2/h) sinh(h{nx})",
-                                 commutator(h, x), sinh_hx.divide_h().scale(2))
+                                 commutator(h, x), legs["sinh"].divide_h().scale(2))
     report.check_matrix_identity(f"{prefix}[{nh},{ny}] = -{{{ny}, cosh(h{nx})}}",
-                                 commutator(h, y), -anticommutator(y, cosh_hx))
+                                 commutator(h, y), -anticommutator(y, legs["cosh"]))
     report.check_matrix_identity(f"{prefix}[{nx},{ny}] = {nh}", commutator(x, y), h)
 
 
@@ -227,8 +231,8 @@ def verify_sl2_relations(r: Irrep) -> VerificationReport:
     or zero triple; the Casimir certifies the (2j+1)-dimensional irrep, built
     or read from JSON alike."""
     report = VerificationReport(f"sl2 relations j={r.j} basis={r.basis}")
-    check_sl2(report, "", r.X, r.Y, r.H, r.e[+1], r.e[-1], ("X", "Y", "H"))
-    is_scalar, value = casimir(r)
+    check_sl2(report, "", r.legs, ("X", "Y", "H"))
+    is_scalar, value = casimir(r.legs)
     if is_scalar and value == r.j * (r.j + 1):
         report.add_pass("Casimir scalar with classical value j(j+1)", f"value {value}")
     else:
@@ -237,12 +241,13 @@ def verify_sl2_relations(r: Irrep) -> VerificationReport:
     return report
 
 
-def casimir(r: Irrep) -> tuple[bool, Fraction]:
-    """The central element as a matrix of weight 0, whose diagonal entries
-    carry no h; returns (is_scalar, scalar value)."""
-    _, sinh_hx = cosh_sinh(r.e[+1], r.e[-1])
-    c = anticommutator(r.Y, sinh_hx).divide_h().scale(Fraction(1, 2))
-    c = c + (r.H * r.H).scale(Fraction(1, 4))
+def casimir(legs: dict) -> tuple[bool, Fraction]:
+    """The central element of the triple X, Y, H of ``legs``, with its sinh
+    leg, as a matrix of weight 0, whose diagonal entries carry no h;
+    returns (is_scalar, scalar value)."""
+    sinh_hx = legs["sinh"]
+    c = anticommutator(legs["Y"], sinh_hx).divide_h().scale(Fraction(1, 2))
+    c = c + (legs["H"] * legs["H"]).scale(Fraction(1, 4))
     c = c + (sinh_hx * sinh_hx).scale(Fraction(1, 4))
     value = Fraction(c.nums[0][0], c.den)
     is_scalar = (c - PolyMatrix.identity(c.weights).scale(value)).is_zero
@@ -251,8 +256,8 @@ def casimir(r: Irrep) -> tuple[bool, Fraction]:
 
 # -- Hopf structure on tensor products ----------------------------------------------
 #
-# The coproduct is stated once, as (left, right) leg names, with e+- = e^{+-hX}
-# (Irrep.e); every Hopf check here and in so4 reads it.  ``contract`` sums
+# The coproduct is stated once, as (left, right) names of Irrep.legs, with
+# e+- = e^{+-hX}; every Hopf check here and in so4 reads it.  ``contract`` sums
 # op(left leg, right leg) over the pairs: with op = kron that is D on
 # V_{j1} (x) V_{j2}, or the counit when one side is the trivial representation
 # (all generators 0), and with the matrix product and the antipodes on the
@@ -266,11 +271,6 @@ COPRODUCT = {
     "e-": [("e-", "e-")],
     "1": [("1", "1")],
 }
-
-
-def legs(r: Irrep) -> dict[str, PolyMatrix]:
-    """The leg names of COPRODUCT on r's matrices."""
-    return {"X": r.X, "Y": r.Y, "H": r.H, "1": r.e[0], "e+": r.e[+1], "e-": r.e[-1]}
 
 
 def antipodes(legs: dict) -> dict:
@@ -290,21 +290,22 @@ def verify_hopf(j1, j2) -> VerificationReport:
     """Coproduct, counit and antipode identities on V_{j1} (x) V_{j2}."""
     report = VerificationReport(f"hopf j1={j1} j2={j2}")
     a, b = map_to_deformed(j1), map_to_deformed(j2)
-    la, lb = legs(a), legs(b)
+    la, lb = a.legs, b.legs
     kron = PolyMatrix.kron
 
     # D is an algebra map: D(X), D(Y), D(H) satisfy the relations, with
     # e^{hD(X)} = D(e+) since D(X) is primitive
     d = {g: contract(pairs, la, lb, kron) for g, pairs in COPRODUCT.items()}
-    check_sl2(report, "coproduct ", d["X"], d["Y"], d["H"], d["e+"], d["e-"], ("X", "Y", "H"))
+    d["cosh"], d["sinh"] = cosh_sinh(d["e+"], d["e-"])
+    check_sl2(report, "coproduct ", d, ("X", "Y", "H"))
 
     # counit axiom: collapsing either tensor leg to the trivial representation
     # must reproduce the generator on the other leg.
-    eps = legs(map_to_deformed(0))
+    eps = map_to_deformed(0).legs
     for side, rep, left, right in (("left", a, eps, la), ("right", b, lb, eps)):
         for g in GENERATOR_WEIGHTS:
             report.check_matrix_identity(f"counit (eps x id) on {g} [{side} j={rep.j}]",
-                                         contract(COPRODUCT[g], left, right, kron), getattr(rep, g))
+                                         contract(COPRODUCT[g], left, right, kron), rep.legs[g])
 
     # antipode identity on each factor: m(S x id)D(g) = eps(g) 1 = 0 for g = X, Y, H
     for rep, r_legs in ((a, la), (b, lb)):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -622,11 +623,34 @@ def suite_qe3(order: int) -> VerificationReport:
 # The inverse map evaluated on classical momentum eigenvalues, exactly until
 # each cell is printed.  The map degenerates where 1 + omega*pi_plus reaches
 # zero, and the leading eigenvalue picks up an imaginary part pi/omega beyond
-# it.  Only ln|u| and pi are floats, each made exact before it is divided by
-# omega.
+# it.  ln|u| and pi are rationals good to about 90 bits, so each cell is
+# correctly rounded but where its exact value lies within 2^-90 of a rounding
+# boundary.
 
 #: The fields of a scan row, in the column order of the CSV output.
 _SPECTRUM_KEYS = ("input", "class", "re_p_plus", "im_p_plus", "p_minus", "p_zero")
+
+#: pi to 36 digits.
+_PI = Fraction("3.14159265358979323846264338327950288")
+
+
+def ln_abs(u: Fraction) -> Fraction:
+    """ln|u| for a nonzero rational u, to about 90 bits.  With x = |u| - 1:
+    where |x| < 2^-10, the terms x - x^2/2 + ... - (-x)^n/n of its series,
+    summed exactly over the denominator n! q^n of x = p/q, with |x|^(n-1) <
+    2^-90; elsewhere decimal's correctly rounded ln at 30 digits, at least 27
+    of which are digits of x."""
+    x = abs(u) - 1
+    if abs(x) < Fraction(1, 1024):
+        p, q = x.numerator, x.denominator
+        bits = q.bit_length() - abs(p).bit_length() - 1  # |x| < 2^-bits, bits >= 9 unless x = 0
+        n = 2 + 90 // max(bits, 9)
+        f = math.factorial(n)
+        return Fraction(sum((-1) ** (k + 1) * (f // k) * p**k * q ** (n - k)
+                            for k in range(1, n + 1)), f * q**n)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return Fraction((Decimal(abs(u).numerator) / abs(u).denominator).ln())
 
 
 def _rounded(value: Fraction) -> float:
@@ -649,7 +673,7 @@ def momentum_spectrum(omega: Fraction, pi_plus_grid, pi_minus: Fraction,
     if omega == 0:
         raise InputError("the spectrum scan needs a nonzero deformation parameter")
     tail = omega * pi_zero**2 / 4   # p_minus = pi_minus + tail / u
-    im_complex = Fraction(math.pi) / omega
+    im_complex = _PI / omega
     rows = []
     try:
         out = {"omega": _rounded(omega), "pi_minus": _rounded(pi_minus),
@@ -660,7 +684,7 @@ def momentum_spectrum(omega: Fraction, pi_plus_grid, pi_minus: Fraction,
                 cells = ("singular", None, None, None, None)
             else:
                 cells = ("regular" if u > 0 else "complex",
-                         _rounded(Fraction(math.log(_rounded(abs(u)))) / omega),
+                         _rounded(ln_abs(u) / omega),
                          _rounded(0 if u > 0 else im_complex),
                          _rounded(pi_minus + tail / u), _rounded(pi_zero / u))
             rows.append(dict(zip(_SPECTRUM_KEYS, (_rounded(value), *cells))))

@@ -13,9 +13,9 @@ names of :data:`~jordanrep.irrep.COPRODUCT`) by the product it is given:
 and the full list of bracket relations and the coalgebra maps are verified
 as exact polynomial-matrix identities.  ``build_so4`` builds every leg
 they read once, in one table.  Each exponential is a Kronecker product of
-per-copy group-likes e^{±hX_i} (``Irrep.e``, bands of each copy's J+): X1
-and X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh
-and sinh are half the sum and half the difference of e^{+h.} and e^{-h.}.
+per-copy group-likes e^{±hX_i} (legs "e+", "e-" of ``Irrep.legs``): X1 and
+X2 commute, so e^{h(s1 X1 + s2 X2)} = e^{s1 hX1} (x) e^{s2 hX2}.  cosh and
+sinh of hJ+ are half the sum and half the difference of e^{±hJ+}.
 J+, J-, J0 and e^{±hJ+} are the sl(2) coproducts D(X), D(Y), D(H) and
 D(e^{±hX}) on V_{j1} (x) V_{j2} (Ohn, Lett. Math. Phys. 25 (1992) 85), so
 the sl(2) relation check :func:`~jordanrep.irrep.check_sl2` checks their
@@ -32,8 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .exact.matrices import PolyMatrix, TensorSum, anticommutator, commutator
-from .irrep import (COPRODUCT, antipodes, check_sl2, contract, cosh_sinh, legs,
-                    map_to_deformed)
+from .irrep import COPRODUCT, antipodes, check_sl2, contract, cosh_sinh, map_to_deformed
 from .report import VerificationReport
 
 GENERATOR_NAMES = ("J+", "J-", "J0", "K+", "K-", "K0")
@@ -55,22 +54,23 @@ class So4Rep(namedtuple("So4Rep", "j1 j2 legs copies")):
     """A (2j1+1)(2j2+1)-dimensional representation: ``legs`` maps the six
     composite generators (GENERATOR_NAMES), "1", "cosh" and "sinh" of hJ+
     and the group-likes e^{±hJ+}, e^{±hK+} to their matrices, each built
-    once; ``copies`` holds each copy's legs on its own factor."""
+    once; ``copies`` holds each copy's COPRODUCT legs on its own factor (no
+    cosh or sinh: copy 2 carries -h, which flips the sign of its sinh)."""
 
 
-#: e^{h(s1 X1 + s2 X2)} as (s1, s2), the exponents of the factors' group-likes.
-_GROUP_LIKES = {"e^{hJ+}": (+1, +1), "e^{-hJ+}": (-1, -1),
-                "e^{hK+}": (+1, -1), "e^{-hK+}": (-1, +1)}
+#: e^{h(s1 X1 + s2 X2)} as the factors' group-likes e^{s1 hX1}, e^{s2 hX2}.
+_GROUP_LIKES = {"e^{hJ+}": ("e+", "e+"), "e^{-hJ+}": ("e-", "e-"),
+                "e^{hK+}": ("e+", "e-"), "e^{-hK+}": ("e-", "e+")}
 
 
 def build_so4(j1, j2) -> So4Rep:
-    one, two = map_to_deformed(j1), map_to_deformed(j2)
-    c1, c2 = legs(one), legs(two)
+    one, two = map_to_deformed(j1).legs, map_to_deformed(j2).legs
+    c1, c2 = ({name: r[name] for name in COPRODUCT} for r in (one, two))
     c2["e+"], c2["e-"] = c2["e-"], c2["e+"]  # copy 2 carries -h
     table = combine(c1, c2, PolyMatrix.kron)
     table["1"] = PolyMatrix.identity(table["J+"].weights)
-    for name, (s1, s2) in _GROUP_LIKES.items():
-        table[name] = one.e[s1].kron(two.e[s2])
+    for name, (n1, n2) in _GROUP_LIKES.items():
+        table[name] = one[n1].kron(two[n2])
     table["cosh"], table["sinh"] = cosh_sinh(table["e^{hJ+}"], table["e^{-hJ+}"])
     return So4Rep(j1, j2, table, (c1, c2))
 
@@ -83,7 +83,7 @@ def verify_so4_relations(r: So4Rep) -> VerificationReport:
     e_pjp, e_mjp, e_mkp = g["e^{hJ+}"], g["e^{-hJ+}"], g["e^{-hK+}"]
     cosh_jp, sinh_jp = g["cosh"], g["sinh"]
 
-    check_sl2(report, "", jp, jm, j0, e_pjp, e_mjp, ("J+", "J-", "J0"))
+    check_sl2(report, "", g, ("J+", "J-", "J0"))
     report.check_matrix_identity("[K0,K+] = (2/h) sinh(hJ+)",
                                  commutator(k0, kp), sinh_jp.divide_h().scale(2))
     report.check_matrix_identity("[K+,K-] = J0", commutator(kp, km), j0)

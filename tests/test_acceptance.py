@@ -76,7 +76,7 @@ def test_criterion_2_verma_golden_matrices(capsys):
         assert code == 0
         rep = Irrep.from_obj(payload, Fraction(7, 2))
         for name, want in (("X", golden.VERMA_X), ("Y", golden.VERMA_Y), ("H", golden.VERMA_H)):
-            message = _located_mismatch(name, getattr(rep, name), want)
+            message = _located_mismatch(name, rep.legs[name], want)
             assert message is None, message
 
 
@@ -86,7 +86,7 @@ def test_criterion_3_diagonal_golden_matrices(capsys):
         assert code == 0
         rep = Irrep.from_obj(payload, Fraction(7, 2))
         for name, want in (("X", golden.DIAGONAL_X), ("Y", golden.DIAGONAL_Y), ("H", golden.DIAGONAL_H)):
-            message = _located_mismatch(name, getattr(rep, name), want)
+            message = _located_mismatch(name, rep.legs[name], want)
             assert message is None, message
 
 
@@ -108,7 +108,7 @@ def test_criterion_5_relation_suite_all_spins():
             for rep in (verma_basis_irrep(j), map_to_deformed(j)):
                 report = verify_sl2_relations(rep)
                 assert report.passed, (j, rep.basis, [e.relation_label for e in failures(report)])
-                is_scalar, value = casimir(rep)
+                is_scalar, value = casimir(rep.legs)
                 assert is_scalar, (j, rep.basis)
                 assert value == j * (j + 1), (j, rep.basis)
             j += Fraction(1, 2)

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -963,16 +964,81 @@ def _argv(draw):
 def test_every_drawn_argv_keeps_the_exit_contract(argv):
     """Any subcommand or verify suite with its required options and any of
     the others, each valid (half the time), one past its cap or malformed:
-    main returns 0 or 1, or exits 2 with an empty stdout and one error line,
-    last on stderr."""
+    main keeps the exit contract."""
+    _keeps_the_exit_contract(argv)
+
+
+def _keeps_the_exit_contract(argv, case=None):
+    """main returns 0 or 1, or exits 2 with an empty stdout and one error
+    line, last on stderr; ``case`` names the input in a failure."""
+    case = argv if case is None else case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             status = main(argv)
         except SystemExit as exc:
             lines = err.getvalue().splitlines()
-            assert exc.code == 2, (argv, err.getvalue())
-            assert out.getvalue() == "", argv
-            assert "error: " in lines[-1] and sum("error:" in line for line in lines) == 1, argv
+            assert exc.code == 2, (case, err.getvalue())
+            assert out.getvalue() == "", case
+            assert "error: " in lines[-1] and sum("error:" in line for line in lines) == 1, case
         else:
-            assert status in (0, 1), argv
+            assert status in (0, 1), case
+
+
+#: Irrep.to_obj of each irrep with j <= 1, in both bases.
+_DOCUMENTS = [build(j).to_obj() for j in (0, Fraction(1, 2), 1)
+              for build in (verma_basis_irrep, irrep.map_to_deformed)]
+
+#: Wrong values for any field: wrong types, huge numbers and exponents.
+_WRONG = (None, True, 1.5, -1, 10**30, "x", "", "1/0", "1e100000000", "9" * 5000, [], {}, [[]])
+
+#: A value nested this deep (json.load raises RecursionError past about 1000).
+_DEEP = "@deep@"
+
+
+def _paths(node, path=()):
+    """The path (keys and indices) of every value below the root."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _from_json_documents(draw):
+    """An irrep's JSON with one or two mutations: a key or item dropped, a
+    value replaced by a wrong one, a list's first item repeated (a repeated
+    term, an extra column or an extra row) or a value nested deep."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_DOCUMENTS))))
+    depth = draw(st.sampled_from((2, 1_000, 100_000)))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc)) or [()]))
+        if not path:
+            break
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(("drop", "wrong", "repeat", "deep")))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "wrong":
+            parent[path[-1]] = draw(st.sampled_from(_WRONG))
+        elif kind == "repeat" and isinstance(parent[path[-1]], list) and parent[path[-1]]:
+            parent[path[-1]].append(parent[path[-1]][0])
+        elif kind == "deep":
+            parent[path[-1]] = _DEEP
+    return json.dumps(doc).replace(f'"{_DEEP}"', "[" * depth + "]" * depth)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_from_json_documents())
+def test_every_mutated_from_json_document_keeps_the_exit_contract(text):
+    """`verify sl2 --from-json` on an irrep's JSON after one or two
+    mutations keeps the exit contract: a check passes or fails, or the file
+    is a refused input."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        _keeps_the_exit_contract(["verify", "sl2", "--from-json", path], text[:300])

@@ -13,7 +13,6 @@ from jordanrep.irrep import (
     Irrep,
     casimir,
     cosh_sinh,
-    exponentials,
     map_to_deformed,
     singular_vector,
     verify_hopf,
@@ -72,31 +71,31 @@ def test_singular_vector_annihilated_and_eigen():
 def test_trivial_irrep_j_zero():
     r = verma_basis_irrep(0)
     assert r.dim == 1
-    assert r.X.is_zero and r.Y.is_zero and r.H.is_zero
+    assert r.legs["X"].is_zero and r.legs["Y"].is_zero and r.legs["H"].is_zero
     assert verify_sl2_relations(r).passed
-    sc, value = casimir(r)
+    sc, value = casimir(r.legs)
     assert sc and value == 0
 
 
 def test_verma_irrep_j_half():
     r = verma_basis_irrep(HALF)
-    assert r.X == graded([[0, 1], [0, 0]], 2)
-    assert r.Y == graded([[0, 0], [1, 0]], -2)
-    assert r.H == diagonal([1, -1])
+    assert r.legs["X"] == graded([[0, 1], [0, 0]], 2)
+    assert r.legs["Y"] == graded([[0, 0], [1, 0]], -2)
+    assert r.legs["H"] == diagonal([1, -1])
 
 
 def test_verma_irrep_seven_halves_golden():
     r = verma_basis_irrep(Fraction(7, 2))
-    assert r.X == golden.VERMA_X
-    assert r.Y == golden.VERMA_Y
-    assert r.H == golden.VERMA_H
+    assert r.legs["X"] == golden.VERMA_X
+    assert r.legs["Y"] == golden.VERMA_Y
+    assert r.legs["H"] == golden.VERMA_H
 
 
 def test_verma_irrep_j_two_y_corrections():
     r = verma_basis_irrep(2)
-    assert r.Y[3, 4] == term(-21, 0, 2)
-    assert r.Y[1, 4] == term(-36, 0, 4)
-    assert r.Y[2, 1] == ONE
+    assert r.legs["Y"][3, 4] == term(-21, 0, 2)
+    assert r.legs["Y"][1, 4] == term(-36, 0, 4)
+    assert r.legs["Y"][2, 1] == ONE
 
 
 def test_classical_rep_small():
@@ -123,26 +122,26 @@ def test_classical_rep_brackets():
 def test_map_to_deformed_half_is_classical():
     c = classical_rep(HALF)
     r = map_to_deformed(HALF)
-    assert (r.X, r.Y, r.H) == (c.plus, c.minus, c.zero)
+    assert (r.legs["X"], r.legs["Y"], r.legs["H"]) == (c.plus, c.minus, c.zero)
 
 
 def test_map_to_deformed_seven_halves_golden():
     r = map_to_deformed(Fraction(7, 2))
-    assert r.X == golden.DIAGONAL_X
-    assert r.Y == golden.DIAGONAL_Y
-    assert r.H == golden.DIAGONAL_H
+    assert r.legs["X"] == golden.DIAGONAL_X
+    assert r.legs["Y"] == golden.DIAGONAL_Y
+    assert r.legs["H"] == golden.DIAGONAL_H
 
 
 def test_map_to_deformed_j_one_two_term_series():
     c = classical_rep(1)
     r = map_to_deformed(1)
     # J+^3 = 0, so the deformed X is J+ itself
-    assert r.X == c.plus
-    assert r.X[0, 2] == ZERO
+    assert r.legs["X"] == c.plus
+    assert r.legs["X"][0, 2] == ZERO
     # Y = J- - (h^2/8){J+^2, J-}; the (0,1) entry computed by hand
     sandwich = c.plus * c.plus * c.minus + c.minus * c.plus * c.plus
     expected = with_h(sandwich[0, 1] * Fraction(-1, 8), 2)
-    assert r.Y[0, 1] == expected
+    assert r.legs["Y"][0, 1] == expected
     assert expected == term(Fraction(-1, 2), 0, 2)
 
 
@@ -161,31 +160,39 @@ def test_band_sums_match_the_taylor_route(monkeypatch, j):
     c = classical_rep(j)
     r = map_to_deformed(j)
     x, root = bands[:2]
-    assert r.X == x == nilpotent_apply("arctanh", c.plus.scale(HALF)).divide_h().scale(2)
+    assert r.legs["X"] == x == nilpotent_apply("arctanh", c.plus.scale(HALF)).divide_h().scale(2)
     assert root == nilpotent_apply("sqrt1p", (c.plus * c.plus).scale(Fraction(-1, 4)))
-    assert r.Y == root * c.minus * root
-    assert r.H == c.zero
+    assert r.legs["Y"] == root * c.minus * root
+    assert r.legs["H"] == c.zero
 
 
 @pytest.mark.parametrize("j", [0, HALF, 1, Fraction(5, 2), 7, 40])
 def test_cayley_bands_are_the_exponentials(j):
-    """e^{±hX} of the map route, one band of J+ each, against the matrix
-    power sum of the other irreps and the Taylor route."""
-    r = map_to_deformed(j)
-    assert r.e == exponentials(r.X)
-    assert r.e[+1] == nilpotent_apply("exp", r.X)
-    assert r.e[-1] == nilpotent_apply("exp", -r.X)
+    """cosh(hX) and sinh(hX) of the map route, the even and odd parts of one
+    Cayley band of J+, against the matrix power sum of the other irreps, and
+    e^{±hX} = cosh ± sinh against the Taylor route."""
+    legs = map_to_deformed(j).legs
+    assert [legs["cosh"], legs["sinh"]] == irrep._cosh_sinh_sum(legs["X"])
+    assert legs["e+"] == nilpotent_apply("exp", legs["X"])
+    assert legs["e-"] == nilpotent_apply("exp", -legs["X"])
 
 
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_a_wrong_cayley_coefficient_fails_the_relations(monkeypatch, capsys, sign):
-    """The coefficient of J+^2 in the band of e^{sign hX} off by 1 fails
-    `verify sl2` on the diagonal irreps of spin 1 and up, and `verify so4`."""
+#: The head of the even (cosh) and odd (sinh) part of the Cayley band
+#: 1 + 2 sum (1/2)^k J+^k, and the index of the coefficient made wrong.
+CAYLEY_PARTS = {"cosh": ([1, 0, Fraction(1, 2)], 2), "sinh": ([0, 1, 0], 1)}
+
+
+@pytest.mark.parametrize("part", list(CAYLEY_PARTS))
+def test_a_wrong_cayley_coefficient_fails_the_relations(monkeypatch, capsys, part):
+    """One coefficient of the cosh band (of J+^2) or of the sinh band (of J+)
+    off by 1 fails `verify sl2` on the diagonal irreps of spin 1 and up, and
+    `verify so4`."""
     honest = irrep._band
+    head, index = CAYLEY_PARTS[part]
 
     def wrong(s, coeffs, weights, weight):
-        if weight == 0 and len(coeffs) > 2 and coeffs[1] == sign:   # 1 + 2 sum (sign/2)^k J+^k
-            coeffs = [*coeffs[:2], coeffs[2] + 1, *coeffs[3:]]
+        if weight == 0 and len(coeffs) > 2 and coeffs[:3] == head:
+            coeffs = [*coeffs[:index], coeffs[index] + 1, *coeffs[index + 1:]]
         return honest(s, coeffs, weights, weight)
 
     monkeypatch.setattr(irrep, "_band", wrong)
@@ -221,10 +228,11 @@ def test_relations_both_bases(j):
 
 def test_relations_negative_control():
     r = verma_basis_irrep(Fraction(3, 2))
-    rows = subs_h(r.X, 1)
+    rows = subs_h(r.legs["X"], 1)
     rows[0][1] = -rows[0][1]
-    x = PolyMatrix(rows, r.X.weights, 2)
-    corrupted = Irrep(j=r.j, basis=r.basis, X=x, Y=r.Y, H=r.H, e=exponentials(x))
+    x = PolyMatrix(rows, r.legs["X"].weights, 2)
+    corrupted = Irrep(r.j, r.basis, irrep.leg_table(x, r.legs["Y"], r.legs["H"],
+                                                    *irrep._cosh_sinh_sum(x)))
     report = verify_sl2_relations(corrupted)
     assert not report.passed
     failing = failures(report)
@@ -232,11 +240,26 @@ def test_relations_negative_control():
     assert "mismatch at" in failing[0].detail
 
 
+CASIMIR = "Casimir scalar with classical value j(j+1)"
+
+
+@pytest.mark.parametrize("build", [verma_basis_irrep, map_to_deformed])
+def test_a_wrong_sinh_leg_alone_fails_its_relation_and_the_casimir(build):
+    """The checks read sinh(hX) from the irrep's legs, not from e^{±hX}: a
+    negated sinh leg, with X, Y, H, cosh and e^{±hX} honest, fails [H,X]
+    and the Casimir and nothing else."""
+    r = build(Fraction(3, 2))
+    wrong = r._replace(legs={**r.legs, "sinh": -r.legs["sinh"]})
+    assert {e.relation_label for e in failures(verify_sl2_relations(wrong))} == {
+        "[H,X] = (2/h) sinh(hX)", CASIMIR}
+
+
 def test_missing_power_of_h_is_caught_by_the_weight():
     """[H,X] = 2 sinh(hX) lacks the 1/h of the true relation, yet both sides
     have the same values at h = 1; only their weights, 2 and 0, differ."""
     for r in (verma_basis_irrep(Fraction(5, 2)), map_to_deformed(Fraction(5, 2))):
-        lhs, wrong = commutator(r.H, r.X), nilpotent_apply("sinh", r.X).scale(2)
+        x = r.legs["X"]
+        lhs, wrong = commutator(r.legs["H"], x), nilpotent_apply("sinh", x).scale(2)
         assert subs_h(lhs, 1) == subs_h(wrong, 1)
         with pytest.raises(DimensionMismatch):
             VerificationReport("control").check_matrix_identity("[H,X] = 2 sinh(hX)", lhs, wrong)
@@ -244,40 +267,42 @@ def test_missing_power_of_h_is_caught_by_the_weight():
 
 @pytest.mark.parametrize("two_j", range(13))
 def test_one_pass_exponentials_match_the_two_series(two_j):
-    """Irrep.e, summed in one pass over the even and odd powers of hX on the
-    Verma route and as Cayley bands of J+ on the map route; the two
-    exponential series, cosh and sinh of nilpotent_apply are the oracle."""
+    """The cosh, sinh and e^{±hX} legs, summed in one pass over the even and
+    odd powers of hX on the Verma route and as Cayley bands of J+ on the map
+    route; the two exponential series, cosh and sinh of nilpotent_apply are
+    the oracle."""
     j = Fraction(two_j, 2)
     for r in (verma_basis_irrep(j), map_to_deformed(j)):
-        e_plus, e_minus = r.e[+1], r.e[-1]
-        assert e_plus == nilpotent_apply("exp", r.X)
-        assert e_minus == nilpotent_apply("exp", -r.X)
-        assert e_plus * e_minus == r.e[0] == PolyMatrix.identity(r.X.weights)
-        assert cosh_sinh(e_plus, e_minus) == (nilpotent_apply("cosh", r.X),
-                                              nilpotent_apply("sinh", r.X))
+        legs = r.legs
+        e_plus, e_minus, x = legs["e+"], legs["e-"], legs["X"]
+        assert e_plus == nilpotent_apply("exp", x)
+        assert e_minus == nilpotent_apply("exp", -x)
+        assert e_plus * e_minus == legs["1"] == PolyMatrix.identity(x.weights)
+        assert cosh_sinh(e_plus, e_minus) == (legs["cosh"], legs["sinh"]) == (
+            nilpotent_apply("cosh", x), nilpotent_apply("sinh", x))
 
 
 def test_traces_vanish():
     for j in (HALF, 1, Fraction(5, 2)):
         for r in (verma_basis_irrep(j), map_to_deformed(j)):
-            assert trace(r.X) == ZERO
-            assert trace(r.Y) == ZERO
-            assert trace(r.H) == ZERO
+            assert trace(r.legs["X"]) == ZERO
+            assert trace(r.legs["Y"]) == ZERO
+            assert trace(r.legs["H"]) == ZERO
 
 
 def test_casimir_values():
-    sc, value = casimir(verma_basis_irrep(HALF))
+    sc, value = casimir(verma_basis_irrep(HALF).legs)
     assert sc and value == Fraction(3, 4)
     # both bases agree for j = 7/2, and the scalar is exactly j(j+1)
-    sc_v, v_verma = casimir(verma_basis_irrep(Fraction(7, 2)))
-    sc_d, v_diag = casimir(map_to_deformed(Fraction(7, 2)))
+    sc_v, v_verma = casimir(verma_basis_irrep(Fraction(7, 2)).legs)
+    sc_d, v_diag = casimir(map_to_deformed(Fraction(7, 2)).legs)
     assert sc_v and sc_d and v_verma == v_diag == Fraction(63, 4)
 
 
 @pytest.mark.parametrize("j", [HALF, 1, 2, Fraction(5, 2)])
 def test_casimir_classical_limit(j):
     for r in (verma_basis_irrep(j), map_to_deformed(j)):
-        sc, value = casimir(r)
+        sc, value = casimir(r.legs)
         assert sc
         assert value == j * (j + 1)
 
@@ -299,9 +324,9 @@ def test_h_spectrum_via_characteristic_polynomial():
     j = HALF
     while j <= 6:
         r = verma_basis_irrep(j)
-        assert charpoly(r.H) == _weight_ladder_charpoly(j, r.dim), j
+        assert charpoly(r.legs["H"]) == _weight_ladder_charpoly(j, r.dim), j
         d = map_to_deformed(j)
-        assert d.H == diagonal(
+        assert d.legs["H"] == diagonal(
             [Fraction(2 * j - 2 * n) for n in range(d.dim)]
         ), j
         j += Fraction(1, 2)
@@ -313,10 +338,10 @@ def cyclic_form(r: Irrep, g: PolyMatrix) -> PolyMatrix:
     its grade it is upper triangular with h-free diagonal entries, products
     of subdiagonal entries of Y; K C = g K is solved at h = 1 by back
     substitution and then checked as an identity of graded matrices."""
-    n, weights = r.dim, r.Y.weights
+    n, weights = r.dim, r.legs["Y"].weights
     powers = [PolyMatrix.identity(weights)]
     for _ in range(n - 1):
-        powers.append(r.Y * powers[-1])
+        powers.append(r.legs["Y"] * powers[-1])
     k = PolyMatrix([[Fraction(y.nums[i][0], y.den) for y in powers] for i in range(n)],
                    weights, 0)
     gk = g * k
@@ -336,18 +361,18 @@ def test_basis_equivalence():
     for jj in (HALF, 1, Fraction(5, 2), 4):
         a = verma_basis_irrep(jj)
         b = map_to_deformed(jj)
-        assert casimir(a)[1] == casimir(b)[1]
+        assert casimir(a.legs)[1] == casimir(b.legs)[1]
         for name in ("X", "Y", "H"):
-            ga, gb = getattr(a, name), getattr(b, name)
+            ga, gb = a.legs[name], b.legs[name]
             assert cyclic_form(a, ga) == cyclic_form(b, gb), (jj, name)
 
 
 def test_classical_limit_of_verma_matrices():
     r = verma_basis_irrep(Fraction(5, 2))
     lam = 5
-    x0 = subs_h(r.X, 0)
-    h0 = subs_h(r.H, 0)
-    y0 = subs_h(r.Y, 0)
+    x0 = subs_h(r.legs["X"], 0)
+    h0 = subs_h(r.legs["H"], 0)
+    y0 = subs_h(r.legs["Y"], 0)
     for n in range(r.dim):
         assert h0[n][n] == lam - 2 * n
         if n + 1 < r.dim:
@@ -418,7 +443,8 @@ def test_irreps_are_even_in_h(basis):
     for two_j in range(9):
         j = Fraction(two_j, 2)
         r = verma_basis_irrep(j) if basis == "verma" else map_to_deformed(j)
-        assert (negate_h(r.X), negate_h(r.Y), negate_h(r.H)) == (r.X, r.Y, r.H)
+        x, y, h = (r.legs[g] for g in "XYH")
+        assert (negate_h(x), negate_h(y), negate_h(h)) == (x, y, h)
 
 
 def test_irrep_json_round_trip():

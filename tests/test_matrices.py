@@ -50,19 +50,19 @@ J_PLUS_8 = graded(
 def test_arctanh_map_on_two_dim_is_identity_map():
     c = classical_rep(Fraction(1, 2))
     assert c.plus == graded([[0, 1], [0, 0]], 2)
-    assert map_to_deformed(c.j).X == c.plus  # j^2 = 0 kills all higher terms
+    assert map_to_deformed(c.j).legs["X"] == c.plus  # j^2 = 0 kills all higher terms
 
 
 def test_arctanh_map_on_eight_dim_golden_entry():
     c = classical_rep(Fraction(7, 2))
     assert c.plus == J_PLUS_8
-    x = map_to_deformed(c.j).X
+    x = map_to_deformed(c.j).legs["X"]
     assert x[0, 3] == term(105, 0, 2)
     assert x[0, 5] == term(3780, 0, 4)
 
 
 def test_sqrt_conjugation_golden_entry():
-    y = map_to_deformed(Fraction(7, 2)).Y
+    y = map_to_deformed(Fraction(7, 2)).legs["Y"]
     assert y[0, 1] == term(Fraction(-21, 2), 0, 2)
 
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanrep import ncseries
+from jordanrep.cli import main
 from jordanrep.errors import InputError
 from jordanrep.ncseries import (
     FIELD_BITS,
@@ -509,6 +511,48 @@ def test_momentum_spectrum_rejects_zero_omega():
         momentum_spectrum(F(0), [F(1)], F(1), F(1))
 
 
+#: pi to 60 digits, for the reference values of im_p_plus.
+PI_60 = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def _decimal(q: Fraction) -> Decimal:
+    return Decimal(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("omega", [F(1), F(3), F(-7, 10), F(1, 10**8)])
+def test_spectrum_cells_are_correctly_rounded(omega):
+    """re_p_plus = ln|u|/omega and im_p_plus = pi/omega for u = 1 + omega pi+,
+    against a 700-digit reference rounded once, with omega pi+ = +-10^e and
+    +-(3/7) 10^e for e from -300 to 300 (every e from -39 to -1 for 3/7), on
+    both sides of the singular point, with u itself within 10^-300 of 0, and
+    with |omega pi+| just above and below 2^-10, where the series and the
+    decimal branches of ln_abs meet.  700 digits are more than |u| - 1 has
+    leading zeros at any of these points."""
+    targets = [sign * m * F(10) ** e for e in (*range(-300, 301, 25), *range(-39, 0))
+               for sign in (1, -1) for m in (1, F(3, 7)) if sign * m * F(10) ** e != -1]
+    targets += [-1 + sign * F(10) ** e for e in range(-300, 0, 50) for sign in (1, -1)]
+    targets += [sign * F(m, 1024 * m + r) for m in range(1, 11)
+                for r in (-1, 1) for sign in (1, -1)]
+    scan = momentum_spectrum(omega, [t / omega for t in targets], F(1), F(1))
+    with localcontext() as ctx:
+        ctx.prec = 700
+        for t, row in zip(targets, scan["rows"], strict=True):
+            u = 1 + t
+            assert row["re_p_plus"] == float(_decimal(abs(u)).ln() / _decimal(omega)), t
+            assert row["im_p_plus"] == (0.0 if u > 0 else float(Decimal(PI_60) / _decimal(omega)))
+
+
+@pytest.mark.parametrize("argv, row", [
+    ("--omega 1e-20 --grid 1:1:1", "1.0,regular,1.0,0.0,1.0,1.0"),
+    ("--omega 1e-200 --grid 1e-200:1e-200:1", "1e-200,regular,1e-200,0.0,1.0,1.0"),
+])
+def test_a_tiny_omega_pi_plus_keeps_every_digit(capsys, argv, row):
+    """ln(1 + 10^-20) / 10^-20 is 1 to 20 digits: rounding |u| to a float
+    first printed 0.0 here."""
+    assert main(["spectrum", *argv.split()]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
+
+
 def test_scan_rows_are_the_inverse_map_that_verify_e3_checks(monkeypatch):
     """P+, P0 and P- of _e3_deformed are power series in w over the commuting
     momenta.  At w = 11, a prime above the order, such a series agrees with
@@ -524,7 +568,7 @@ def test_scan_rows_are_the_inverse_map_that_verify_e3_checks(monkeypatch):
     point = (F(0), F(0), F(0), F(2, 3), F(5, 7), F(-3, 2))   # J+, J0, J-, Pi+, Pi0, Pi-
 
     monkeypatch.setattr(ncseries, "_rounded", lambda value: value)
-    monkeypatch.setattr(math, "log", lambda u: sum(
+    monkeypatch.setattr(ncseries, "ln_abs", lambda u: sum(
         F((-1) ** (k + 1), k) * (u - 1) ** k for k in range(1, order + 2)))
     scan = momentum_spectrum(F(prime), [point[3]], point[5], point[4])
     (row,) = scan["rows"]

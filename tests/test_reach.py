@@ -32,7 +32,6 @@ PACKAGE_DIR = Path(jordanrep.__file__).resolve().parent
 ALLOWED = {
     "__repr__",
     "__eq__",
-    "__hash__",
     "jordanrep.cli.console_entry",
     "jordanrep.report.VerificationReport.add_fail",
     "jordanrep.ncseries.AlgebraPresentation.monomial_str",

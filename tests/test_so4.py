@@ -105,7 +105,7 @@ def test_j_triple_is_the_sl2_coproduct(j1, j2):
     opposite coproduct, each pair's legs swapped, differs on Y and H unless
     one factor is 1x1."""
     g = build_so4(j1, j2).legs
-    la, lb = irrep.legs(map_to_deformed(j1)), irrep.legs(map_to_deformed(j2))
+    la, lb = map_to_deformed(j1).legs, map_to_deformed(j2).legs
     for x, name in J_TRIPLE.items():
         assert g[name] == irrep.contract(irrep.COPRODUCT[x], la, lb, PolyMatrix.kron), name
     for x in ("Y", "H"):
@@ -117,8 +117,8 @@ def test_j_triple_is_the_sl2_coproduct(j1, j2):
 def test_per_copy_casimirs_central():
     for j1, j2 in PAIRS[:2]:
         rep1, rep2 = map_to_deformed(j1), map_to_deformed(j2)
-        sc1, c1 = casimir(rep1)
-        sc2, c2 = casimir(rep2)
+        sc1, c1 = casimir(rep1.legs)
+        sc2, c2 = casimir(rep2.legs)
         assert sc1 and sc2
         legs = build_so4(j1, j2).legs
         # copy 2 carries -h, but its Casimir value has no h to flip
@@ -228,9 +228,9 @@ def test_exponentials_factor_over_the_copies(j1, j2):
                           ("cosh", "cosh", jp), ("sinh", "sinh", jp)):
         assert g[name] == nilpotent_apply(kind, m), name
     for j in (j1, j2):
-        rep = map_to_deformed(j)
-        assert cosh_sinh(rep.e[+1], rep.e[-1]) == (nilpotent_apply("cosh", rep.X),
-                                                   nilpotent_apply("sinh", rep.X))
+        legs = map_to_deformed(j).legs
+        assert cosh_sinh(legs["e+"], legs["e-"]) == (nilpotent_apply("cosh", legs["X"]),
+                                                     nilpotent_apply("sinh", legs["X"]))
 
 
 @pytest.mark.parametrize("argv, largest", [
@@ -260,9 +260,33 @@ def test_series_run_on_single_copies_only(monkeypatch, capsys, argv, largest):
     assert rows["_band"] and max(rows["_band"]) <= largest
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["verify", "sl2", "--j-max", "3"], 0),
+    (["verify", "so4", "--j1", "1", "--j2", "1/2"], 2),
+    (["verify", "hopf", "--j1", "1", "--j2", "1/2"], 1),
+])
+def test_cosh_and_sinh_are_formed_once_per_leg_table(monkeypatch, capsys, argv, calls):
+    """An irrep's cosh and sinh legs come with it, so `verify sl2` forms none
+    from e^{±hX}; `verify so4` forms one pair for each leg table it builds
+    (the representation and the counit's trivial one) and `verify hopf` one
+    for its coproduct."""
+    made = []
+    honest = irrep.cosh_sinh
+
+    def counted(e_plus, e_minus):
+        made.append(e_plus.rows)
+        return honest(e_plus, e_minus)
+
+    for module in (irrep, so4):
+        monkeypatch.setattr(module, "cosh_sinh", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(made) == calls, made
+
+
 def _corrupt(rep):
     """Put e^{+hX} in place of e^{-hX} in the group-likes of rep."""
-    return rep._replace(e={**rep.e, -1: rep.e[+1]})
+    return rep._replace(legs={**rep.legs, "e-": rep.legs["e+"]})
 
 
 def test_a_corrupted_group_like_is_caught(monkeypatch):

@@ -28,8 +28,10 @@ and the LaTeX element table before its X columns became running sums of
 the H columns and the LaTeX and plain-text polynomial writers came to share
 one term formatter.  Three of the spectrum pins were re-recorded when the
 scan came to work in exact rationals, since their cells then became the
-correctly rounded values; the fourth kept its digest.  The commands run
-in-process.
+correctly rounded values; the fourth kept its digest.  The last two of them
+were re-recorded again when ln|u| came to be computed to about 90 bits:
+13 and 90 of their re_p_plus cells, and no other cell, moved, each to the
+value of a 700-digit reference.  The commands run in-process.
 """
 
 import hashlib
@@ -87,9 +89,9 @@ DIGESTS = {
     "spectrum --omega 1 --grid -3:3:0.5 --pi0 2 --pim 0.5 --out json":
         "74776bbdf8c6d392c6b3361467a8ca202b0d7819682d2d92b55c68542212cb95",
     "spectrum --omega -0.7 --grid -5:5:0.37 --out json":
-        "3636744bc007a124b59440583006031967080780d11852c6024ada3738507108",
+        "c16cc7bcb7f848d0b2667e511345c67f860ad6563516ed980ae4c5e2bad6c5c4",
     "spectrum --omega 1 --grid -1.7:0.3:0.01":
-        "a2d5868b21ca6958b6d15873c75e43bdb8e5bbce501daad520cba44e5f14bfbe",
+        "b88d1bdd41a22ac4a613f12d6d2b9c07b02c2bb17efc3c21bd67ef29a03ef3e1",
 }
 
 
